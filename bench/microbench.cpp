@@ -178,7 +178,8 @@ BM_VecEnvThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_VecEnvThroughput)
     ->ArgsProduct({{1, 2, 4, 8, 64, 256}, {0, 1}})
-    ->ArgNames({"streams", "threaded"});
+    ->ArgNames({"streams", "threaded"})
+    ->UseRealTime();
 
 /**
  * The batch engine sweep: env-steps/sec stepping N streams through
@@ -235,7 +236,8 @@ BM_EnvStepBatch(benchmark::State &state)
 }
 BENCHMARK(BM_EnvStepBatch)
     ->ArgsProduct({{1, 8, 64, 256}, {0, 1}})
-    ->ArgNames({"streams", "batch"});
+    ->ArgNames({"streams", "batch"})
+    ->UseRealTime();
 
 void
 BM_PolicyForward(benchmark::State &state)
@@ -302,13 +304,18 @@ BENCHMARK(BM_PolicyInferenceBatch)->Arg(1)->Arg(4)->Arg(8);
 /**
  * Full PPO epoch (collect + update) at 1/4/8 streams, serial vs
  * double-buffered collection (Arg1 = 1 pipelines env stepping behind
- * the policy forward; needs >= 2 streams and a second core to win).
+ * the policy forward; needs >= 2 streams and a second core to win),
+ * at 1/2/4 kernel threads (Arg2, the update's matmul/Adam budget; the
+ * bits are the same at every count). Timed on the wall clock: the
+ * kernel threads work while the main thread waits, so its CPU time
+ * would overstate a multi-threaded win.
  */
 void
 BM_PpoEpoch(benchmark::State &state)
 {
     const auto streams = static_cast<std::size_t>(state.range(0));
     const bool db = state.range(1) != 0;
+    const MatThreadScope budget(static_cast<std::size_t>(state.range(2)));
     auto vec = makeVecEnv("guessing_game", benchEnvConfig(), streams);
     PpoConfig ppo;
     ppo.stepsPerEpoch = 512;
@@ -323,9 +330,10 @@ BM_PpoEpoch(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PpoEpoch)
-    ->ArgsProduct({{1, 4, 8}, {0, 1}})
-    ->ArgNames({"streams", "db"})
-    ->Unit(benchmark::kMillisecond);
+    ->ArgsProduct({{1, 4, 8}, {0, 1}, {1, 2, 4}})
+    ->ArgNames({"streams", "db", "threads"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_Autocorrelation(benchmark::State &state)

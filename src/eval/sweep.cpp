@@ -8,6 +8,7 @@
 
 #include "env/env_registry.hpp"
 #include "hw/machines.hpp"
+#include "rl/mat.hpp"
 #include "serve/cell_exec.hpp"
 #include "serve/dist_scheduler.hpp"
 #include "util/task_pool.hpp"
@@ -277,7 +278,15 @@ runSweepCells(const std::string &name, std::vector<SweepCell> cells,
         TaskPool pool(static_cast<std::size_t>(workers),
                       /*max_useful=*/report.cells.size());
         report.workersUsed = static_cast<int>(pool.numThreads());
-        pool.parallelFor(0, report.cells.size(), run_cell);
+        // Concurrent cells share the caller's kernel-thread budget so
+        // workers x GEMM threads stays within the cores (results do
+        // not depend on the split; see rl/mat.hpp).
+        const std::size_t cell_threads =
+            std::max<std::size_t>(1, matThreads() / pool.numThreads());
+        pool.parallelFor(0, report.cells.size(), [&](std::size_t i) {
+            const MatThreadScope budget(cell_threads);
+            run_cell(i);
+        });
     }
 
     report.wallSeconds =

@@ -6,6 +6,20 @@
 
 namespace autocat {
 
+namespace {
+
+/** backward() scratch, per thread like Mlp's (rl/nn.cpp). */
+struct BackwardScratch
+{
+    Matrix dv;       ///< B x 1 value-loss gradient
+    Matrix dTorso;   ///< torso-output gradient: policy head + value
+    Matrix dTorsoV;  ///< the value head's share of dTorso
+};
+
+thread_local BackwardScratch t_backward;
+
+} // namespace
+
 ActorCritic::ActorCritic(std::size_t obs_dim, std::size_t num_actions,
                          std::size_t hidden, std::size_t layers, Rng &rng)
     : obs_dim_(obs_dim),
@@ -26,16 +40,22 @@ ActorCritic::ActorCritic(std::size_t obs_dim, std::size_t num_actions,
 AcOutput
 ActorCritic::forward(const Matrix &obs)
 {
+    AcOutput out;
+    forward(obs, out);
+    return out;
+}
+
+void
+ActorCritic::forward(const Matrix &obs, AcOutput &out)
+{
     assert(obs.cols() == obs_dim_);
     const Matrix &torso = torso_.forwardCached(obs);
     torso_out_ = &torso;
-    AcOutput out;
     pi_head_.forwardInto(out.logits, torso, /*fuse_relu=*/false);
     v_head_.forwardInto(values_col_, torso, /*fuse_relu=*/false);
     out.values.resize(obs.rows());
     for (std::size_t r = 0; r < obs.rows(); ++r)
         out.values[r] = values_col_(r, 0);
-    return out;
 }
 
 void
@@ -58,18 +78,17 @@ ActorCritic::backward(const Matrix &dlogits,
     assert(dlogits.rows() == torso_out_->rows());
     assert(dvalues.size() == torso_out_->rows());
 
-    const Matrix d_torso_pi = pi_head_.backward(dlogits, *torso_out_);
+    BackwardScratch &ws = t_backward;
+    pi_head_.backward(dlogits, *torso_out_, &ws.dTorso);
 
-    Matrix dv(dvalues.size(), 1);
-    for (std::size_t r = 0; r < dvalues.size(); ++r)
-        dv(r, 0) = dvalues[r];
-    const Matrix d_torso_v = v_head_.backward(dv, *torso_out_);
+    ws.dv.resizeUninit(dvalues.size(), 1);
+    std::copy(dvalues.begin(), dvalues.end(), ws.dv.data());
+    v_head_.backward(ws.dv, *torso_out_, &ws.dTorsoV);
 
-    Matrix d_torso = d_torso_pi;
-    for (std::size_t i = 0; i < d_torso.size(); ++i)
-        d_torso.data()[i] += d_torso_v.data()[i];
+    for (std::size_t i = 0; i < ws.dTorso.size(); ++i)
+        ws.dTorso.data()[i] += ws.dTorsoV.data()[i];
 
-    torso_.backward(d_torso);
+    torso_.backward(ws.dTorso);
 }
 
 const AcOutput &

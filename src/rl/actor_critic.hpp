@@ -51,6 +51,10 @@ class ActorCritic
     /** Batch forward; caches intermediates for backward(). */
     AcOutput forward(const Matrix &obs);
 
+    /** forward() into caller-owned output storage (reused across
+     *  calls, so a steady-state update loop does not allocate). */
+    void forward(const Matrix &obs, AcOutput &out);
+
     /**
      * Inference-only batch forward into caller-owned output storage.
      * Reuses @p out's matrices/vectors and an internal scratch, so a

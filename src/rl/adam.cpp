@@ -1,5 +1,6 @@
 #include "rl/adam.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -27,20 +28,41 @@ Adam::step(std::vector<ParamBlock> &blocks)
     const double bc2 = 1.0 - std::pow(beta2_, t_);
     const double alpha = lr_ * std::sqrt(bc2) / bc1;
 
+    std::size_t total = 0;
     for (std::size_t k = 0; k < blocks.size(); ++k) {
-        auto &b = blocks[k];
-        auto &m = m_[k];
-        auto &v = v_[k];
-        assert(b.size == m.size());
-        for (std::size_t i = 0; i < b.size; ++i) {
-            const float g = b.grads[i];
-            m[i] = static_cast<float>(beta1_ * m[i] + (1.0 - beta1_) * g);
-            v[i] = static_cast<float>(beta2_ * v[i] +
-                                      (1.0 - beta2_) * g * g);
-            b.params[i] -= static_cast<float>(
-                alpha * m[i] / (std::sqrt(static_cast<double>(v[i])) +
-                                eps_));
-        }
+        assert(blocks[k].size == m_[k].size());
+        total += blocks[k].size;
+    }
+
+    // Every element's update is independent of the others, so any
+    // partition of the flat element range [0, total) — blocks laid end
+    // to end — gives the serial bits.
+    parallelBlocks(
+        total, kElementAlign, total * kWorkPerElement,
+        [&](std::size_t lo, std::size_t hi) {
+            std::size_t base = 0;
+            for (std::size_t k = 0; k < blocks.size() && base < hi; ++k) {
+                const std::size_t size = blocks[k].size;
+                const std::size_t i0 = std::max(lo, base);
+                const std::size_t i1 = std::min(hi, base + size);
+                if (i0 < i1)
+                    update(blocks[k], m_[k], v_[k], i0 - base, i1 - base,
+                           alpha);
+                base += size;
+            }
+        });
+}
+
+void
+Adam::update(ParamBlock &b, std::vector<float> &m, std::vector<float> &v,
+             std::size_t i0, std::size_t i1, double alpha) const
+{
+    for (std::size_t i = i0; i < i1; ++i) {
+        const float g = b.grads[i];
+        m[i] = static_cast<float>(beta1_ * m[i] + (1.0 - beta1_) * g);
+        v[i] = static_cast<float>(beta2_ * v[i] + (1.0 - beta2_) * g * g);
+        b.params[i] -= static_cast<float>(
+            alpha * m[i] / (std::sqrt(static_cast<double>(v[i])) + eps_));
     }
 }
 

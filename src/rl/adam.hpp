@@ -25,7 +25,12 @@ class Adam
     Adam(const std::vector<ParamBlock> &blocks, double lr,
          double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
 
-    /** Apply one update from the gradients currently in @p blocks. */
+    /**
+     * Apply one update from the gradients currently in @p blocks. Large
+     * steps split over element ranges on the calling thread's kernel
+     * pool (rl/mat.hpp parallelBlocks); the bits are the same at every
+     * thread count.
+     */
     void step(std::vector<ParamBlock> &blocks);
 
     /** Change the learning rate (for schedules). */
@@ -56,6 +61,18 @@ class Adam
     void setState(const State &state);
 
   private:
+    /** Partition granularity of step(), in elements. */
+    static constexpr std::size_t kElementAlign = 16;
+
+    /** Rough multiply-add equivalents of one element's update (two
+     *  moment updates, a square root and a division), for the split
+     *  threshold. */
+    static constexpr std::size_t kWorkPerElement = 16;
+
+    /** Update elements [i0, i1) of one block. */
+    void update(ParamBlock &b, std::vector<float> &m, std::vector<float> &v,
+                std::size_t i0, std::size_t i1, double alpha) const;
+
     double lr_;
     double beta1_;
     double beta2_;

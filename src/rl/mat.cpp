@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
+
+#include "util/task_pool.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define AUTOCAT_MAT_X86 1
@@ -43,16 +46,18 @@ matmulPortable(float *c, const float *a, const float *b, std::size_t m,
     }
 }
 
+/** Rows [i0, i1) of C = A^T * B (A: k x m, B: k x n, C: m x n). */
 void
 matmulTransAPortable(float *c, const float *a, const float *b,
-                     std::size_t k, std::size_t m, std::size_t n)
+                     std::size_t k, std::size_t m, std::size_t n,
+                     std::size_t i0, std::size_t i1)
 {
-    for (std::size_t i = 0; i < m * n; ++i)
+    for (std::size_t i = i0 * n; i < i1 * n; ++i)
         c[i] = 0.0f;
     for (std::size_t p = 0; p < k; ++p) {
         const float *arow = a + p * m;
         const float *brow = b + p * n;
-        for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t i = i0; i < i1; ++i) {
             const float av = arow[i];
             if (av == 0.0f)
                 continue;
@@ -310,12 +315,18 @@ mmTransATileAvx2(float *c, const float *a, const float *b, std::size_t i0,
     }
 }
 
+/**
+ * Rows [i0, i1) of C = A^T * B. With i0 a multiple of 4 and i1 either
+ * a multiple of 4 or m, every row takes the tile path it takes in the
+ * full [0, m) call, so its bits do not depend on the range.
+ */
 __attribute__((target("avx2,fma"))) void
 matmulTransAAvx2(float *c, const float *a, const float *b, std::size_t k,
-                 std::size_t m, std::size_t n)
+                 std::size_t m, std::size_t n, std::size_t i0,
+                 std::size_t i1)
 {
-    std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
+    std::size_t i = i0;
+    for (; i + 4 <= i1; i += 4) {
         std::size_t j = 0;
         for (; j + 16 <= n; j += 16)
             mmTransATileAvx2<4>(c, a, b, i, j, k, m, n);
@@ -329,7 +340,7 @@ matmulTransAAvx2(float *c, const float *a, const float *b, std::size_t k,
             }
         }
     }
-    for (; i < m; ++i) {
+    for (; i < i1; ++i) {
         std::size_t j = 0;
         for (; j + 16 <= n; j += 16)
             mmTransATileAvx2<1>(c, a, b, i, j, k, m, n);
@@ -363,6 +374,77 @@ useAvx2()
 #endif
 }
 
+/*
+ * Backend dispatch over a row range. The row-independent kernels take
+ * a block as offset pointers and a row count; matmulTransA takes the
+ * range itself because a block of its output rows reads strided
+ * columns of A.
+ */
+
+/** Row-tile height of the matmul kernels: partition boundaries are
+ *  multiples of it (see rl/mat.hpp). */
+constexpr std::size_t kMatTileRows = 4;
+
+void
+matmulRows(float *c, const float *a, const float *b, std::size_t m,
+           std::size_t k, std::size_t n)
+{
+#if AUTOCAT_MAT_X86
+    if (useAvx2()) {
+        matmulAvx2(c, a, b, m, k, n);
+        return;
+    }
+#endif
+    matmulPortable(c, a, b, m, k, n);
+}
+
+void
+dotGemmRows(float *c, const float *a, const float *b, std::size_t m,
+            std::size_t n, std::size_t k, const float *bias, bool relu)
+{
+#if AUTOCAT_MAT_X86
+    if (useAvx2()) {
+        dotGemmAvx2(c, a, b, m, n, k, bias, relu);
+        return;
+    }
+#endif
+    dotGemmPortable(c, a, b, m, n, k, bias, relu);
+}
+
+void
+matmulTransARows(float *c, const float *a, const float *b, std::size_t k,
+                 std::size_t m, std::size_t n, std::size_t i0,
+                 std::size_t i1)
+{
+#if AUTOCAT_MAT_X86
+    if (useAvx2()) {
+        matmulTransAAvx2(c, a, b, k, m, n, i0, i1);
+        return;
+    }
+#endif
+    matmulTransAPortable(c, a, b, k, m, n, i0, i1);
+}
+
+/** C = A * B^T (+ bias, ReLU), partitioned over rows of C. */
+void
+dotGemm(Matrix &c, const Matrix &a, const Matrix &b, const float *bias,
+        bool relu)
+{
+    const std::size_t m = a.rows(), n = b.rows(), k = a.cols();
+    c.resizeUninit(m, n);
+    float *cd = c.data();
+    const float *ad = a.data();
+    const float *bd = b.data();
+    parallelBlocks(m, kMatTileRows, m * n * k,
+                   [=](std::size_t i0, std::size_t i1) {
+                       dotGemmRows(cd + i0 * n, ad + i0 * k, bd, i1 - i0, n,
+                                   k, bias, relu);
+                   });
+}
+
+thread_local std::size_t t_mat_threads = 0;  ///< 0 = affinityCpuCount()
+thread_local std::unique_ptr<TaskPool> t_mat_pool;
+
 } // namespace
 
 const char *
@@ -371,21 +453,69 @@ matmulBackend()
     return useAvx2() ? "avx2+fma" : "portable";
 }
 
+std::size_t
+matThreads()
+{
+    return t_mat_threads ? t_mat_threads : affinityCpuCount();
+}
+
+MatThreadScope::MatThreadScope(std::size_t threads) : saved_(t_mat_threads)
+{
+    t_mat_threads = threads;
+}
+
+MatThreadScope::~MatThreadScope()
+{
+    t_mat_threads = saved_;
+}
+
+namespace detail {
+
+void
+runBlocks(std::size_t n, std::size_t align, std::size_t work, BlockFn fn,
+          void *ctx)
+{
+    // Every block carries at least kMatSplitMinWork multiply-adds, so a
+    // call just over the threshold takes two blocks, not one per CPU.
+    const std::size_t budget = matThreads();
+    const std::size_t tiles = (n + align - 1) / align;
+    const std::size_t blocks =
+        std::min({budget, tiles, work / kMatSplitMinWork});
+    if (blocks < 2 || n < kMatSplitMinRows) {
+        fn(ctx, 0, n);
+        return;
+    }
+    // Sized by the budget, not by this call's block count, so calls of
+    // different shapes share one pool; rebuilt only when the budget
+    // changes.
+    if (!t_mat_pool || t_mat_pool->numThreads() != budget) {
+        t_mat_pool.reset();
+        t_mat_pool = std::make_unique<TaskPool>(budget);
+    }
+    const std::size_t per = (tiles + blocks - 1) / blocks * align;
+    const std::size_t count = (n + per - 1) / per;
+    t_mat_pool->parallelFor(0, count, [&](std::size_t b) {
+        fn(ctx, b * per, std::min(n, (b + 1) * per));
+    });
+}
+
+} // namespace detail
+
 void
 matmulInto(Matrix &c, const Matrix &a, const Matrix &b)
 {
     assert(a.cols() == b.rows());
     assert(&c != &a && &c != &b);
-    c.resizeUninit(a.rows(), b.cols());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        matmulAvx2(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                   b.cols());
-        return;
-    }
-#endif
-    matmulPortable(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                   b.cols());
+    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+    c.resizeUninit(m, n);
+    float *cd = c.data();
+    const float *ad = a.data();
+    const float *bd = b.data();
+    parallelBlocks(m, kMatTileRows, m * n * k,
+                   [=](std::size_t i0, std::size_t i1) {
+                       matmulRows(cd + i0 * n, ad + i0 * k, bd, i1 - i0, k,
+                                  n);
+                   });
 }
 
 void
@@ -393,16 +523,7 @@ matmulTransBInto(Matrix &c, const Matrix &a, const Matrix &b)
 {
     assert(a.cols() == b.cols());
     assert(&c != &a && &c != &b);
-    c.resizeUninit(a.rows(), b.rows());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        dotGemmAvx2(c.data(), a.data(), b.data(), a.rows(), b.rows(),
-                    a.cols(), nullptr, false);
-        return;
-    }
-#endif
-    dotGemmPortable(c.data(), a.data(), b.data(), a.rows(), b.rows(),
-                    a.cols(), nullptr, false);
+    dotGemm(c, a, b, nullptr, false);
 }
 
 void
@@ -410,16 +531,15 @@ matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b)
 {
     assert(a.rows() == b.rows());
     assert(&c != &a && &c != &b);
-    c.resizeUninit(a.cols(), b.cols());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        matmulTransAAvx2(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                         b.cols());
-        return;
-    }
-#endif
-    matmulTransAPortable(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                         b.cols());
+    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+    c.resizeUninit(m, n);
+    float *cd = c.data();
+    const float *ad = a.data();
+    const float *bd = b.data();
+    parallelBlocks(m, kMatTileRows, m * n * k,
+                   [=](std::size_t i0, std::size_t i1) {
+                       matmulTransARows(cd, ad, bd, k, m, n, i0, i1);
+                   });
 }
 
 void
@@ -429,16 +549,7 @@ linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
     assert(x.cols() == w.cols());
     assert(bias.size() == w.rows());
     assert(&y != &x && &y != &w);
-    y.resizeUninit(x.rows(), w.rows());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        dotGemmAvx2(y.data(), x.data(), w.data(), x.rows(), w.rows(),
-                    x.cols(), bias.data(), relu);
-        return;
-    }
-#endif
-    dotGemmPortable(y.data(), x.data(), w.data(), x.rows(), w.rows(),
-                    x.cols(), bias.data(), relu);
+    dotGemm(y, x, w, bias.data(), relu);
 }
 
 Matrix
@@ -566,16 +677,24 @@ addRowVector(Matrix &m, const std::vector<float> &bias)
     }
 }
 
-std::vector<float>
-colSum(const Matrix &m)
+void
+addColSums(std::vector<float> &acc, const Matrix &m)
 {
-    std::vector<float> out(m.cols(), 0.0f);
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const float *row = m.rowPtr(r);
-        for (std::size_t c = 0; c < m.cols(); ++c)
-            out[c] += row[c];
+    assert(acc.size() == m.cols());
+    // Column blocks held on the stack: each column is summed over the
+    // rows in order from 0 and only then added, with no temporary.
+    constexpr std::size_t kBlock = 64;
+    for (std::size_t c0 = 0; c0 < m.cols(); c0 += kBlock) {
+        const std::size_t width = std::min(kBlock, m.cols() - c0);
+        float sums[kBlock] = {};
+        for (std::size_t r = 0; r < m.rows(); ++r) {
+            const float *row = m.rowPtr(r) + c0;
+            for (std::size_t j = 0; j < width; ++j)
+                sums[j] += row[j];
+        }
+        for (std::size_t j = 0; j < width; ++j)
+            acc[c0 + j] += sums[j];
     }
-    return out;
 }
 
 } // namespace autocat

@@ -12,7 +12,8 @@
  * matmulBackend()). Two properties every backend upholds:
  *
  *  - **Determinism**: for a fixed backend, results are a pure function
- *    of the operands — no threading, no runtime-dependent blocking.
+ *    of the operands — the same bits at every thread count, no
+ *    runtime-dependent blocking.
  *  - **Row purity** (matmulTransBInto / linearForwardInto only): each
  *    output row is computed with an accumulation order that depends
  *    only on that row of A and on B — never on the number of other
@@ -20,6 +21,19 @@
  *    bitwise identical to forwarding it whole, which is what lets the
  *    double-buffered PPO collector split a stream batch into groups
  *    without perturbing trajectories (see rl/ppo.hpp).
+ *
+ * **Multi-core partition contract.** A matmul call with at least
+ * kMatSplitMinRows output rows and 2 * kMatSplitMinWork multiply-adds
+ * is split over its *output rows* — batch rows for matmulInto,
+ * matmulTransBInto and linearForwardInto, rows of the A^T * B product
+ * for matmulTransAInto — into contiguous blocks whose boundaries are
+ * multiples of the kernels' 4-row register tile, at most one block per
+ * thread of the calling thread's budget (matThreads()) and per
+ * kMatSplitMinWork multiply-adds, run on a util/TaskPool. Every output element therefore goes through the same
+ * kernel path and accumulation order as in the single-threaded call:
+ * the bits are those of the serial kernel at every thread count.
+ * Smaller calls — per-step collection inference, forwardOne(), the
+ * tiny head GEMMs — run inline and never dispatch.
  *
  * Set AUTOCAT_MAT_PORTABLE=1 in the environment (before first use) to
  * force the portable backend, e.g. when A/B-measuring the SIMD path.
@@ -31,6 +45,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace autocat {
@@ -111,6 +126,71 @@ class Matrix
  * "portable". Useful in logs and for verifying a forced fallback.
  */
 const char *matmulBackend();
+
+/** Least multiply-adds per block of a split call; calls with fewer
+ *  than twice this run inline. */
+constexpr std::size_t kMatSplitMinWork = std::size_t{1} << 18;
+
+/** Calls with fewer output rows than this run inline. */
+constexpr std::size_t kMatSplitMinRows = 8;
+
+/**
+ * Thread budget of the calling thread's training kernels: how many pool
+ * workers a matmul (or Adam step) big enough to split may use. Defaults
+ * to every CPU in the process's affinity mask; MatThreadScope overrides
+ * it. Results are bitwise identical at every budget, so the budget is
+ * an execution resource only — no config key, blob, checkpoint or
+ * report carries it.
+ */
+std::size_t matThreads();
+
+/**
+ * Sets the calling thread's budget for the scope's lifetime (0 selects
+ * the default) and restores the previous budget on destruction. The
+ * worker pool is per thread and created lazily, on the first call big
+ * enough to split — a budget of 1 never spawns a thread.
+ */
+class MatThreadScope
+{
+  public:
+    explicit MatThreadScope(std::size_t threads);
+    ~MatThreadScope();
+
+    MatThreadScope(const MatThreadScope &) = delete;
+    MatThreadScope &operator=(const MatThreadScope &) = delete;
+
+  private:
+    std::size_t saved_;
+};
+
+namespace detail {
+using BlockFn = void (*)(void *ctx, std::size_t begin, std::size_t end);
+void runBlocks(std::size_t n, std::size_t align, std::size_t work,
+               BlockFn fn, void *ctx);
+} // namespace detail
+
+/**
+ * Run @p body(begin, end) over a partition of [0, n) into contiguous
+ * blocks whose interior boundaries are multiples of @p align, on the
+ * calling thread's pool: min(budget, align tiles, @p work /
+ * kMatSplitMinWork) blocks, @p work being the call's estimated
+ * multiply-adds. Block calls run concurrently, so @p body must write
+ * only state its block owns. Runs body(0, n) inline instead when that
+ * count is below 2 or n < kMatSplitMinRows.
+ */
+template <typename F>
+void
+parallelBlocks(std::size_t n, std::size_t align, std::size_t work,
+               F &&body)
+{
+    using Fn = std::remove_reference_t<F>;
+    detail::runBlocks(
+        n, align, work,
+        [](void *ctx, std::size_t begin, std::size_t end) {
+            (*static_cast<Fn *>(ctx))(begin, end);
+        },
+        const_cast<void *>(static_cast<const void *>(&body)));
+}
 
 /*
  * Destination-passing matmuls. Shared pre/postconditions:
@@ -204,8 +284,13 @@ void softmaxEntropyRowsMaskedInto(std::vector<double> &probs,
 /** Add row vector @p bias (length cols) to every row of @p m in place. */
 void addRowVector(Matrix &m, const std::vector<float> &bias);
 
-/** Column sums of @p m (length cols). */
-std::vector<float> colSum(const Matrix &m);
+/**
+ * acc[c] += column c's sum of @p m, the sum taken over the rows in
+ * order from 0 before it is added; no allocation.
+ *
+ *  Pre: acc.size() == m.cols().
+ */
+void addColSums(std::vector<float> &acc, const Matrix &m);
 
 } // namespace autocat
 

@@ -1,9 +1,23 @@
 #include "rl/nn.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace autocat {
+
+namespace {
+
+/**
+ * Backward scratch of Mlp: t_mlp_grads[i] is the gradient w.r.t. the
+ * layer-i input (entry 0 unused: nothing reads the input gradient), the
+ * last entry stages the incoming gradient. Per thread, not per network:
+ * a backward runs on one thread and keeps nothing between calls, so
+ * every network a thread trains shares one set of B x width buffers.
+ */
+thread_local std::vector<Matrix> t_mlp_grads;
+
+} // namespace
 
 Linear::Linear(std::size_t in, std::size_t out, Rng &rng, float gain)
     : in_(in), out_(out), w_(out, in), b_(out, 0.0f), gw_(out, in),
@@ -33,8 +47,9 @@ Linear::forwardInto(Matrix &y, const Matrix &x, bool fuse_relu) const
     linearForwardInto(y, x, w_, b_, fuse_relu);
 }
 
-Matrix
-Linear::backward(const Matrix &grad_out, const Matrix &input)
+void
+Linear::backward(const Matrix &grad_out, const Matrix &input,
+                 Matrix *grad_in)
 {
     assert(grad_out.cols() == out_);
     assert(grad_out.rows() == input.rows());
@@ -44,11 +59,10 @@ Linear::backward(const Matrix &grad_out, const Matrix &input)
     matmulTransAInto(gw_scratch_, grad_out, input);
     for (std::size_t i = 0; i < gw_.size(); ++i)
         gw_.data()[i] += gw_scratch_.data()[i];
-    const std::vector<float> gb = colSum(grad_out);
-    for (std::size_t i = 0; i < gb_.size(); ++i)
-        gb_[i] += gb[i];
+    addColSums(gb_, grad_out);
 
-    return matmul(grad_out, w_);
+    if (grad_in)
+        matmulInto(*grad_in, grad_out, w_);
 }
 
 void
@@ -107,19 +121,24 @@ Mlp::forwardInto(const Matrix &x, std::vector<Matrix> &scratch) const
     return scratch.back();
 }
 
-Matrix
+void
 Mlp::backward(const Matrix &grad_out)
 {
-    Matrix g = grad_out;
+    std::vector<Matrix> &grads = t_mlp_grads;
+    grads.resize(layers_.size() + 1);
+    Matrix &top = grads.back();
+    top.resizeUninit(grad_out.rows(), grad_out.cols());
+    std::copy(grad_out.data(), grad_out.data() + grad_out.size(),
+              top.data());
     for (std::size_t i = layers_.size(); i-- > 0;) {
         const bool activated = i + 1 < layers_.size() || activate_last_;
         // Post-activation mask: ReLU output is 0 exactly where the
         // pre-activation was <= 0, so acts_ doubles as the mask.
         if (activated)
-            reluBackwardInPlace(g, acts_[i + 1]);
-        g = layers_[i].backward(g, acts_[i]);
+            reluBackwardInPlace(grads[i + 1], acts_[i + 1]);
+        layers_[i].backward(grads[i + 1], acts_[i],
+                            i > 0 ? &grads[i] : nullptr);
     }
-    return g;
 }
 
 void

@@ -61,11 +61,14 @@ class Linear
      * Backward pass: accumulates weight/bias gradients from
      * @p grad_out (B x out) against the explicitly supplied forward
      * @p input (the exact matrix the producing forward consumed;
-     * B x in) and returns the input gradient (B x in). Callers store
-     * activations themselves (see Mlp::acts_) — the layer caches
+     * B x in) and, when @p grad_in is non-null, writes the input
+     * gradient (B x in) into it — a null @p grad_in skips that GEMM
+     * for a first layer whose input gradient nobody reads. Callers
+     * store activations themselves (see Mlp::acts_) — the layer caches
      * nothing.
      */
-    Matrix backward(const Matrix &grad_out, const Matrix &input);
+    void backward(const Matrix &grad_out, const Matrix &input,
+                  Matrix *grad_in);
 
     /** Zero accumulated gradients. */
     void zeroGrad();
@@ -122,8 +125,12 @@ class Mlp
     const Matrix &forwardInto(const Matrix &x,
                               std::vector<Matrix> &scratch) const;
 
-    /** Backward through the whole stack; returns input gradient. */
-    Matrix backward(const Matrix &grad_out);
+    /**
+     * Backward through the whole stack, accumulating parameter
+     * gradients. The input gradient is not computed: the input is an
+     * observation batch, so the first layer skips that GEMM.
+     */
+    void backward(const Matrix &grad_out);
 
     void zeroGrad();
     std::vector<ParamBlock> paramBlocks();

@@ -516,12 +516,13 @@ PpoTrainer::update(EpochStats &stats)
              start += static_cast<std::size_t>(config_.minibatchSize)) {
             const std::size_t end = std::min(
                 n, start + static_cast<std::size_t>(config_.minibatchSize));
-            const std::vector<std::size_t> idx(order.begin() + start,
-                                               order.begin() + end);
+            idx_ws_.assign(order.begin() + start, order.begin() + end);
+            const std::vector<std::size_t> &idx = idx_ws_;
             const std::size_t bsz = idx.size();
 
-            const Matrix obs = buffer_->gatherObs(idx);
-            AcOutput out = net_->forward(obs);
+            buffer_->gatherObsInto(obs_ws_, idx);
+            net_->forward(obs_ws_, train_out_);
+            const AcOutput &out = train_out_;
 
             // Batch softmax + entropy in one fused pass over reusable
             // workspaces (rl/mat.hpp): bitwise-identical per-row math
@@ -543,8 +544,11 @@ PpoTrainer::update(EpochStats &stats)
                                        out.logits);
             }
 
-            Matrix dlogits(bsz, na);
-            std::vector<float> dvalues(bsz, 0.0f);
+            // Every element of both is written in the loop below.
+            Matrix &dlogits = dlogits_ws_;
+            std::vector<float> &dvalues = dvalues_ws_;
+            dlogits.resizeUninit(bsz, na);
+            dvalues.resize(bsz);
             const double inv_b = 1.0 / static_cast<double>(bsz);
 
             for (std::size_t r = 0; r < bsz; ++r) {

@@ -206,11 +206,15 @@ class PpoTrainer
     std::unique_ptr<Pipeline> pipeline_;  ///< lazily started worker
     AcOutput fwd_out_;                    ///< reusable inference output
 
-    // Minibatch-update workspaces (softmaxEntropyRowsInto); reused
-    // across minibatches so the update loop allocates no per-row
-    // buffers.
-    std::vector<double> probs_ws_;
+    // Minibatch-update workspaces, reused across minibatches so the
+    // update's batch-sized buffers are allocated once.
+    std::vector<std::size_t> idx_ws_;  ///< minibatch buffer indices
+    Matrix obs_ws_;                    ///< gathered observations
+    AcOutput train_out_;               ///< training forward output
+    std::vector<double> probs_ws_;     ///< softmaxEntropyRowsInto
     std::vector<double> entropy_ws_;
+    Matrix dlogits_ws_;
+    std::vector<float> dvalues_ws_;
 
     // Action-mask plumbing. masking_ is detected from the environment
     // streams at (re)bind time; when set, sampling/log-probs/greedy

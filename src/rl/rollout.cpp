@@ -191,18 +191,18 @@ RolloutBuffer::normalizeAdvantages()
         a = (a - mean) / sd;
 }
 
-Matrix
-RolloutBuffer::gatherObs(const std::vector<std::size_t> &indices) const
+void
+RolloutBuffer::gatherObsInto(Matrix &out,
+                             const std::vector<std::size_t> &indices) const
 {
-    Matrix m(indices.size(), obs_dim_);
+    out.resizeUninit(indices.size(), obs_dim_);
     for (std::size_t r = 0; r < indices.size(); ++r) {
         assert(indices[r] < size());
         const std::size_t t = indices[r] / streams_;
         const std::size_t s = indices[r] % streams_;
-        std::memcpy(m.rowPtr(r), obs_steps_[t].rowPtr(s),
+        std::memcpy(out.rowPtr(r), obs_steps_[t].rowPtr(s),
                     obs_dim_ * sizeof(float));
     }
-    return m;
 }
 
 } // namespace autocat

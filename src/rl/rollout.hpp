@@ -93,7 +93,7 @@ class RolloutBuffer
     /**
      * Masks restricted to flat @p indices, written row-major into
      * @p out (resized to indices.size() x numActions) — the mask
-     * companion of gatherObs() for minibatch updates, destination-
+     * companion of gatherObsInto() for minibatch updates, destination-
      * passing so the update loop reuses one workspace.
      */
     void gatherMasksInto(std::vector<std::uint8_t> &out,
@@ -136,8 +136,12 @@ class RolloutBuffer
     /** Normalize advantages to zero mean / unit variance. */
     void normalizeAdvantages();
 
-    /** Observation matrix restricted to flat @p indices. */
-    Matrix gatherObs(const std::vector<std::size_t> &indices) const;
+    /**
+     * Observations restricted to flat @p indices, written into @p out
+     * (resized to indices.size() x obs dim, every row overwritten).
+     */
+    void gatherObsInto(Matrix &out,
+                       const std::vector<std::size_t> &indices) const;
 
     const std::vector<std::size_t> &actions() const { return actions_; }
     const std::vector<double> &rewards() const { return rewards_; }

@@ -52,6 +52,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include "rl/mat.hpp"
 #include "serve/cell_exec.hpp"
 #include "serve/net/frame.hpp"
 #include "serve/wire.hpp"
@@ -347,6 +348,10 @@ main(int argc, char **argv)
         sa.sa_handler = onSigterm;
         ::sigaction(SIGTERM, &sa, nullptr);
     }
+
+    // One daemon is one fleet slot: a box with C cores runs C daemons,
+    // so a cell's kernels stay on this thread.
+    const MatThreadScope one_slot(1);
 
     {
         // Local checkpoint scratch must exist before the first cell

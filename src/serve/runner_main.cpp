@@ -49,6 +49,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include "rl/mat.hpp"
 #include "serve/cell_exec.hpp"
 #include "serve/wire.hpp"
 #include "util/atomic_file.hpp"
@@ -190,6 +191,9 @@ main(int argc, char **argv)
         exitIfTermed();
     };
 
+    // One runner process is one fleet slot (the scheduler runs one per
+    // core), so a cell's kernels stay on this thread.
+    const MatThreadScope one_slot(1);
     const SweepCellResult row = runSweepCell(std::move(cell), options);
 
     try {

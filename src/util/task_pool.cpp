@@ -2,7 +2,24 @@
 
 #include <algorithm>
 
+#include <sched.h>
+
 namespace autocat {
+
+std::size_t
+affinityCpuCount()
+{
+    static const std::size_t count = [] {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if (::sched_getaffinity(0, sizeof set, &set) == 0 &&
+            CPU_COUNT(&set) > 0)
+            return static_cast<std::size_t>(CPU_COUNT(&set));
+        return std::max<std::size_t>(std::thread::hardware_concurrency(),
+                                     1);
+    }();
+    return count;
+}
 
 TaskPool::TaskPool(std::size_t num_threads, std::size_t max_useful)
 {

@@ -29,6 +29,13 @@
 
 namespace autocat {
 
+/**
+ * CPUs in this process's affinity mask (what `nproc` prints), falling
+ * back to std::thread::hardware_concurrency(); always >= 1. Computed
+ * once per process.
+ */
+std::size_t affinityCpuCount();
+
 /** Persistent threads executing [begin, end) index batches. */
 class TaskPool
 {

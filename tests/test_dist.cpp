@@ -226,7 +226,8 @@ TEST(AtomicFile, WriteReadRoundTripAndOverwrite)
     const fs::path root = scratchDir("atomic");
     const std::string path = (root / "f.bin").string();
 
-    const std::string payload("\x00\x01garbage\xff\n binary", 20);
+    constexpr char kBinary[] = "\x00\x01garbage\xff\n binary";
+    const std::string payload(kBinary, sizeof kBinary - 1);
     atomicWriteFile(path, payload, "test file");
     EXPECT_EQ(readWholeFile(path, "test file"), payload);
 

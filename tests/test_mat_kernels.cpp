@@ -4,14 +4,17 @@
  * against a naive triple-loop reference, across shapes chosen to hit
  * every tile-edge path: non-multiple-of-tile M (4-row blocks), N
  * (4/16-column blocks), and K (8/16-lane vector steps), plus the
- * fused bias+ReLU path and the row-purity guarantee the
- * double-buffered collector relies on.
+ * fused bias+ReLU path, the row-purity guarantee the double-buffered
+ * collector relies on, and the multi-core partition's bitwise
+ * invariance.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "rl/actor_critic.hpp"
 #include "rl/mat.hpp"
@@ -219,6 +222,75 @@ TEST(MatKernels, ActorCriticForwardNoGradIsRowPure)
         EXPECT_EQ(full.values[r], out_lo.values[r]);
     for (std::size_t r = split; r < obs.rows(); ++r)
         EXPECT_EQ(full.values[r], out_hi.values[r - split]);
+}
+
+/** Gaussian entries with about a third zeroed, like ReLU activations
+ *  (the portable kernels skip zero multiplicands). */
+Matrix
+sparseMatrix(std::size_t rows, std::size_t cols, Rng &rng)
+{
+    Matrix m = randomMatrix(rows, cols, rng);
+    for (std::size_t i = 0; i < m.size(); ++i)
+        if (rng.uniformInt(3) == 0)
+            m.data()[i] = 0.0f;
+    return m;
+}
+
+bool
+bitwiseEqual(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Partition invariance: at every thread budget, each entry point gives
+ * exactly the single-threaded bits. k is sized so that every shape
+ * with at least kMatSplitMinRows output rows carries 4 *
+ * kMatSplitMinWork multiply-adds and splits into as many blocks as the
+ * budget and its row tiles allow; smaller shapes check the inline
+ * path. ctest runs this suite once per backend.
+ */
+TEST(MatKernels, PartitionedKernelsMatchSerialBitwise)
+{
+    const std::size_t ms[] = {1, 3, 4, 5, 7, 9, 127, 129, 500};
+    const std::size_t ns[] = {1, 6, 16, 128, 251};
+    Rng rng(29);
+    for (const std::size_t m : ms) {
+        for (const std::size_t n : ns) {
+            const std::size_t k =
+                std::max<std::size_t>(
+                    37, (4 * kMatSplitMinWork + m * n - 1) / (m * n));
+            const Matrix a = sparseMatrix(m, k, rng);
+            const Matrix at = sparseMatrix(k, m, rng);
+            const Matrix b = randomMatrix(k, n, rng);
+            const Matrix bt = randomMatrix(n, k, rng);
+            std::vector<float> bias(n);
+            for (auto &v : bias)
+                v = static_cast<float>(rng.gaussian());
+
+            const auto products = [&](std::size_t threads) {
+                const MatThreadScope budget(threads);
+                std::vector<Matrix> out(4);
+                matmulInto(out[0], a, b);
+                matmulTransBInto(out[1], a, bt);
+                matmulTransAInto(out[2], at, b);
+                linearForwardInto(out[3], a, bt, bias, /*relu=*/true);
+                return out;
+            };
+            const std::vector<Matrix> serial = products(1);
+            for (std::size_t t = 2; t <= 4; ++t) {
+                const std::vector<Matrix> split = products(t);
+                const char *names[] = {"matmulInto", "matmulTransBInto",
+                                       "matmulTransAInto",
+                                       "linearForwardInto"};
+                for (std::size_t e = 0; e < 4; ++e)
+                    EXPECT_TRUE(bitwiseEqual(split[e], serial[e]))
+                        << names[e] << " m=" << m << " n=" << n
+                        << " k=" << k << " threads=" << t;
+            }
+        }
+    }
 }
 
 TEST(MatKernels, BackendNameIsReported)

@@ -71,9 +71,11 @@ TEST(Mat, AddRowVectorAndColSum)
     Matrix m(2, 3);
     addRowVector(m, {1.0f, 2.0f, 3.0f});
     EXPECT_FLOAT_EQ(m(1, 2), 3.0f);
-    const auto sums = colSum(m);
-    EXPECT_FLOAT_EQ(sums[0], 2.0f);
-    EXPECT_FLOAT_EQ(sums[2], 6.0f);
+    std::vector<float> sums{10.0f, 0.0f, -1.0f};
+    addColSums(sums, m);  // accumulates onto the existing values
+    EXPECT_FLOAT_EQ(sums[0], 12.0f);
+    EXPECT_FLOAT_EQ(sums[1], 4.0f);
+    EXPECT_FLOAT_EQ(sums[2], 5.0f);
 }
 
 // ---------------------------------------------------------- nn/layer --
@@ -113,7 +115,8 @@ TEST(Linear, GradientsMatchFiniteDifferences)
     Matrix ones(2, 2);
     for (std::size_t i = 0; i < ones.size(); ++i)
         ones.data()[i] = 1.0f;
-    const Matrix dx = lin.backward(ones, x);
+    Matrix dx;
+    lin.backward(ones, x, &dx);
 
     auto blocks = lin.paramBlocks();
     const float eps = 1e-3f;
@@ -327,7 +330,10 @@ TEST(Rollout, GatherObsSelectsRows)
     buf.add({1.0f, 2.0f}, 0, 0, false, 0, 0);
     buf.add({3.0f, 4.0f}, 0, 0, false, 0, 0);
     buf.add({5.0f, 6.0f}, 0, 0, false, 0, 0);
-    const Matrix m = buf.gatherObs({2, 0});
+    Matrix m(5, 7);  // a reused destination of another shape
+    buf.gatherObsInto(m, {2, 0});
+    ASSERT_EQ(m.rows(), 2u);
+    ASSERT_EQ(m.cols(), 2u);
     EXPECT_FLOAT_EQ(m(0, 0), 5.0f);
     EXPECT_FLOAT_EQ(m(1, 1), 2.0f);
 }
@@ -372,8 +378,9 @@ TEST(Rollout, MultiStreamGaeMatchesIndependentStreams)
         EXPECT_NEAR(both.returns()[t * 2 + 1], s1.returns()[t], 1e-12);
     }
 
-    // gatherObs addresses flat time-major (t * streams + s) indices.
-    const Matrix m = both.gatherObs({1, 2});
+    // gatherObsInto addresses flat time-major (t * streams + s) indices.
+    Matrix m;
+    both.gatherObsInto(m, {1, 2});
     EXPECT_FLOAT_EQ(m(0, 0), 1.0f);  // t=0, stream 1
     EXPECT_FLOAT_EQ(m(1, 0), 0.0f);  // t=1, stream 0
 }

@@ -1,0 +1,87 @@
+/**
+ * @file
+ * Thread-count invariance of the PPO update. The training GEMMs and the
+ * Adam step split over the calling thread's worker pool (rl/mat.hpp),
+ * and the split must not move a bit: three Table V epochs at 1, 2, 3
+ * and 4 threads leave identical weights, Adam moments and epoch
+ * statistics. ctest runs this suite once per matmul backend.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/config_parser.hpp"
+#include "env/env_registry.hpp"
+#include "rl/checkpoint.hpp"
+#include "rl/mat.hpp"
+#include "rl/ppo.hpp"
+
+namespace autocat {
+namespace {
+
+/** Table V (paper): 1-set 4-way LRU cache, attacker 0-4, victim 0 or
+ *  no access, 16-step window, one stream, default PPO (3000 steps per
+ *  epoch, 500-row minibatches, hidden 128 x 2). */
+const char *const kTableV = R"(num_sets = 1
+num_ways = 4
+rep_policy = lru
+attack_addr_s = 0
+attack_addr_e = 4
+victim_addr_s = 0
+victim_addr_e = 0
+victim_no_access_enable = true
+window_size = 16
+seed = 1
+ppo_seed = 1
+)";
+
+struct Trained
+{
+    std::vector<std::string> epochs;  ///< hexfloat EpochStats per epoch
+    std::string state;  ///< checkpoint payload: weights, Adam, RNG
+};
+
+std::string
+hexStats(const EpochStats &s)
+{
+    std::ostringstream os;
+    os << std::hexfloat << "epoch " << s.epoch << " return "
+       << s.meanReturn << " length " << s.meanEpisodeLength << " pi "
+       << s.policyLoss << " v " << s.valueLoss << " entropy "
+       << s.entropy;
+    return os.str();
+}
+
+Trained
+trainAt(std::size_t threads)
+{
+    const MatThreadScope budget(threads);
+    const ExplorationConfig cfg =
+        parseExplorationConfig(std::string(kTableV));
+    auto envs = makeVecEnv(cfg.scenario, cfg.env, 1);
+    PpoTrainer trainer(*envs, cfg.ppo);
+    Trained run;
+    for (int e = 0; e < 3; ++e)
+        run.epochs.push_back(hexStats(trainer.runEpoch()));
+    std::ostringstream os(std::ios::binary);
+    writePpoCheckpoint(os, trainer);
+    run.state = os.str();
+    return run;
+}
+
+TEST(UpdateThreads, TableVEpochsAreBitIdenticalAtOneToFourThreads)
+{
+    const Trained serial = trainAt(1);
+    for (std::size_t t = 2; t <= 4; ++t) {
+        const Trained run = trainAt(t);
+        EXPECT_EQ(run.epochs, serial.epochs) << t << " threads";
+        EXPECT_TRUE(run.state == serial.state)
+            << t << " threads: weights or Adam moments differ";
+    }
+}
+
+} // namespace
+} // namespace autocat
