@@ -36,8 +36,8 @@ main()
 
     // Collect experience from 4 environment streams at once (stream i
     // is seeded env.seed + i); the policy forward pass is batched
-    // across the streams. Set threadedEnvs = true to step them on a
-    // worker pool on multi-core hosts.
+    // across the streams. Set batchEnv = true to step them through the
+    // SoA batch engine instead (same trajectories, no row copies).
     cfg.numStreams = 4;
 
     std::cout << "Training PPO on the cache guessing game "

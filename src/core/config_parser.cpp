@@ -453,11 +453,6 @@ parseExplorationConfig(std::istream &in, const ConfigKeyHandler &extra)
          [&](const std::string &v) {
              cfg.batchEnv = parseConfigBool(v, "batch_env");
          }},
-        {"double_buffered",
-         [&](const std::string &v) {
-             cfg.ppo.doubleBuffered =
-                 parseConfigBool(v, "double_buffered");
-         }},
         {"max_epochs",
          [&](const std::string &v) {
              cfg.maxEpochs = parseConfigInt(v, "max_epochs");
@@ -670,8 +665,6 @@ renderExplorationConfig(const ExplorationConfig &cfg)
         << "threaded_envs = " << (cfg.threadedEnvs ? "true" : "false")
         << "\n"
         << "batch_env = " << (cfg.batchEnv ? "true" : "false") << "\n"
-        << "double_buffered = "
-        << (cfg.ppo.doubleBuffered ? "true" : "false") << "\n"
         << "ppo_seed = " << cfg.ppo.seed << "\n"
         << "steps_per_epoch = " << cfg.ppo.stepsPerEpoch << "\n"
         << "learning_rate = " << renderConfigDouble(cfg.ppo.lr) << "\n"

@@ -44,9 +44,10 @@ struct ExplorationConfig
     int numStreams = 1;
 
     /**
-     * Step the streams on a worker pool (ThreadedVecEnv). Orthogonal
-     * knob: ppo.doubleBuffered (config key double_buffered) overlaps
-     * env stepping with policy inference during collection.
+     * Step the streams on a worker pool (ThreadedVecEnv, config key
+     * threaded_envs). Trajectories are bitwise-identical to the sync
+     * adapter, but on 4 cores it is slower on wall clock at every
+     * stream count (rl/vec_env.hpp); leave it off to train fast.
      */
     bool threadedEnvs = false;
 

@@ -19,7 +19,8 @@
  * BatchVecEnv wraps a pool behind the VecEnv interface (stepAll /
  * stepRange / env(i) with auto-reset), producing bitwise-identical
  * trajectories to SyncVecEnv over the same streams, and additionally
- * exposes the in-place BatchStepSurface the PPO trainer fast-paths on.
+ * exposes its pool as the in-place BatchStepSurface the PPO trainer
+ * collects through, with no row copies.
  */
 
 #ifndef AUTOCAT_ENV_BATCH_ENV_POOL_HPP
@@ -89,9 +90,9 @@ class BatchEnvPool
                    double *rewards, std::uint8_t *dones, StepInfo *infos);
 
     /**
-     * stepBatch restricted to streams [begin, end): the sub-batch
-     * primitive behind double-buffered collection. Slots and rows
-     * outside the range are untouched.
+     * stepBatch restricted to streams [begin, end), behind
+     * BatchVecEnv::stepRange(). Slots and rows outside the range are
+     * untouched.
      */
     void stepRange(std::size_t begin, std::size_t end,
                    const std::size_t *actions, float *obs_matrix,
@@ -119,7 +120,8 @@ class BatchEnvPool
 /**
  * VecEnv adapter over a BatchEnvPool. Bitwise-identical trajectories
  * to SyncVecEnv over the same streams; also implements
- * BatchStepSurface for the trainer's zero-copy collection path.
+ * BatchStepSurface, so the trainer collects from the pool's rows
+ * without copying them.
  */
 class BatchVecEnv : public VecEnv, public BatchStepSurface
 {

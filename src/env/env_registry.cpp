@@ -347,30 +347,11 @@ makeVecEnv(const std::string &name, const ScenarioContext &ctx,
 }
 
 std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, bool threaded,
-           const std::function<void(Environment &)> &decorate)
-{
-    return makeVecEnv(name, ctx, num_streams,
-                      threaded ? VecEnvKind::Threaded : VecEnvKind::Sync,
-                      decorate);
-}
-
-std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const EnvConfig &config,
            std::size_t num_streams, VecEnvKind kind,
            const std::function<void(Environment &)> &decorate)
 {
     return makeVecEnv(name, ScenarioContext(config), num_streams, kind,
-                      decorate);
-}
-
-std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, bool threaded,
-           const std::function<void(Environment &)> &decorate)
-{
-    return makeVecEnv(name, ScenarioContext(config), num_streams, threaded,
                       decorate);
 }
 

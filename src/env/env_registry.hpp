@@ -155,24 +155,13 @@ enum class VecEnvKind
  */
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, VecEnvKind kind,
+           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync,
            const std::function<void(Environment &)> &decorate = {});
 
-/** Bool shorthand kept for existing call sites: threaded/sync. */
-std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, bool threaded = false,
-           const std::function<void(Environment &)> &decorate = {});
-
-/** EnvConfig shorthands (no detector attachments). */
+/** EnvConfig shorthand (no detector attachments). */
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, VecEnvKind kind,
-           const std::function<void(Environment &)> &decorate = {});
-
-std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, bool threaded = false,
+           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync,
            const std::function<void(Environment &)> &decorate = {});
 
 } // namespace autocat

@@ -19,8 +19,8 @@
  *    only on that row of A and on B — never on the number of other
  *    rows in the batch. Forwarding a batch in two halves is therefore
  *    bitwise identical to forwarding it whole, which is what lets the
- *    double-buffered PPO collector split a stream batch into groups
- *    without perturbing trajectories (see rl/ppo.hpp).
+ *    multi-core partition below split the forward GEMMs over batch
+ *    rows without changing a bit.
  *
  * **Multi-core partition contract.** A matmul call with at least
  * kMatSplitMinRows output rows and 2 * kMatSplitMinWork multiply-adds

@@ -12,18 +12,10 @@
  * streams, runs one batched policy forward pass per timestep (a single
  * N x obs_dim matmul instead of N vector passes), and tracks episode
  * boundaries per stream for GAE. N = 1 over a single environment
- * reproduces the classic single-worker loop exactly.
- *
- * With PpoConfig::doubleBuffered set, collection is additionally
- * pipelined: the N streams are split into two contiguous groups, and
- * while one group's environments advance on a background worker
- * (VecEnv::stepRange), the policy forward + action sampling for the
- * other group runs on the calling thread — env stepping and inference
- * overlap instead of alternating. Because the inference GEMM is
- * row-pure (rl/mat.hpp) and the groups preserve the serial sampling
- * order, the pipelined schedule produces *bitwise-identical* rollouts,
- * weights, and metrics to the serial one for a fixed seed; the toggle
- * trades nothing but the worker thread.
+ * reproduces the classic single-worker loop exactly. One loop collects
+ * from every adapter, through a BatchStepSurface (rl/vec_env.hpp): the
+ * adapter's own, or a wrapper over resetAll()/stepAll() when it has
+ * none. Both give the same bits for the same streams and seeds.
  *
  * One "epoch" is paper-aligned: 3000 environment steps of collection
  * (across all streams) followed by minibatch updates (Table V
@@ -72,14 +64,6 @@ struct PpoConfig
     std::size_t hidden = 128;
     std::size_t layers = 2;
     std::uint64_t seed = 1;
-
-    /**
-     * Overlap env stepping with policy inference during collection
-     * (config-file key: double_buffered). Requires >= 2 streams to
-     * have an effect; rollouts are bitwise-identical either way (see
-     * the file comment).
-     */
-    bool doubleBuffered = false;
 };
 
 /** Aggregate metrics from a batch of evaluation episodes. */
@@ -121,8 +105,6 @@ class PpoTrainer
      * 1-stream SyncVecEnv. @p env must outlive the trainer.
      */
     PpoTrainer(Environment &env, const PpoConfig &config);
-
-    ~PpoTrainer();
 
     /** Collect stepsPerEpoch transitions and run the PPO update. */
     EpochStats runEpoch();
@@ -183,13 +165,7 @@ class PpoTrainer
     /** Serialization backdoor (rl/checkpoint.cpp only). */
     friend struct PpoCheckpointAccess;
 
-    /** Background env-stepping worker for double-buffered collection. */
-    struct Pipeline;
-
     void collect();
-    void collectSerial();
-    void collectBatchInPlace(BatchStepSurface &surface);
-    void collectPipelined();
     void recordEpisodeStats(const std::vector<double> &rewards,
                             const std::vector<std::uint8_t> &dones);
     void update(EpochStats &stats);
@@ -203,8 +179,10 @@ class PpoTrainer
     std::unique_ptr<ActorCritic> net_;
     std::unique_ptr<Adam> adam_;
     std::unique_ptr<RolloutBuffer> buffer_;
-    std::unique_ptr<Pipeline> pipeline_;  ///< lazily started worker
-    AcOutput fwd_out_;                    ///< reusable inference output
+    /** What collect() steps: envs_'s own surface, or step_all_. */
+    BatchStepSurface *surface_ = nullptr;
+    std::unique_ptr<BatchStepSurface> step_all_;  ///< null if envs_ has one
+    AcOutput fwd_out_;  ///< reusable inference output
 
     // Minibatch-update workspaces, reused across minibatches so the
     // update's batch-sized buffers are allocated once.
@@ -222,14 +200,11 @@ class PpoTrainer
     // masks for the update phase. All of it sits behind if (masking_),
     // so mask-off training is bitwise identical to the legacy path.
     bool masking_ = false;
-    std::vector<std::uint8_t> mask_ws_;     ///< collection N x A staging
     std::vector<std::uint8_t> mask_mb_ws_;  ///< minibatch mask gather
 
     // Persistent per-stream episode state so collection can span epoch
-    // boundaries.
-    Matrix current_obs_;               ///< N x obs_dim
+    // boundaries; the current observations live in the surface.
     bool collection_active_ = false;
-    std::vector<std::uint8_t> last_dones_;  ///< final-step done flags
     std::vector<double> running_return_;
     std::vector<double> running_len_;
 

@@ -7,18 +7,12 @@
 
 namespace autocat {
 
-RolloutBuffer::RolloutBuffer(std::size_t capacity, std::size_t obs_dim)
-    : RolloutBuffer(capacity, 1, obs_dim)
-{
-}
-
 RolloutBuffer::RolloutBuffer(std::size_t steps, std::size_t streams,
                              std::size_t obs_dim)
     : steps_(steps), streams_(streams), obs_dim_(obs_dim)
 {
     assert(streams_ > 0);
     const std::size_t capacity = steps_ * streams_;
-    obs_steps_.reserve(steps_);
     actions_.reserve(capacity);
     rewards_.reserve(capacity);
     dones_.reserve(capacity);
@@ -27,37 +21,16 @@ RolloutBuffer::RolloutBuffer(std::size_t steps, std::size_t streams,
 }
 
 void
-RolloutBuffer::add(const std::vector<float> &obs, std::size_t action,
-                   double reward, bool done, double value, double log_prob)
-{
-    assert(streams_ == 1);
-    assert(obs.size() == obs_dim_);
-    Matrix row(1, obs_dim_);
-    std::memcpy(row.data(), obs.data(), obs_dim_ * sizeof(float));
-    addStep(std::move(row), {action}, {reward},
-            {static_cast<std::uint8_t>(done ? 1 : 0)}, {value}, {log_prob});
-}
-
-void
-RolloutBuffer::addStep(Matrix &&obs, const std::vector<std::size_t> &actions,
-                       const std::vector<double> &rewards,
-                       const std::vector<std::uint8_t> &dones,
-                       const std::vector<double> &values,
-                       const std::vector<double> &log_probs)
-{
-    assert(steps_added_ < steps_ && !staged_);
-    assert(obs.rows() == streams_ && obs.cols() == obs_dim_);
-    obs_steps_.push_back(std::move(obs));
-    staged_ = true;
-    commitStep(actions, rewards, dones, values, log_probs);
-}
-
-void
 RolloutBuffer::stageObs(const Matrix &obs)
 {
     assert(steps_added_ < steps_ && !staged_);
     assert(obs.rows() == streams_ && obs.cols() == obs_dim_);
-    obs_steps_.push_back(obs);
+    // Sized here, not in the constructor: building a trainer allocates
+    // no observation storage. clear() keeps it for the next epoch.
+    if (obs_.rows() != steps_ * streams_)
+        obs_.resizeUninit(steps_ * streams_, obs_dim_);
+    std::memcpy(obs_.rowPtr(steps_added_ * streams_), obs.data(),
+                streams_ * obs_dim_ * sizeof(float));
     staged_ = true;
 }
 
@@ -126,7 +99,6 @@ RolloutBuffer::clear()
     staged_ = false;
     mask_staged_ = false;
     masks_.clear();
-    obs_steps_.clear();
     actions_.clear();
     rewards_.clear();
     dones_.clear();
@@ -198,9 +170,7 @@ RolloutBuffer::gatherObsInto(Matrix &out,
     out.resizeUninit(indices.size(), obs_dim_);
     for (std::size_t r = 0; r < indices.size(); ++r) {
         assert(indices[r] < size());
-        const std::size_t t = indices[r] / streams_;
-        const std::size_t s = indices[r] % streams_;
-        std::memcpy(out.rowPtr(r), obs_steps_[t].rowPtr(s),
+        std::memcpy(out.rowPtr(r), obs_.rowPtr(indices[r]),
                     obs_dim_ * sizeof(float));
     }
 }

@@ -26,40 +26,21 @@ class RolloutBuffer
 {
   public:
     /**
-     * Single-stream buffer.
-     * @param capacity steps per epoch, @param obs_dim observation size
-     */
-    RolloutBuffer(std::size_t capacity, std::size_t obs_dim);
-
-    /**
-     * Multi-stream buffer.
      * @param steps   timesteps per stream per epoch
      * @param streams stream count N
      * @param obs_dim observation size
+     *
+     * Allocates no observation storage: the flat observation matrix is
+     * sized by the first stageObs().
      */
     RolloutBuffer(std::size_t steps, std::size_t streams,
                   std::size_t obs_dim);
 
-    /** Append one transition (single-stream buffers only). */
-    void add(const std::vector<float> &obs, std::size_t action,
-             double reward, bool done, double value, double log_prob);
-
     /**
-     * Append one timestep across all streams. Row s of @p obs is the
-     * observation stream s acted from; the matrix is moved into the
-     * buffer, not copied.
-     */
-    void addStep(Matrix &&obs, const std::vector<std::size_t> &actions,
-                 const std::vector<double> &rewards,
-                 const std::vector<std::uint8_t> &dones,
-                 const std::vector<double> &values,
-                 const std::vector<double> &log_probs);
-
-    /**
-     * Two-phase variant for in-place collection (BatchStepSurface):
-     * stageObs() copies the acting observations into the pending step
+     * Record one timestep across all streams in two phases: stageObs()
+     * copies the N x obs_dim acting observations into the buffer
      * *before* the environments overwrite them, commitStep() records
-     * the step's outcomes afterwards. addStep() == stage(move)+commit.
+     * the step's outcomes afterwards.
      */
     void stageObs(const Matrix &obs);
     void commitStep(const std::vector<std::size_t> &actions,
@@ -85,8 +66,8 @@ class RolloutBuffer
      * Stage the acting masks for the pending step: @p masks is the
      * row-major N x numActions snapshot *before* the environments
      * advance (the masks the policy sampled under). May be called
-     * before or after stageObs()/the addStep() move, but must precede
-     * the step's commit; masks must be enabled.
+     * before or after stageObs(), but must precede the step's commit;
+     * masks must be enabled.
      */
     void stageMasks(const std::uint8_t *masks);
 
@@ -159,7 +140,7 @@ class RolloutBuffer
     std::size_t steps_added_ = 0;
     bool staged_ = false;       ///< stageObs() awaiting its commitStep()
     bool mask_staged_ = false;  ///< stageMasks() seen for pending step
-    std::vector<Matrix> obs_steps_;  ///< one N x obs_dim matrix per step
+    Matrix obs_;  ///< (steps * N) x obs_dim, row t * N + s; sized lazily
     std::vector<std::uint8_t> masks_;  ///< flat time-major N x A rows
     std::vector<std::size_t> actions_;
     std::vector<double> rewards_;

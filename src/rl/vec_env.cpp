@@ -9,7 +9,11 @@ namespace autocat {
 
 namespace {
 
-/** Check non-null streams with identical dimensions. */
+/**
+ * Check non-null streams with identical dimensions that all mask
+ * actions or none do: the trainer decides masking from stream 0 and
+ * then reads every stream's mask.
+ */
 void
 validateStreams(const std::vector<Environment *> &envs)
 {
@@ -22,6 +26,11 @@ validateStreams(const std::vector<Environment *> &envs)
             e->numActions() != envs.front()->numActions()) {
             throw std::invalid_argument(
                 "VecEnv: streams must share observation/action dimensions");
+        }
+        if ((e->actionMask() != nullptr) !=
+            (envs.front()->actionMask() != nullptr)) {
+            throw std::invalid_argument(
+                "VecEnv: streams must agree on action masking");
         }
     }
 }
@@ -41,7 +50,65 @@ stepStream(Environment &env, std::size_t action, std::size_t i,
     std::memcpy(obs_out.rowPtr(i), obs.data(), obs.size() * sizeof(float));
 }
 
+/** makeStepAllSurface()'s adapter. */
+class StepAllSurface final : public BatchStepSurface
+{
+  public:
+    explicit StepAllSurface(VecEnv &envs) : envs_(envs) {}
+
+    const Matrix &obsMatrix() const override { return obs_; }
+
+    void
+    stepBatchInPlace(const std::size_t *actions, double *rewards,
+                     std::uint8_t *dones, StepInfo *infos) override
+    {
+        actions_.assign(actions, actions + envs_.numEnvs());
+        VecStepResult r = envs_.stepAll(actions_);
+        std::copy(r.rewards.begin(), r.rewards.end(), rewards);
+        std::copy(r.dones.begin(), r.dones.end(), dones);
+        std::copy(r.infos.begin(), r.infos.end(), infos);
+        obs_ = std::move(r.obs);
+        copyMasks();
+    }
+
+    void
+    resetAllInPlace() override
+    {
+        obs_ = envs_.resetAll();
+        copyMasks();
+    }
+
+    const std::uint8_t *maskMatrix() const override
+    {
+        return masks_.empty() ? nullptr : masks_.data();
+    }
+
+  private:
+    void
+    copyMasks()
+    {
+        if (!envs_.env(0).actionMask())
+            return;
+        const std::size_t na = envs_.numActions();
+        masks_.resize(envs_.numEnvs() * na);
+        for (std::size_t i = 0; i < envs_.numEnvs(); ++i)
+            std::memcpy(masks_.data() + i * na, envs_.env(i).actionMask(),
+                        na);
+    }
+
+    VecEnv &envs_;
+    Matrix obs_;
+    std::vector<std::size_t> actions_;
+    std::vector<std::uint8_t> masks_;  ///< N x A; empty when unmasked
+};
+
 } // namespace
+
+std::unique_ptr<BatchStepSurface>
+makeStepAllSurface(VecEnv &envs)
+{
+    return std::make_unique<StepAllSurface>(envs);
+}
 
 void
 VecEnv::stepRange(std::size_t begin, std::size_t end,

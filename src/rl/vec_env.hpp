@@ -11,16 +11,23 @@
  * that ended the episode).
  *
  * Two adapters are provided: SyncVecEnv steps the streams sequentially
- * on the calling thread (zero overhead, deterministic), ThreadedVecEnv
- * fans the per-stream work out to a persistent worker pool (same
- * semantics, higher env-steps/sec once per-step work dominates dispatch
- * cost). Both produce bitwise-identical trajectories because each
- * stream owns its state and RNG; thread scheduling cannot reorder
- * anything observable.
+ * on the calling thread, ThreadedVecEnv fans the per-stream work out to
+ * a persistent worker pool. Both produce bitwise-identical trajectories
+ * because each stream owns its state and RNG; thread scheduling cannot
+ * reorder anything observable. Measured on 4 cores, ThreadedVecEnv is
+ * slower on wall clock than SyncVecEnv at every stream count: a
+ * guessing-game step costs less than the pool dispatch (numbers in
+ * docs/BENCHMARKS.md).
+ *
+ * Streams must agree on observation size, action count, and whether
+ * they mask actions; the adapters reject mixed streams at construction.
+ *
+ * The PPO trainer collects through a BatchStepSurface: the adapter's
+ * own (BatchVecEnv, env/batch_env_pool.hpp) or, when batchSurface() is
+ * null, makeStepAllSurface()'s wrapper over resetAll()/stepAll().
  *
  * Besides the full-batch stepAll(), stepRange() advances a contiguous
- * sub-batch of streams into caller-owned storage — the primitive the
- * PPO trainer's double-buffered collection pipelines on (rl/ppo.hpp).
+ * sub-batch of streams into caller-owned storage without allocating.
  */
 
 #ifndef AUTOCAT_RL_VEC_ENV_HPP
@@ -121,10 +128,9 @@ class VecEnv
     virtual VecStepResult stepAll(const std::vector<std::size_t> &actions) = 0;
 
     /**
-     * Step only the streams in [begin, end) into caller-owned storage
-     * — the sub-batch primitive behind double-buffered collection
-     * (rl/ppo.hpp), where one group of streams steps while the policy
-     * forward for the other group runs.
+     * Step only the streams in [begin, end) into caller-owned storage,
+     * without allocating. ThreadedVecEnv::stepAll() runs its full range
+     * through it.
      *
      *  Pre:  begin <= end <= numEnvs(); @p actions has size numEnvs()
      *        (entries outside the range are ignored); @p out is
@@ -151,11 +157,24 @@ class VecEnv
     virtual Environment &env(std::size_t i) = 0;
 };
 
+/**
+ * BatchStepSurface over a VecEnv without one of its own (batchSurface()
+ * null): resetAllInPlace()/stepBatchInPlace() call resetAll()/stepAll()
+ * and keep the returned observation matrix, and the mask matrix is
+ * copied from every stream's actionMask() after each reset and step.
+ * Its buffers are sized by the first reset, not here. @p envs must
+ * outlive the surface.
+ */
+std::unique_ptr<BatchStepSurface> makeStepAllSurface(VecEnv &envs);
+
 /** Sequential adapter: steps the streams one by one on the caller. */
 class SyncVecEnv : public VecEnv
 {
   public:
-    /** Own the given environments (all non-null, same dimensions). */
+    /**
+     * Own the given environments (all non-null, same dimensions, all
+     * masking or none).
+     */
     explicit SyncVecEnv(std::vector<std::unique_ptr<Environment>> envs);
 
     /** Borrow externally-owned environments (must outlive the adapter). */
@@ -187,7 +206,8 @@ class ThreadedVecEnv : public VecEnv
 {
   public:
     /**
-     * @param envs        owned streams (all non-null, same dimensions)
+     * @param envs        owned streams (all non-null, same dimensions,
+     *                    all masking or none)
      * @param num_threads worker count; 0 selects
      *                    min(numEnvs, hardware_concurrency)
      */

@@ -33,8 +33,11 @@
 
 namespace autocat {
 
-/** Current job-blob format version (v2 added the cell agent). */
-constexpr std::uint32_t kCellJobVersion = 2;
+/**
+ * Current job-blob format version (v2 added the cell agent; v3 dropped
+ * the double-buffered collection key, which the parser now rejects).
+ */
+constexpr std::uint32_t kCellJobVersion = 3;
 
 /** Current row-blob format version (v2 added steps-to-discovery). */
 constexpr std::uint32_t kCellRowVersion = 2;

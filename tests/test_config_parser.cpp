@@ -116,6 +116,31 @@ TEST(ConfigParser, UnknownKeyFailsLoudly)
                  std::invalid_argument);
 }
 
+TEST(ConfigParser, RemovedDoubleBufferedKeyIsRejected)
+{
+    const std::string key = "double_buffered";
+    try {
+        parseExplorationConfig(key + " = true");
+        FAIL() << key << " parsed";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown option"),
+                  std::string::npos)
+            << e.what();
+    }
+    const ExplorationConfig fresh;
+    EXPECT_EQ(renderExplorationConfig(fresh).find(key), std::string::npos);
+}
+
+TEST(ConfigParser, AdapterKeysStillParse)
+{
+    const ExplorationConfig cfg = parseExplorationConfig(
+        std::string("threaded_envs = false\nbatch_env = false\n"));
+    EXPECT_FALSE(cfg.threadedEnvs);
+    EXPECT_FALSE(cfg.batchEnv);
+    EXPECT_TRUE(parseExplorationConfig(std::string("threaded_envs = true"))
+                    .threadedEnvs);
+}
+
 TEST(ConfigParser, MissingEqualsFails)
 {
     EXPECT_THROW(parseExplorationConfig(std::string("num_ways 4")),
@@ -511,7 +536,6 @@ randomConfig(Rng &rng)
     cfg.numStreams = 1 + static_cast<int>(rng.uniformInt(8));
     cfg.threadedEnvs = rng.bernoulli(0.5);
     cfg.batchEnv = rng.bernoulli(0.5);
-    cfg.ppo.doubleBuffered = rng.bernoulli(0.5);
 
     if (rng.bernoulli(0.6)) {
         const unsigned depth = 1 + static_cast<unsigned>(rng.uniformInt(3));

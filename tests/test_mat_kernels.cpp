@@ -4,9 +4,8 @@
  * against a naive triple-loop reference, across shapes chosen to hit
  * every tile-edge path: non-multiple-of-tile M (4-row blocks), N
  * (4/16-column blocks), and K (8/16-lane vector steps), plus the
- * fused bias+ReLU path, the row-purity guarantee the double-buffered
- * collector relies on, and the multi-core partition's bitwise
- * invariance.
+ * fused bias+ReLU path, the row-purity guarantee the multi-core row
+ * partition relies on, and that partition's bitwise invariance.
  */
 
 #include <gtest/gtest.h>
@@ -162,9 +161,9 @@ TEST(MatKernels, IntoVariantsReuseDestinationStorage)
 
 /**
  * Row purity: computing a batch in two arbitrary row-splits must be
- * BITWISE identical to computing it whole. The double-buffered PPO
- * collector forwards stream groups separately and relies on this for
- * its off ≡ on reproducibility guarantee.
+ * BITWISE identical to computing it whole. The multi-core partition
+ * forwards blocks of batch rows separately and relies on this to keep
+ * the serial kernel's bits at every thread count.
  */
 TEST(MatKernels, LinearForwardIsRowPureUnderBatchSplits)
 {

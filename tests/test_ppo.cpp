@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
+#include "env/batch_env_pool.hpp"
 #include "rl/ppo.hpp"
 #include "rl/vec_env.hpp"
 #include "util/rng.hpp"
@@ -209,6 +211,30 @@ TEST(Ppo, TrainsThroughFourStreamVecEnv)
     EXPECT_EQ(trainer.totalEnvSteps() % 2000, 0);
 }
 
+/** Logits and values of both policies on a shared probe batch. */
+void
+expectPoliciesBitwiseEqual(PpoTrainer &a, PpoTrainer &b)
+{
+    Matrix probe(4, 2);
+    Rng rng(99);
+    for (std::size_t i = 0; i < probe.size(); ++i)
+        probe.data()[i] = static_cast<float>(rng.gaussian());
+    AcOutput oa, ob;
+    a.policy().forwardNoGrad(probe, oa);
+    b.policy().forwardNoGrad(probe, ob);
+    ASSERT_EQ(oa.logits.size(), ob.logits.size());
+    EXPECT_EQ(0, std::memcmp(oa.logits.data(), ob.logits.data(),
+                             oa.logits.size() * sizeof(float)));
+    ASSERT_EQ(oa.values.size(), ob.values.size());
+    EXPECT_EQ(0, std::memcmp(oa.values.data(), ob.values.data(),
+                             oa.values.size() * sizeof(float)));
+}
+
+/**
+ * Collection through ThreadedVecEnv (via the step-all wrapper) and
+ * BatchVecEnv (via its own surface, here over generic non-game
+ * streams) reproduces SyncVecEnv bitwise: same stats, same weights.
+ */
 TEST(Ppo, ThreadedCollectionMatchesSync)
 {
     PpoConfig cfg;
@@ -217,15 +243,25 @@ TEST(Ppo, ThreadedCollectionMatchesSync)
 
     auto sync_vec = makeBanditVec<SyncVecEnv>(4, 300);
     auto threaded_vec = makeBanditVec<ThreadedVecEnv>(4, 300);
+    auto batch_vec = makeBanditVec<BatchVecEnv>(4, 300);
     PpoTrainer sync_trainer(*sync_vec, cfg);
     PpoTrainer threaded_trainer(*threaded_vec, cfg);
+    PpoTrainer batch_trainer(*batch_vec, cfg);
 
     for (int e = 0; e < 3; ++e) {
         const EpochStats a = sync_trainer.runEpoch();
-        const EpochStats b = threaded_trainer.runEpoch();
-        EXPECT_DOUBLE_EQ(a.meanReturn, b.meanReturn);
-        EXPECT_DOUBLE_EQ(a.policyLoss, b.policyLoss);
-        EXPECT_DOUBLE_EQ(a.valueLoss, b.valueLoss);
+        for (PpoTrainer *other : {&threaded_trainer, &batch_trainer}) {
+            const EpochStats b = other->runEpoch();
+            EXPECT_DOUBLE_EQ(a.meanReturn, b.meanReturn) << "epoch " << e;
+            EXPECT_DOUBLE_EQ(a.meanEpisodeLength, b.meanEpisodeLength);
+            EXPECT_DOUBLE_EQ(a.policyLoss, b.policyLoss) << "epoch " << e;
+            EXPECT_DOUBLE_EQ(a.valueLoss, b.valueLoss) << "epoch " << e;
+            EXPECT_DOUBLE_EQ(a.entropy, b.entropy) << "epoch " << e;
+        }
+    }
+    for (PpoTrainer *other : {&threaded_trainer, &batch_trainer}) {
+        EXPECT_EQ(sync_trainer.totalEnvSteps(), other->totalEnvSteps());
+        expectPoliciesBitwiseEqual(sync_trainer, *other);
     }
 }
 

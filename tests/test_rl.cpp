@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "rl/actor_critic.hpp"
@@ -285,14 +286,27 @@ TEST(ActorCritic, PolicyHeadStartsNearUniform)
 
 // ----------------------------------------------------------- rollout --
 
+/** Store one single-stream transition through stageObs/commitStep. */
+void
+addOne(RolloutBuffer &buf, const std::vector<float> &obs,
+       std::size_t action, double reward, bool done, double value,
+       double log_prob)
+{
+    Matrix row(1, obs.size());
+    std::copy(obs.begin(), obs.end(), row.data());
+    buf.stageObs(row);
+    buf.commitStep({action}, {reward}, {static_cast<std::uint8_t>(done)},
+                   {value}, {log_prob});
+}
+
 TEST(Rollout, GaeMatchesHandComputation)
 {
-    RolloutBuffer buf(3, 1);
+    RolloutBuffer buf(3, 1, 1);
     const std::vector<float> obs{0.0f};
     // Two-step episode then the start of another.
-    buf.add(obs, 0, 1.0, false, 0.5, -0.1);
-    buf.add(obs, 0, 2.0, true, 0.4, -0.1);
-    buf.add(obs, 0, 0.0, false, 0.3, -0.1);
+    addOne(buf, obs, 0, 1.0, false, 0.5, -0.1);
+    addOne(buf, obs, 0, 2.0, true, 0.4, -0.1);
+    addOne(buf, obs, 0, 0.0, false, 0.3, -0.1);
     const double gamma = 0.9, lambda = 0.8, boot = 0.7;
     buf.computeAdvantages(gamma, lambda, boot);
 
@@ -312,10 +326,10 @@ TEST(Rollout, GaeMatchesHandComputation)
 
 TEST(Rollout, NormalizeAdvantages)
 {
-    RolloutBuffer buf(4, 1);
+    RolloutBuffer buf(4, 1, 1);
     const std::vector<float> obs{0.0f};
     for (double r : {1.0, 2.0, 3.0, 4.0})
-        buf.add(obs, 0, r, true, 0.0, 0.0);
+        addOne(buf, obs, 0, r, true, 0.0, 0.0);
     buf.computeAdvantages(1.0, 1.0, 0.0);
     buf.normalizeAdvantages();
     double m = 0.0;
@@ -326,10 +340,10 @@ TEST(Rollout, NormalizeAdvantages)
 
 TEST(Rollout, GatherObsSelectsRows)
 {
-    RolloutBuffer buf(3, 2);
-    buf.add({1.0f, 2.0f}, 0, 0, false, 0, 0);
-    buf.add({3.0f, 4.0f}, 0, 0, false, 0, 0);
-    buf.add({5.0f, 6.0f}, 0, 0, false, 0, 0);
+    RolloutBuffer buf(3, 1, 2);
+    addOne(buf, {1.0f, 2.0f}, 0, 0, false, 0, 0);
+    addOne(buf, {3.0f, 4.0f}, 0, 0, false, 0, 0);
+    addOne(buf, {5.0f, 6.0f}, 0, 0, false, 0, 0);
     Matrix m(5, 7);  // a reused destination of another shape
     buf.gatherObsInto(m, {2, 0});
     ASSERT_EQ(m.rows(), 2u);
@@ -344,13 +358,13 @@ TEST(Rollout, MultiStreamGaeMatchesIndependentStreams)
     // two single-stream buffers: episode boundaries and bootstraps in
     // one stream may not leak into the other.
     const double gamma = 0.9, lambda = 0.8;
-    RolloutBuffer s0(3, 1), s1(3, 1);
-    s0.add({0.0f}, 0, 1.0, false, 0.5, -0.1);
-    s0.add({0.0f}, 0, 2.0, true, 0.4, -0.1);
-    s0.add({0.0f}, 0, 0.5, false, 0.3, -0.1);
-    s1.add({1.0f}, 1, -1.0, false, 0.2, -0.2);
-    s1.add({1.0f}, 1, 0.0, false, 0.1, -0.2);
-    s1.add({1.0f}, 1, 3.0, true, 0.6, -0.2);
+    RolloutBuffer s0(3, 1, 1), s1(3, 1, 1);
+    addOne(s0, {0.0f}, 0, 1.0, false, 0.5, -0.1);
+    addOne(s0, {0.0f}, 0, 2.0, true, 0.4, -0.1);
+    addOne(s0, {0.0f}, 0, 0.5, false, 0.3, -0.1);
+    addOne(s1, {1.0f}, 1, -1.0, false, 0.2, -0.2);
+    addOne(s1, {1.0f}, 1, 0.0, false, 0.1, -0.2);
+    addOne(s1, {1.0f}, 1, 3.0, true, 0.6, -0.2);
     s0.computeAdvantages(gamma, lambda, 0.7);
     s1.computeAdvantages(gamma, lambda, 0.0);
 
@@ -364,8 +378,9 @@ TEST(Rollout, MultiStreamGaeMatchesIndependentStreams)
     for (std::size_t t = 0; t < 3; ++t) {
         Matrix obs(2, 1);
         obs(1, 0) = 1.0f;
-        both.addStep(std::move(obs), {0, 1}, rewards[t], dones[t],
-                     values[t], {-0.1, -0.2});
+        both.stageObs(obs);
+        both.commitStep({0, 1}, rewards[t], dones[t], values[t],
+                        {-0.1, -0.2});
     }
     both.computeAdvantages(gamma, lambda, std::vector<double>{0.7, 0.0});
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -62,6 +63,44 @@ class CountingEnv : public Environment
 
     int episode_ = 0;
     int step_ = 0;
+};
+
+/**
+ * CountingEnv with an action mask that admits action 1 on odd steps,
+ * or on even steps when @p phase is 1.
+ */
+class MaskedCountingEnv : public CountingEnv
+{
+  public:
+    explicit MaskedCountingEnv(int phase = 0) : phase_(phase) {}
+
+    std::vector<float>
+    reset() override
+    {
+        setStep(0);
+        return CountingEnv::reset();
+    }
+
+    StepResult
+    step(std::size_t action) override
+    {
+        setStep(t_ + 1);
+        return CountingEnv::step(action);
+    }
+
+    const std::uint8_t *actionMask() const override { return mask_; }
+
+  private:
+    void
+    setStep(int t)
+    {
+        t_ = t;
+        mask_[1] = static_cast<std::uint8_t>((t_ + phase_) % 2);
+    }
+
+    int phase_;
+    int t_ = 0;
+    std::uint8_t mask_[2] = {1, 0};
 };
 
 EnvConfig
@@ -166,12 +205,10 @@ TEST(VecEnv, ThreadedMatchesSyncBitwise)
     constexpr std::size_t kStreams = 4;
     constexpr int kSteps = 150;
 
-    auto sync =
-        makeVecEnv("guessing_game", tinyEnvConfig(kBaseSeed), kStreams,
-                   /*threaded=*/false);
-    auto threaded =
-        makeVecEnv("guessing_game", tinyEnvConfig(kBaseSeed), kStreams,
-                   /*threaded=*/true);
+    auto sync = makeVecEnv("guessing_game", tinyEnvConfig(kBaseSeed),
+                           kStreams, VecEnvKind::Sync);
+    auto threaded = makeVecEnv("guessing_game", tinyEnvConfig(kBaseSeed),
+                               kStreams, VecEnvKind::Threaded);
 
     const std::vector<Trace> a = runVectorized(*sync, kSteps);
     const std::vector<Trace> b = runVectorized(*threaded, kSteps);
@@ -246,6 +283,102 @@ TEST(VecEnv, RejectsMismatchedStreams)
     envs.push_back(makeEnv("guessing_game", small));
     envs.push_back(makeEnv("guessing_game", large));
     EXPECT_THROW(SyncVecEnv{std::move(envs)}, std::invalid_argument);
+}
+
+/**
+ * A stream that masks next to one that does not must be rejected at
+ * construction, whichever comes first: the trainer decides masking from
+ * stream 0 and then reads every stream's mask.
+ */
+template <typename Adapter>
+void
+expectMixedMaskingRejected()
+{
+    for (const bool masked_first : {true, false}) {
+        std::unique_ptr<Environment> masked =
+            std::make_unique<MaskedCountingEnv>();
+        std::unique_ptr<Environment> plain =
+            std::make_unique<CountingEnv>();
+        std::vector<std::unique_ptr<Environment>> envs;
+        envs.push_back(masked_first ? std::move(masked) : std::move(plain));
+        envs.push_back(masked_first ? std::move(plain) : std::move(masked));
+        EXPECT_THROW(Adapter{std::move(envs)}, std::invalid_argument)
+            << "masked stream first: " << masked_first;
+    }
+}
+
+TEST(VecEnv, SyncRejectsStreamsThatDisagreeOnMasking)
+{
+    expectMixedMaskingRejected<SyncVecEnv>();
+}
+
+TEST(VecEnv, ThreadedRejectsStreamsThatDisagreeOnMasking)
+{
+    expectMixedMaskingRejected<ThreadedVecEnv>();
+}
+
+/**
+ * makeStepAllSurface() over an adapter without a surface of its own:
+ * its observation rows match stepAll() on an identical twin, and its
+ * mask rows are each stream's current mask, after the reset and after
+ * every step (including auto-resets).
+ */
+TEST(VecEnv, StepAllSurfaceTracksObservationsAndMasks)
+{
+    constexpr std::size_t kStreams = 3;
+    const auto make = [] {
+        std::vector<std::unique_ptr<Environment>> envs;
+        for (std::size_t i = 0; i < kStreams; ++i)
+            envs.push_back(
+                std::make_unique<MaskedCountingEnv>(static_cast<int>(i % 2)));
+        return std::make_unique<SyncVecEnv>(std::move(envs));
+    };
+    auto twin = make();
+    auto vec = make();
+    ASSERT_EQ(vec->batchSurface(), nullptr);
+    auto surface = makeStepAllSurface(*vec);
+
+    const auto expect_rows = [&](const Matrix &want, int t) {
+        const Matrix &obs = surface->obsMatrix();
+        ASSERT_EQ(obs.rows(), kStreams);
+        const std::uint8_t *masks = surface->maskMatrix();
+        ASSERT_NE(masks, nullptr);
+        for (std::size_t s = 0; s < kStreams; ++s) {
+            EXPECT_EQ(obs(s, 0), want(s, 0)) << "t=" << t << " s=" << s;
+            EXPECT_EQ(0, std::memcmp(masks + s * 2,
+                                     twin->env(s).actionMask(), 2))
+                << "t=" << t << " s=" << s;
+        }
+    };
+
+    const Matrix first = twin->resetAll();
+    surface->resetAllInPlace();
+    expect_rows(first, -1);
+
+    std::vector<double> rewards(kStreams);
+    std::vector<std::uint8_t> dones(kStreams);
+    std::vector<StepInfo> infos(kStreams);
+    for (int t = 0; t < 7; ++t) {
+        const std::vector<std::size_t> actions{1, 0, 1};
+        const VecStepResult want = twin->stepAll(actions);
+        surface->stepBatchInPlace(actions.data(), rewards.data(),
+                                  dones.data(), infos.data());
+        EXPECT_EQ(rewards, want.rewards) << "t=" << t;
+        EXPECT_EQ(dones, want.dones) << "t=" << t;
+        expect_rows(want.obs, t);
+    }
+}
+
+TEST(VecEnv, StepAllSurfaceHasNoMaskMatrixForUnmaskedStreams)
+{
+    std::vector<std::unique_ptr<Environment>> envs;
+    envs.push_back(std::make_unique<CountingEnv>());
+    envs.push_back(std::make_unique<CountingEnv>());
+    SyncVecEnv vec(std::move(envs));
+    auto surface = makeStepAllSurface(vec);
+    surface->resetAllInPlace();
+    EXPECT_EQ(surface->maskMatrix(), nullptr);
+    EXPECT_EQ(surface->obsMatrix().rows(), 2u);
 }
 
 TEST(Registry, BuiltinGuessingGameIsRegistered)
@@ -335,11 +468,11 @@ TEST(Registry, HierarchyScenariosWorkThroughMakeVecEnv)
 }
 
 /**
- * stepRange edge cases on either adapter: an empty range is a no-op
+ * stepRange edge cases on every adapter: an empty range is a no-op
  * (no env stepped, no output slot touched), a single-stream range
- * advances exactly that stream, and the full range reproduces
- * stepAll() bitwise. Complements the mid-batch split coverage in
- * test_double_buffer.cpp.
+ * advances exactly that stream, a mid-batch range plus the two
+ * remainders equals one stepAll(), and the full range reproduces
+ * stepAll() bitwise.
  */
 template <typename Adapter>
 void
@@ -404,6 +537,29 @@ runStepRangeEdgeCases()
         const VecStepResult step = vec->stepAll(actions);
         EXPECT_FLOAT_EQ(step.obs(2, 0), 102.0f);
         EXPECT_FLOAT_EQ(step.obs(0, 0), 101.0f);
+    }
+
+    // Mid-batch range [1, 3), then the remainders: each call fills
+    // only its own slots, and together they equal one stepAll().
+    {
+        auto range_vec = make();
+        auto full_vec = make();
+        range_vec->resetAll();
+        full_vec->resetAll();
+        const VecStepResult want = full_vec->stepAll(actions);
+        VecStepResult out = sentinel_out(*range_vec);
+        range_vec->stepRange(1, 3, actions, out);
+        for (const std::size_t s : {std::size_t{0}, std::size_t{3}}) {
+            EXPECT_DOUBLE_EQ(out.rewards[s], -123.0) << s;
+            EXPECT_EQ(out.dones[s], 77) << s;
+        }
+        range_vec->stepRange(0, 1, actions, out);
+        range_vec->stepRange(3, kStreams, actions, out);
+        for (std::size_t s = 0; s < kStreams; ++s) {
+            EXPECT_DOUBLE_EQ(out.rewards[s], want.rewards[s]) << s;
+            EXPECT_EQ(out.dones[s], want.dones[s]) << s;
+            EXPECT_FLOAT_EQ(out.obs(s, 0), want.obs(s, 0)) << s;
+        }
     }
 
     // Full range == stepAll, bitwise, including across an auto-reset
