@@ -333,6 +333,60 @@ BENCHMARK(BM_PpoEpoch)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/**
+ * One PPO minibatch update at the Table V shape — 500 rows of 251
+ * observation features, hidden 128 x 2, 8 actions: forward, backward,
+ * clipGradNorm and Adam::step, at 1 and 4 kernel threads (Arg0). Wall
+ * clock, like BM_PpoEpoch. GFLOP/s counts two flops per multiply-add
+ * of the GEMMs: the forward, every layer's weight gradient, and the
+ * input gradients of all layers but the first.
+ */
+void
+BM_UpdateMinibatch(benchmark::State &state)
+{
+    constexpr std::size_t kRows = 500, kObs = 251, kHidden = 128;
+    constexpr std::size_t kActions = 8;
+    const MatThreadScope budget(static_cast<std::size_t>(state.range(0)));
+    Rng rng(3);
+    ActorCritic net(kObs, kActions, kHidden, 2, rng);
+    Adam adam(net.paramBlocks(), 3e-4);
+    Matrix obs(kRows, kObs);
+    for (std::size_t i = 0; i < obs.size(); ++i)
+        obs.data()[i] = static_cast<float>(rng.gaussian());
+    Matrix dlogits(kRows, kActions);
+    for (std::size_t i = 0; i < dlogits.size(); ++i)
+        dlogits.data()[i] = static_cast<float>(1e-3 * rng.gaussian());
+    std::vector<float> dvalues(kRows);
+    for (float &v : dvalues)
+        v = static_cast<float>(1e-3 * rng.gaussian());
+    AcOutput out;
+    for (auto _ : state) {
+        net.forward(obs, out);
+        net.zeroGrad();
+        net.backward(dlogits, dvalues);
+        auto blocks = net.paramBlocks();
+        clipGradNorm(blocks, 0.5);
+        adam.step(blocks);
+        benchmark::DoNotOptimize(out.values.data());
+    }
+    // Per row: the forward and the weight gradients cover every layer,
+    // the input gradients all but the first.
+    const double heads = static_cast<double>(kHidden * (kActions + 1));
+    const double hidden = static_cast<double>(kHidden * kHidden);
+    const double layers = static_cast<double>(kObs * kHidden) + hidden + heads;
+    const double madds =
+        static_cast<double>(kRows) * (2.0 * layers + hidden + heads);
+    state.counters["GFLOP/s"] = benchmark::Counter(
+        2.0 * madds * 1e-9 * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_UpdateMinibatch)
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void
 BM_Autocorrelation(benchmark::State &state)
 {

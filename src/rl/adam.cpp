@@ -5,7 +5,57 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "rl/mat.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define AUTOCAT_ADAM_X86 1
+#include <immintrin.h>
+#endif
+
 namespace autocat {
+
+namespace {
+
+#if AUTOCAT_ADAM_X86
+/**
+ * Adam::update over elements [i, i1), four at a time in double
+ * precision. Each element gets the scalar loop's operations in its
+ * order and the same roundings to float; the target has no FMA, so
+ * nothing can be contracted and the bits are the scalar loop's. Returns
+ * the first element not updated (fewer than four remain).
+ */
+__attribute__((target("avx2"))) std::size_t
+updateAvx2(float *params, const float *grads, float *m, float *v,
+           std::size_t i, std::size_t i1, double beta1, double beta2,
+           double eps, double alpha)
+{
+    const __m256d b1 = _mm256_set1_pd(beta1);
+    const __m256d c1 = _mm256_set1_pd(1.0 - beta1);
+    const __m256d b2 = _mm256_set1_pd(beta2);
+    const __m256d c2 = _mm256_set1_pd(1.0 - beta2);
+    const __m256d e = _mm256_set1_pd(eps);
+    const __m256d a = _mm256_set1_pd(alpha);
+    for (; i + 4 <= i1; i += 4) {
+        const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(grads + i));
+        const __m128 mf = _mm256_cvtpd_ps(_mm256_add_pd(
+            _mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
+            _mm256_mul_pd(c1, g)));
+        const __m128 vf = _mm256_cvtpd_ps(_mm256_add_pd(
+            _mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+            _mm256_mul_pd(_mm256_mul_pd(c2, g), g)));
+        _mm_storeu_ps(m + i, mf);
+        _mm_storeu_ps(v + i, vf);
+        const __m256d step = _mm256_div_pd(
+            _mm256_mul_pd(a, _mm256_cvtps_pd(mf)),
+            _mm256_add_pd(_mm256_sqrt_pd(_mm256_cvtps_pd(vf)), e));
+        _mm_storeu_ps(params + i, _mm_sub_ps(_mm_loadu_ps(params + i),
+                                             _mm256_cvtpd_ps(step)));
+    }
+    return i;
+}
+#endif
+
+} // namespace
 
 Adam::Adam(const std::vector<ParamBlock> &blocks, double lr, double beta1,
            double beta2, double eps)
@@ -37,6 +87,7 @@ Adam::step(std::vector<ParamBlock> &blocks)
     // Every element's update is independent of the others, so any
     // partition of the flat element range [0, total) — blocks laid end
     // to end — gives the serial bits.
+    const bool simd = detail::matTier() != detail::MatTier::Portable;
     parallelBlocks(
         total, kElementAlign, total * kWorkPerElement,
         [&](std::size_t lo, std::size_t hi) {
@@ -47,7 +98,7 @@ Adam::step(std::vector<ParamBlock> &blocks)
                 const std::size_t i1 = std::min(hi, base + size);
                 if (i0 < i1)
                     update(blocks[k], m_[k], v_[k], i0 - base, i1 - base,
-                           alpha);
+                           alpha, simd);
                 base += size;
             }
         });
@@ -55,9 +106,17 @@ Adam::step(std::vector<ParamBlock> &blocks)
 
 void
 Adam::update(ParamBlock &b, std::vector<float> &m, std::vector<float> &v,
-             std::size_t i0, std::size_t i1, double alpha) const
+             std::size_t i0, std::size_t i1, double alpha, bool simd) const
 {
-    for (std::size_t i = i0; i < i1; ++i) {
+    std::size_t i = i0;
+#if AUTOCAT_ADAM_X86
+    if (simd)
+        i = updateAvx2(b.params, b.grads, m.data(), v.data(), i, i1, beta1_,
+                       beta2_, eps_, alpha);
+#else
+    (void)simd;
+#endif
+    for (; i < i1; ++i) {
         const float g = b.grads[i];
         m[i] = static_cast<float>(beta1_ * m[i] + (1.0 - beta1_) * g);
         v[i] = static_cast<float>(beta2_ * v[i] + (1.0 - beta2_) * g * g);

@@ -69,9 +69,11 @@ class Adam
      *  threshold. */
     static constexpr std::size_t kWorkPerElement = 16;
 
-    /** Update elements [i0, i1) of one block. */
+    /** Update elements [i0, i1) of one block; @p simd selects the AVX2
+     *  loop, which gives the same bits. */
     void update(ParamBlock &b, std::vector<float> &m, std::vector<float> &v,
-                std::size_t i0, std::size_t i1, double alpha) const;
+                std::size_t i0, std::size_t i1, double alpha,
+                bool simd) const;
 
     double lr_;
     double beta1_;

@@ -19,9 +19,10 @@ namespace autocat {
 namespace {
 
 /*
- * Portable scalar kernels. These are the reference semantics for the
- * SIMD path and the fallback on non-x86 hosts (or when
- * AUTOCAT_MAT_PORTABLE=1).
+ * Portable scalar kernels: the fallback on non-x86 hosts (or when
+ * AUTOCAT_MAT_PORTABLE=1). They round every product, and the broadcast
+ * ones skip zero multiplicands, so their bits differ from the SIMD
+ * tiers'.
  */
 
 void
@@ -94,18 +95,20 @@ dotGemmPortable(float *c, const float *a, const float *b, std::size_t m,
 #if AUTOCAT_MAT_X86
 
 /*
- * AVX2+FMA kernels. Compiled for every x86-64 build via the function
- * target attribute and selected at runtime (useAvx2() below), so the
- * translation unit itself needs no -mavx2 flag and the binary still
- * runs on pre-AVX2 hardware.
+ * SIMD kernels: an AVX2+FMA tier and an AVX-512 tier, compiled for
+ * every x86-64 build via function target attributes and selected at
+ * runtime (detail::hostMatTier()), so the translation unit needs no -m
+ * flag and the binary still runs on pre-AVX2 hardware.
  *
- * Row purity contract: every c(i,j) produced by the dot-product
- * kernels goes through dot8() — two 8-lane FMA accumulators walked in
- * 16-float steps, one fixed horizontal reduction, then a scalar tail.
- * The register tiling over j only interleaves *independent* (i,j)
- * accumulations; it never changes the order of operations within one,
- * so results are bitwise independent of the tile path taken and of the
- * batch size m.
+ * Both tiers compute each output element with the sequence of roundings
+ * the rl/mat.hpp file comment specifies: dot products as dot8() then
+ * dotTail(), broadcast products as one FMA chain except matmulInto's
+ * tail columns (mmTailAvx2()/mmTailAvx512()). The tail steps reproduce
+ * what GCC 12 emitted for the plain `s += a * b` loops these kernels
+ * used to have; intrinsics spell them out and this file is built with
+ * -ffp-contract=off, so no compiler or flag can move them. Register
+ * tiles, panels and vector width only interleave *independent*
+ * elements.
  */
 
 __attribute__((target("avx2,fma"))) inline float
@@ -119,6 +122,66 @@ hsum8(__m256 v)
     sh = _mm_shuffle_ps(lo, lo, 0x1);
     lo = _mm_add_ss(lo, sh);
     return _mm_cvtss_f32(lo);
+}
+
+/** Four hsum8() at once: lane c of the result is hsum8(v_c), bit for
+ *  bit — the same pairwise additions, transposed. */
+__attribute__((target("avx2,fma"))) inline __m128
+hsum8x4(__m256 v0, __m256 v1, __m256 v2, __m256 v3)
+{
+    const __m128 w0 = _mm_add_ps(_mm256_castps256_ps128(v0),
+                                 _mm256_extractf128_ps(v0, 1));
+    const __m128 w1 = _mm_add_ps(_mm256_castps256_ps128(v1),
+                                 _mm256_extractf128_ps(v1, 1));
+    const __m128 w2 = _mm_add_ps(_mm256_castps256_ps128(v2),
+                                 _mm256_extractf128_ps(v2, 1));
+    const __m128 w3 = _mm_add_ps(_mm256_castps256_ps128(v3),
+                                 _mm256_extractf128_ps(v3, 1));
+    // (w[0] + w[2], w[1] + w[3]) of two vectors per register ...
+    const __m128 x01 =
+        _mm_add_ps(_mm_shuffle_ps(w0, w1, _MM_SHUFFLE(1, 0, 1, 0)),
+                   _mm_shuffle_ps(w0, w1, _MM_SHUFFLE(3, 2, 3, 2)));
+    const __m128 x23 =
+        _mm_add_ps(_mm_shuffle_ps(w2, w3, _MM_SHUFFLE(1, 0, 1, 0)),
+                   _mm_shuffle_ps(w2, w3, _MM_SHUFFLE(3, 2, 3, 2)));
+    // ... then (w[0] + w[2]) + (w[1] + w[3]) of each.
+    return _mm_hadd_ps(x01, x23);
+}
+
+/**
+ * The t = k mod 8 tail of a dot product: s plus the products a[q] *
+ * b[q], q < t, one at a time. When t >= 4 the first four products are
+ * rounded before they are added; every other one is fused.
+ */
+__attribute__((target("avx2,fma"))) inline float
+dotTail(float s, const float *a, const float *b, std::size_t t)
+{
+    __m128 acc = _mm_set_ss(s);
+    std::size_t q = 0;
+    if (t >= 4) {
+        for (; q < 4; ++q)
+            acc = _mm_add_ss(
+                acc, _mm_mul_ss(_mm_load_ss(a + q), _mm_load_ss(b + q)));
+    }
+    for (; q < t; ++q)
+        acc = _mm_fmadd_ss(_mm_load_ss(a + q), _mm_load_ss(b + q), acc);
+    return _mm_cvtss_f32(acc);
+}
+
+/** dotTail() of four sums at once: lane c of @p s against the row of B
+ *  starting at b + c * ldb. */
+__attribute__((target("avx2,fma"))) inline __m128
+dotTail4(__m128 s, const float *a, const float *b, std::size_t ldb,
+         std::size_t t)
+{
+    for (std::size_t q = 0; q < t; ++q) {
+        const __m128 av = _mm_set1_ps(a[q]);
+        const __m128 bv = _mm_setr_ps(b[q], b[ldb + q], b[2 * ldb + q],
+                                      b[3 * ldb + q]);
+        s = t >= 4 && q < 4 ? _mm_add_ps(s, _mm_mul_ps(av, bv))
+                            : _mm_fmadd_ps(av, bv, s);
+    }
+    return s;
 }
 
 /** Canonical dot(a, b, k): the one accumulation order (see above). */
@@ -139,20 +202,17 @@ dot8(const float *a, const float *b, std::size_t k)
                                _mm256_loadu_ps(b + p), acc0);
         p += 8;
     }
-    float s = hsum8(_mm256_add_ps(acc0, acc1));
-    for (; p < k; ++p)
-        s += a[p] * b[p];
-    return s;
+    return dotTail(hsum8(_mm256_add_ps(acc0, acc1)), a + p, b + p, k - p);
 }
 
 /**
- * Four interleaved dot8() accumulations against consecutive rows of B
+ * dot8() of one row of A against four consecutive rows of B (stride k)
  * — identical per-output arithmetic, 8 independent FMA chains for ILP.
  */
-__attribute__((target("avx2,fma"))) inline void
-dot8x4(const float *a, const float *b0, const float *b1, const float *b2,
-       const float *b3, std::size_t k, float out[4])
+__attribute__((target("avx2,fma"))) inline __m128
+dot8x4(const float *a, const float *b, std::size_t k)
 {
+    const float *b0 = b, *b1 = b + k, *b2 = b + 2 * k, *b3 = b + 3 * k;
     __m256 a00 = _mm256_setzero_ps(), a01 = _mm256_setzero_ps();
     __m256 a10 = _mm256_setzero_ps(), a11 = _mm256_setzero_ps();
     __m256 a20 = _mm256_setzero_ps(), a21 = _mm256_setzero_ps();
@@ -178,46 +238,125 @@ dot8x4(const float *a, const float *b0, const float *b1, const float *b2,
         a30 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b3 + p), a30);
         p += 8;
     }
-    out[0] = hsum8(_mm256_add_ps(a00, a01));
-    out[1] = hsum8(_mm256_add_ps(a10, a11));
-    out[2] = hsum8(_mm256_add_ps(a20, a21));
-    out[3] = hsum8(_mm256_add_ps(a30, a31));
-    for (; p < k; ++p) {
-        out[0] += a[p] * b0[p];
-        out[1] += a[p] * b1[p];
-        out[2] += a[p] * b2[p];
-        out[3] += a[p] * b3[p];
-    }
+    const __m128 s =
+        hsum8x4(_mm256_add_ps(a00, a01), _mm256_add_ps(a10, a11),
+                _mm256_add_ps(a20, a21), _mm256_add_ps(a30, a31));
+    return dotTail4(s, a + p, b + p, k, k - p);
 }
 
+/** Bias and ReLU of one dot product. */
+inline float
+biasRelu(float v, const float *bias, std::size_t j, bool relu)
+{
+    if (bias)
+        v += bias[j];
+    if (relu && v < 0.0f)
+        v = 0.0f;
+    return v;
+}
+
+/** biasRelu() of four dot products, stored to c[0..3]. */
+__attribute__((target("avx2,fma"))) inline void
+storeBiasRelu4(float *c, __m128 v, const float *bias, std::size_t j,
+               bool relu)
+{
+    if (bias)
+        v = _mm_add_ps(v, _mm_loadu_ps(bias + j));
+    // max(0, v) is `v < 0 ? 0 : v`: it keeps -0.0f and NaN.
+    if (relu)
+        v = _mm_max_ps(_mm_setzero_ps(), v);
+    _mm_storeu_ps(c, v);
+}
+
+/**
+ * Columns of B per panel of the dot kernels: the panel's rows of B (k
+ * floats each) fit in 16 KiB of L1 and are reused by every row of A. A
+ * multiple of 4, so every column keeps the dot8x4()/dot8() path it has
+ * without panels.
+ */
+inline std::size_t
+dotPanelCols(std::size_t k)
+{
+    constexpr std::size_t kPanelBytes = 16 * 1024;
+    const std::size_t cols =
+        kPanelBytes / (std::max<std::size_t>(k, 1) * sizeof(float));
+    return std::max<std::size_t>(4, cols / 4 * 4);
+}
+
+/** Rows of C = A * B^T (+ bias, ReLU), panel by panel of B. */
 __attribute__((target("avx2,fma"))) void
 dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
             std::size_t n, std::size_t k, const float *bias, bool relu)
 {
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            float out[4];
-            dot8x4(arow, b + j * k, b + (j + 1) * k, b + (j + 2) * k,
-                   b + (j + 3) * k, k, out);
-            for (int t = 0; t < 4; ++t) {
-                float v = bias ? out[t] + bias[j + t] : out[t];
-                if (relu && v < 0.0f)
-                    v = 0.0f;
-                crow[j + t] = v;
-            }
-        }
-        for (; j < n; ++j) {
-            float v = dot8(arow, b + j * k, k);
-            if (bias)
-                v += bias[j];
-            if (relu && v < 0.0f)
-                v = 0.0f;
-            crow[j] = v;
+    const std::size_t panel = dotPanelCols(k);
+    for (std::size_t j0 = 0; j0 < n; j0 += panel) {
+        const std::size_t j1 = std::min(n, j0 + panel);
+        for (std::size_t i = 0; i < m; ++i) {
+            const float *arow = a + i * k;
+            float *crow = c + i * n;
+            std::size_t j = j0;
+            for (; j + 4 <= j1; j += 4)
+                storeBiasRelu4(crow + j, dot8x4(arow, b + j * k, k), bias,
+                               j, relu);
+            for (; j < j1; ++j)
+                crow[j] = biasRelu(dot8(arow, b + j * k, k), bias, j, relu);
         }
     }
+}
+
+/**
+ * The tail columns [j0, n), n - j0 < 16, of MR rows of C = A * B in
+ * masked lanes: NV vectors of 8 columns. The first 4 * floor(k / 4)
+ * products of each element are rounded before they are added, the rest
+ * are fused.
+ */
+template <int MR, int NV>
+__attribute__((target("avx2,fma"))) inline void
+mmTailAvx2(float *c, const float *a, const float *b, std::size_t i0,
+           std::size_t j0, std::size_t k, std::size_t n)
+{
+    const std::size_t k4 = k / 4 * 4;
+    const int w = static_cast<int>(n - j0);
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i mask[NV];
+    for (int v = 0; v < NV; ++v)
+        mask[v] = _mm256_cmpgt_epi32(_mm256_set1_epi32(w - 8 * v), lanes);
+    __m256 acc[MR][NV];
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = _mm256_setzero_ps();
+    for (std::size_t p = 0; p < k; ++p) {
+        const float *brow = b + p * n + j0;
+        __m256 bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = _mm256_maskload_ps(brow + 8 * v, mask[v]);
+        for (int r = 0; r < MR; ++r) {
+            const __m256 av = _mm256_set1_ps(
+                a[(i0 + static_cast<std::size_t>(r)) * k + p]);
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = p < k4
+                                ? _mm256_add_ps(acc[r][v],
+                                                _mm256_mul_ps(av, bv[v]))
+                                : _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+        }
+    }
+    for (int r = 0; r < MR; ++r) {
+        float *crow = c + (i0 + static_cast<std::size_t>(r)) * n + j0;
+        for (int v = 0; v < NV; ++v)
+            _mm256_maskstore_ps(crow + 8 * v, mask[v], acc[r][v]);
+    }
+}
+
+/** mmTailAvx2() with the vector count the tail width needs. */
+template <int MR>
+__attribute__((target("avx2,fma"))) inline void
+mmTail(float *c, const float *a, const float *b, std::size_t i0,
+       std::size_t j0, std::size_t k, std::size_t n)
+{
+    if (n - j0 > 8)
+        mmTailAvx2<MR, 2>(c, a, b, i0, j0, k, n);
+    else if (n > j0)
+        mmTailAvx2<MR, 1>(c, a, b, i0, j0, k, n);
 }
 
 /**
@@ -255,70 +394,84 @@ __attribute__((target("avx2,fma"))) void
 matmulAvx2(float *c, const float *a, const float *b, std::size_t m,
            std::size_t k, std::size_t n)
 {
+    const std::size_t n16 = n / 16 * 16;
     std::size_t i = 0;
     for (; i + 4 <= m; i += 4) {
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
+        for (std::size_t j = 0; j < n16; j += 16)
             mmTileAvx2<4>(c, a, b, i, j, k, n);
-        for (; j < n; ++j) {
-            for (int r = 0; r < 4; ++r) {
-                const float *arow = a + (i + static_cast<std::size_t>(r)) * k;
-                float s = 0.0f;
-                for (std::size_t p = 0; p < k; ++p)
-                    s += arow[p] * b[p * n + j];
-                c[(i + static_cast<std::size_t>(r)) * n + j] = s;
-            }
-        }
+        mmTail<4>(c, a, b, i, n16, k, n);
     }
     for (; i < m; ++i) {
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
+        for (std::size_t j = 0; j < n16; j += 16)
             mmTileAvx2<1>(c, a, b, i, j, k, n);
-        for (; j < n; ++j) {
-            const float *arow = a + i * k;
-            float s = 0.0f;
-            for (std::size_t p = 0; p < k; ++p)
-                s += arow[p] * b[p * n + j];
-            c[i * n + j] = s;
-        }
+        mmTail<1>(c, a, b, i, n16, k, n);
     }
 }
 
 /**
- * Broadcast-FMA tile for C = A^T * B (A: k x m): same register block,
- * A walked column-wise.
+ * Broadcast-FMA tile for C = A^T * B (A: k x m) over NV vectors of 8
+ * columns from j0, the last w - 8 * (NV - 1) lanes masked: A walked
+ * column-wise, one FMA chain per element.
  */
-template <int MR>
+template <int MR, int NV>
 __attribute__((target("avx2,fma"))) inline void
 mmTransATileAvx2(float *c, const float *a, const float *b, std::size_t i0,
                  std::size_t j0, std::size_t k, std::size_t m,
-                 std::size_t n)
+                 std::size_t n, int w)
 {
-    __m256 acc[MR][2];
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i mask[NV];
+    for (int v = 0; v < NV; ++v)
+        mask[v] = _mm256_cmpgt_epi32(_mm256_set1_epi32(w - 8 * v), lanes);
+    const bool full = w >= 8 * NV;
+    __m256 acc[MR][NV];
     for (int r = 0; r < MR; ++r)
-        acc[r][0] = acc[r][1] = _mm256_setzero_ps();
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = _mm256_setzero_ps();
     for (std::size_t p = 0; p < k; ++p) {
         const float *brow = b + p * n + j0;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
+        __m256 bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = full ? _mm256_loadu_ps(brow + 8 * v)
+                         : _mm256_maskload_ps(brow + 8 * v, mask[v]);
         const float *acol = a + p * m + i0;
         for (int r = 0; r < MR; ++r) {
             const __m256 av = _mm256_set1_ps(acol[r]);
-            acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-            acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
         }
     }
     for (int r = 0; r < MR; ++r) {
         float *crow = c + (i0 + static_cast<std::size_t>(r)) * n + j0;
-        _mm256_storeu_ps(crow, acc[r][0]);
-        _mm256_storeu_ps(crow + 8, acc[r][1]);
+        for (int v = 0; v < NV; ++v) {
+            if (full)
+                _mm256_storeu_ps(crow + 8 * v, acc[r][v]);
+            else
+                _mm256_maskstore_ps(crow + 8 * v, mask[v], acc[r][v]);
+        }
     }
 }
 
+/** Row tile i0..i0+MR of C = A^T * B: 16-column tiles, then the masked
+ *  tail columns. */
+template <int MR>
+__attribute__((target("avx2,fma"))) inline void
+mmTransARowsAvx2(float *c, const float *a, const float *b, std::size_t i0,
+                 std::size_t k, std::size_t m, std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + 16 <= n; j += 16)
+        mmTransATileAvx2<MR, 2>(c, a, b, i0, j, k, m, n, 16);
+    const int w = static_cast<int>(n - j);
+    if (w > 8)
+        mmTransATileAvx2<MR, 2>(c, a, b, i0, j, k, m, n, w);
+    else if (w > 0)
+        mmTransATileAvx2<MR, 1>(c, a, b, i0, j, k, m, n, w);
+}
+
 /**
- * Rows [i0, i1) of C = A^T * B. With i0 a multiple of 4 and i1 either
- * a multiple of 4 or m, every row takes the tile path it takes in the
- * full [0, m) call, so its bits do not depend on the range.
+ * Rows [i0, i1) of C = A^T * B. Every element is one FMA chain however
+ * its row and column are tiled, so its bits do not depend on the range.
  */
 __attribute__((target("avx2,fma"))) void
 matmulTransAAvx2(float *c, const float *a, const float *b, std::size_t k,
@@ -326,53 +479,205 @@ matmulTransAAvx2(float *c, const float *a, const float *b, std::size_t k,
                  std::size_t i1)
 {
     std::size_t i = i0;
-    for (; i + 4 <= i1; i += 4) {
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
-            mmTransATileAvx2<4>(c, a, b, i, j, k, m, n);
-        for (; j < n; ++j) {
-            for (int r = 0; r < 4; ++r) {
-                float s = 0.0f;
-                for (std::size_t p = 0; p < k; ++p)
-                    s += a[p * m + i + static_cast<std::size_t>(r)] *
-                         b[p * n + j];
-                c[(i + static_cast<std::size_t>(r)) * n + j] = s;
+    for (; i + 4 <= i1; i += 4)
+        mmTransARowsAvx2<4>(c, a, b, i, k, m, n);
+    for (; i < i1; ++i)
+        mmTransARowsAvx2<1>(c, a, b, i, k, m, n);
+}
+
+/*
+ * AVX-512 tier: the same per-element arithmetic over zmm registers, for
+ * the kernels where it measures faster — the dot products and
+ * matmulInto. Rows that do not fill a zmm tile take the AVX2 kernel, so
+ * calls under 4 rows (one-stream collection, forwardOne()) run AVX2
+ * only. matmulTransAInto stays on the AVX2 kernel, which a zmm version
+ * did not reliably beat.
+ */
+
+/** Lanes 8 * H .. 8 * H + 7 of a zmm register. (An all-lanes maskz
+ *  extract: GCC 12 warns -Wuninitialized on the unmasked one, which
+ *  _mm512_castps512_ps256 uses too.) */
+template <int H>
+__attribute__((target("avx512f,avx2,fma"))) inline __m256
+half256(__m512 v)
+{
+    return _mm256_castpd_ps(
+        _mm512_maskz_extractf64x4_pd(0xff, _mm512_castps_pd(v), H));
+}
+
+/**
+ * dot8() over a 4 x 4 tile: rows a .. a + 3k of A against rows b .. b +
+ * 3k of B. Lanes 0-7 of each zmm accumulator are dot8's acc0 and lanes
+ * 8-15 its acc1, so one 16-float FMA does both of dot8's 8-float FMAs;
+ * the 8-float step is the same FMA masked to lanes 0-7, and lo256 +
+ * hi256 is dot8's acc0 + acc1. out[r] receives row r's four sums.
+ */
+__attribute__((target("avx512f,avx2,fma"))) inline void
+dot16x4x4(const float *a, const float *b, std::size_t k, __m128 out[4])
+{
+    __m512 acc[4][4];
+    for (int r = 0; r < 4; ++r)
+        for (int j = 0; j < 4; ++j)
+            acc[r][j] = _mm512_setzero_ps();
+    std::size_t p = 0;
+    for (; p + 16 <= k; p += 16) {
+        __m512 av[4];
+        for (int r = 0; r < 4; ++r)
+            av[r] = _mm512_loadu_ps(a + static_cast<std::size_t>(r) * k + p);
+        for (int j = 0; j < 4; ++j) {
+            const __m512 bv =
+                _mm512_loadu_ps(b + static_cast<std::size_t>(j) * k + p);
+            for (int r = 0; r < 4; ++r)
+                acc[r][j] = _mm512_fmadd_ps(av[r], bv, acc[r][j]);
+        }
+    }
+    if (p + 8 <= k) {
+        // Unrolled like the reduction below, so that the accumulators
+        // stay in registers.
+        const __mmask16 lo = 0x00ff;
+        __m512 av[4];
+#pragma GCC unroll 4
+        for (int r = 0; r < 4; ++r)
+            av[r] = _mm512_maskz_loadu_ps(
+                lo, a + static_cast<std::size_t>(r) * k + p);
+#pragma GCC unroll 4
+        for (int j = 0; j < 4; ++j) {
+            const __m512 bv = _mm512_maskz_loadu_ps(
+                lo, b + static_cast<std::size_t>(j) * k + p);
+#pragma GCC unroll 4
+            for (int r = 0; r < 4; ++r)
+                acc[r][j] = _mm512_mask3_fmadd_ps(av[r], bv, acc[r][j], lo);
+        }
+        p += 8;
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+        __m256 v[4];
+#pragma GCC unroll 4
+        for (int j = 0; j < 4; ++j)
+            v[j] = _mm256_add_ps(half256<0>(acc[r][j]),
+                                 half256<1>(acc[r][j]));
+        out[r] = dotTail4(hsum8x4(v[0], v[1], v[2], v[3]),
+                          a + static_cast<std::size_t>(r) * k + p, b + p, k,
+                          k - p);
+    }
+}
+
+/** dotGemmAvx2() on 4 x 4 zmm tiles; rows past the last whole 4-row
+ *  tile take the AVX2 kernel. */
+__attribute__((target("avx512f,avx2,fma"))) void
+dotGemmAvx512(float *c, const float *a, const float *b, std::size_t m,
+              std::size_t n, std::size_t k, const float *bias, bool relu)
+{
+    const std::size_t panel = dotPanelCols(k);
+    const std::size_t m4 = m / 4 * 4;
+    for (std::size_t j0 = 0; j0 < n; j0 += panel) {
+        const std::size_t j1 = std::min(n, j0 + panel);
+        for (std::size_t i = 0; i < m4; i += 4) {
+            std::size_t j = j0;
+            for (; j + 4 <= j1; j += 4) {
+                __m128 out[4];
+                dot16x4x4(a + i * k, b + j * k, k, out);
+                for (std::size_t r = 0; r < 4; ++r)
+                    storeBiasRelu4(c + (i + r) * n + j, out[r], bias, j,
+                                   relu);
             }
+            for (; j < j1; ++j)
+                for (std::size_t r = 0; r < 4; ++r)
+                    c[(i + r) * n + j] = biasRelu(
+                        dot8(a + (i + r) * k, b + j * k, k), bias, j, relu);
         }
     }
-    for (; i < i1; ++i) {
+    if (m4 < m)
+        dotGemmAvx2(c + m4 * n, a + m4 * k, b, m - m4, n, k, bias, relu);
+}
+
+/** mmTileAvx2() over MR rows and NV zmm vectors of 16 columns. */
+template <int MR, int NV>
+__attribute__((target("avx512f,avx2,fma"))) inline void
+mmTileAvx512(float *c, const float *a, const float *b, std::size_t i0,
+             std::size_t j0, std::size_t k, std::size_t n)
+{
+    __m512 acc[MR][NV];
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = _mm512_setzero_ps();
+    for (std::size_t p = 0; p < k; ++p) {
+        const float *brow = b + p * n + j0;
+        __m512 bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = _mm512_loadu_ps(brow + 16 * v);
+        for (int r = 0; r < MR; ++r) {
+            const __m512 av = _mm512_set1_ps(
+                a[(i0 + static_cast<std::size_t>(r)) * k + p]);
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
+        }
+    }
+    for (int r = 0; r < MR; ++r) {
+        float *crow = c + (i0 + static_cast<std::size_t>(r)) * n + j0;
+        for (int v = 0; v < NV; ++v)
+            _mm512_storeu_ps(crow + 16 * v, acc[r][v]);
+    }
+}
+
+/** mmTailAvx2() over MR rows in one masked zmm vector. */
+template <int MR>
+__attribute__((target("avx512f,avx2,fma"))) inline void
+mmTailAvx512(float *c, const float *a, const float *b, std::size_t i0,
+             std::size_t j0, std::size_t k, std::size_t n)
+{
+    const __mmask16 mask =
+        static_cast<__mmask16>((1u << (n - j0)) - 1u);
+    const std::size_t k4 = k / 4 * 4;
+    __m512 acc[MR];
+    for (int r = 0; r < MR; ++r)
+        acc[r] = _mm512_setzero_ps();
+    for (std::size_t p = 0; p < k; ++p) {
+        const __m512 bv = _mm512_maskz_loadu_ps(mask, b + p * n + j0);
+        for (int r = 0; r < MR; ++r) {
+            const __m512 av = _mm512_set1_ps(
+                a[(i0 + static_cast<std::size_t>(r)) * k + p]);
+            acc[r] = p < k4 ? _mm512_add_ps(acc[r], _mm512_mul_ps(av, bv))
+                            : _mm512_fmadd_ps(av, bv, acc[r]);
+        }
+    }
+    for (int r = 0; r < MR; ++r)
+        _mm512_mask_storeu_ps(c + (i0 + static_cast<std::size_t>(r)) * n +
+                                  j0,
+                              mask, acc[r]);
+}
+
+/** matmulAvx2() on 8 x 32 zmm tiles; rows past the last whole 8-row
+ *  tile take the AVX2 kernel. */
+__attribute__((target("avx512f,avx2,fma"))) void
+matmulAvx512(float *c, const float *a, const float *b, std::size_t m,
+             std::size_t k, std::size_t n)
+{
+    const std::size_t n16 = n / 16 * 16;
+    const std::size_t m8 = m / 8 * 8;
+    for (std::size_t i = 0; i < m8; i += 8) {
         std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
-            mmTransATileAvx2<1>(c, a, b, i, j, k, m, n);
-        for (; j < n; ++j) {
-            float s = 0.0f;
-            for (std::size_t p = 0; p < k; ++p)
-                s += a[p * m + i] * b[p * n + j];
-            c[i * n + j] = s;
-        }
+        for (; j + 32 <= n16; j += 32)
+            mmTileAvx512<8, 2>(c, a, b, i, j, k, n);
+        if (j < n16)
+            mmTileAvx512<8, 1>(c, a, b, i, j, k, n);
+        if (n16 < n)
+            mmTailAvx512<8>(c, a, b, i, n16, k, n);
     }
+    if (m8 < m)
+        matmulAvx2(c + m8 * n, a + m8 * k, b, m - m8, k, n);
 }
 
 #endif // AUTOCAT_MAT_X86
 
-/** One-time backend choice: AVX2+FMA when the CPU has both. */
-bool
-useAvx2()
-{
-#if AUTOCAT_MAT_X86
-    static const bool use = [] {
-        const char *force = std::getenv("AUTOCAT_MAT_PORTABLE");
-        if (force && force[0] == '1')
-            return false;
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("avx2") &&
-               __builtin_cpu_supports("fma") != 0;
-    }();
-    return use;
-#else
-    return false;
-#endif
-}
+using detail::MatTier;
+
+thread_local MatTier t_mat_tier_cap = MatTier::Avx512;
+
+/** Row-tile height of the matmul kernels: partition boundaries are
+ *  multiples of it (see rl/mat.hpp). */
+constexpr std::size_t kMatTileRows = 4;
 
 /*
  * Backend dispatch over a row range. The row-independent kernels take
@@ -381,47 +686,55 @@ useAvx2()
  * columns of A.
  */
 
-/** Row-tile height of the matmul kernels: partition boundaries are
- *  multiples of it (see rl/mat.hpp). */
-constexpr std::size_t kMatTileRows = 4;
-
 void
-matmulRows(float *c, const float *a, const float *b, std::size_t m,
-           std::size_t k, std::size_t n)
+matmulRows(MatTier tier, float *c, const float *a, const float *b,
+           std::size_t m, std::size_t k, std::size_t n)
 {
 #if AUTOCAT_MAT_X86
-    if (useAvx2()) {
+    if (tier == MatTier::Avx512) {
+        matmulAvx512(c, a, b, m, k, n);
+        return;
+    }
+    if (tier == MatTier::Avx2) {
         matmulAvx2(c, a, b, m, k, n);
         return;
     }
 #endif
+    (void)tier;
     matmulPortable(c, a, b, m, k, n);
 }
 
 void
-dotGemmRows(float *c, const float *a, const float *b, std::size_t m,
-            std::size_t n, std::size_t k, const float *bias, bool relu)
+dotGemmRows(MatTier tier, float *c, const float *a, const float *b,
+            std::size_t m, std::size_t n, std::size_t k, const float *bias,
+            bool relu)
 {
 #if AUTOCAT_MAT_X86
-    if (useAvx2()) {
+    if (tier == MatTier::Avx512) {
+        dotGemmAvx512(c, a, b, m, n, k, bias, relu);
+        return;
+    }
+    if (tier == MatTier::Avx2) {
         dotGemmAvx2(c, a, b, m, n, k, bias, relu);
         return;
     }
 #endif
+    (void)tier;
     dotGemmPortable(c, a, b, m, n, k, bias, relu);
 }
 
 void
-matmulTransARows(float *c, const float *a, const float *b, std::size_t k,
-                 std::size_t m, std::size_t n, std::size_t i0,
-                 std::size_t i1)
+matmulTransARows(MatTier tier, float *c, const float *a, const float *b,
+                 std::size_t k, std::size_t m, std::size_t n,
+                 std::size_t i0, std::size_t i1)
 {
 #if AUTOCAT_MAT_X86
-    if (useAvx2()) {
+    if (tier != MatTier::Portable) {
         matmulTransAAvx2(c, a, b, k, m, n, i0, i1);
         return;
     }
 #endif
+    (void)tier;
     matmulTransAPortable(c, a, b, k, m, n, i0, i1);
 }
 
@@ -435,10 +748,11 @@ dotGemm(Matrix &c, const Matrix &a, const Matrix &b, const float *bias,
     float *cd = c.data();
     const float *ad = a.data();
     const float *bd = b.data();
+    const MatTier tier = detail::matTier();
     parallelBlocks(m, kMatTileRows, m * n * k,
                    [=](std::size_t i0, std::size_t i1) {
-                       dotGemmRows(cd + i0 * n, ad + i0 * k, bd, i1 - i0, n,
-                                   k, bias, relu);
+                       dotGemmRows(tier, cd + i0 * n, ad + i0 * k, bd,
+                                   i1 - i0, n, k, bias, relu);
                    });
 }
 
@@ -450,7 +764,15 @@ thread_local std::unique_ptr<TaskPool> t_mat_pool;
 const char *
 matmulBackend()
 {
-    return useAvx2() ? "avx2+fma" : "portable";
+    switch (detail::matTier()) {
+    case MatTier::Avx512:
+        return "avx512f";
+    case MatTier::Avx2:
+        return "avx2+fma";
+    case MatTier::Portable:
+        break;
+    }
+    return "portable";
 }
 
 std::size_t
@@ -470,6 +792,42 @@ MatThreadScope::~MatThreadScope()
 }
 
 namespace detail {
+
+MatTier
+hostMatTier()
+{
+#if AUTOCAT_MAT_X86
+    static const MatTier tier = [] {
+        const char *force = std::getenv("AUTOCAT_MAT_PORTABLE");
+        if (force && force[0] == '1')
+            return MatTier::Portable;
+        __builtin_cpu_init();
+        if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+            return MatTier::Portable;
+        return __builtin_cpu_supports("avx512f") ? MatTier::Avx512
+                                                 : MatTier::Avx2;
+    }();
+    return tier;
+#else
+    return MatTier::Portable;
+#endif
+}
+
+MatTier
+matTier()
+{
+    return std::min(hostMatTier(), t_mat_tier_cap);
+}
+
+MatTierScope::MatTierScope(MatTier cap) : saved_(t_mat_tier_cap)
+{
+    t_mat_tier_cap = cap;
+}
+
+MatTierScope::~MatTierScope()
+{
+    t_mat_tier_cap = saved_;
+}
 
 void
 runBlocks(std::size_t n, std::size_t align, std::size_t work, BlockFn fn,
@@ -511,10 +869,11 @@ matmulInto(Matrix &c, const Matrix &a, const Matrix &b)
     float *cd = c.data();
     const float *ad = a.data();
     const float *bd = b.data();
+    const MatTier tier = detail::matTier();
     parallelBlocks(m, kMatTileRows, m * n * k,
                    [=](std::size_t i0, std::size_t i1) {
-                       matmulRows(cd + i0 * n, ad + i0 * k, bd, i1 - i0, k,
-                                  n);
+                       matmulRows(tier, cd + i0 * n, ad + i0 * k, bd,
+                                  i1 - i0, k, n);
                    });
 }
 
@@ -536,9 +895,10 @@ matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b)
     float *cd = c.data();
     const float *ad = a.data();
     const float *bd = b.data();
+    const MatTier tier = detail::matTier();
     parallelBlocks(m, kMatTileRows, m * n * k,
                    [=](std::size_t i0, std::size_t i1) {
-                       matmulTransARows(cd, ad, bd, k, m, n, i0, i1);
+                       matmulTransARows(tier, cd, ad, bd, k, m, n, i0, i1);
                    });
 }
 

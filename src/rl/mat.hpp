@@ -7,36 +7,62 @@
  * inference, elementwise ops, and row/col reductions. Deliberately not
  * a general linear-algebra library.
  *
- * The matmul entry points dispatch at runtime between a blocked,
- * register-tiled AVX2+FMA kernel and a portable scalar fallback (see
- * matmulBackend()). Two properties every backend upholds:
+ * **Tiers.** The matmul entry points dispatch at runtime between three
+ * kernel tiers (matmulBackend() names the calling thread's): AVX-512
+ * (register tiles in zmm registers, for the dot-product kernels and
+ * matmulInto), AVX2+FMA (every entry point; matmulTransAInto uses it on
+ * AVX-512 hosts too) and a portable scalar fallback. The host's best
+ * tier is chosen once (detail::hostMatTier()); AUTOCAT_MAT_PORTABLE=1
+ * in the environment, before first use, forces the portable one, and
+ * detail::MatTierScope caps the calling thread's tier so tests can run
+ * every tier on one host. On the AVX-512 tier, rows that do not fill a
+ * zmm tile (4 rows for the dot products, 8 for matmulInto) run the
+ * AVX2 kernel, so calls under 4 rows — per-step collection with one
+ * stream, forwardOne() — stay on AVX2; the choice depends only on the
+ * input's size.
  *
- *  - **Determinism**: for a fixed backend, results are a pure function
- *    of the operands — the same bits at every thread count, no
- *    runtime-dependent blocking.
- *  - **Row purity** (matmulTransBInto / linearForwardInto only): each
- *    output row is computed with an accumulation order that depends
- *    only on that row of A and on B — never on the number of other
- *    rows in the batch. Forwarding a batch in two halves is therefore
- *    bitwise identical to forwarding it whole, which is what lets the
- *    multi-core partition below split the forward GEMMs over batch
- *    rows without changing a bit.
+ * **Per-element arithmetic contract.** Each output element is computed
+ * by one fixed sequence of roundings that depends only on its shape
+ * (k, and for matmulInto whether its column lies past the last
+ * 16-column tile), never on the tile, panel, vector width, tier among
+ * the SIMD ones, batch size or thread count. The two SIMD tiers give
+ * identical bits; the portable backend has its own (it rounds every
+ * product, and matmulInto/matmulTransAInto skip zero multiplicands):
+ *
+ *  - matmulTransBInto / linearForwardInto: two 8-lane FMA accumulators
+ *    over 16-float steps, an 8-float step into the first, one fixed
+ *    horizontal sum of their sum, then the k mod 8 tail one product at
+ *    a time — when there are 4 or more, the first four are rounded
+ *    before they are added and the rest fused; otherwise all fused —
+ *    then bias and ReLU.
+ *  - matmulInto: one FMA chain over k in order, except in the columns
+ *    past the last 16-column tile, whose first 4 * floor(k / 4)
+ *    products are rounded before they are added and the rest fused.
+ *  - matmulTransAInto: one FMA chain over k in order.
+ *
+ * The tail steps are spelled out with intrinsics and rl/mat.cpp is
+ * built with -ffp-contract=off, so neither the compiler, its flags nor
+ * the optimization level can move them. Two consequences:
+ *
+ *  - **Determinism**: results are a pure function of the operands and
+ *    the backend (SIMD or portable).
+ *  - **Row purity**: each output row depends only on its row of A and
+ *    on B, never on the number of other rows in the batch, so
+ *    forwarding a batch in two halves is bitwise identical to
+ *    forwarding it whole.
  *
  * **Multi-core partition contract.** A matmul call with at least
  * kMatSplitMinRows output rows and 2 * kMatSplitMinWork multiply-adds
  * is split over its *output rows* — batch rows for matmulInto,
  * matmulTransBInto and linearForwardInto, rows of the A^T * B product
  * for matmulTransAInto — into contiguous blocks whose boundaries are
- * multiples of the kernels' 4-row register tile, at most one block per
- * thread of the calling thread's budget (matThreads()) and per
- * kMatSplitMinWork multiply-adds, run on a util/TaskPool. Every output element therefore goes through the same
- * kernel path and accumulation order as in the single-threaded call:
- * the bits are those of the serial kernel at every thread count.
- * Smaller calls — per-step collection inference, forwardOne(), the
- * tiny head GEMMs — run inline and never dispatch.
- *
- * Set AUTOCAT_MAT_PORTABLE=1 in the environment (before first use) to
- * force the portable backend, e.g. when A/B-measuring the SIMD path.
+ * multiples of 4 rows, at most one block per thread of the calling
+ * thread's budget (matThreads()) and per kMatSplitMinWork
+ * multiply-adds, run on a util/TaskPool. Each block takes the call's
+ * tier. Since per-element arithmetic is independent of the tile path,
+ * the bits are those of the serial call at every thread count. Smaller
+ * calls — per-step collection inference, forwardOne(), the tiny head
+ * GEMMs — run inline and never dispatch.
  */
 
 #ifndef AUTOCAT_RL_MAT_HPP
@@ -122,8 +148,10 @@ class Matrix
 };
 
 /**
- * Name of the matmul backend selected at startup: "avx2+fma" or
- * "portable". Useful in logs and for verifying a forced fallback.
+ * Name of the matmul tier the calling thread's kernels use (the one
+ * selected at startup unless a detail::MatTierScope caps it):
+ * "avx512f", "avx2+fma" or "portable". Useful in logs and for verifying
+ * a forced fallback.
  */
 const char *matmulBackend();
 
@@ -167,6 +195,42 @@ namespace detail {
 using BlockFn = void (*)(void *ctx, std::size_t begin, std::size_t end);
 void runBlocks(std::size_t n, std::size_t align, std::size_t work,
                BlockFn fn, void *ctx);
+
+/** Kernel instruction tiers, lowest first. */
+enum class MatTier
+{
+    Portable,
+    Avx2,    ///< AVX2 + FMA
+    Avx512,  ///< AVX-512F (+ AVX2 + FMA)
+};
+
+/** The best tier this host runs, chosen once: AVX-512 when the CPU has
+ *  AVX-512F, AVX2 when it has AVX2 and FMA, portable otherwise or when
+ *  AUTOCAT_MAT_PORTABLE=1. */
+MatTier hostMatTier();
+
+/** The calling thread's tier: hostMatTier() capped by the innermost
+ *  MatTierScope. Each kernel call reads it once and hands it to every
+ *  block of its partition. */
+MatTier matTier();
+
+/**
+ * Caps the calling thread's tier for the scope's lifetime and restores
+ * the previous cap on destruction, so one host can run every tier it
+ * has (tests compare them). A cap above the host's tier has no effect.
+ */
+class MatTierScope
+{
+  public:
+    explicit MatTierScope(MatTier cap);
+    ~MatTierScope();
+
+    MatTierScope(const MatTierScope &) = delete;
+    MatTierScope &operator=(const MatTierScope &) = delete;
+
+  private:
+    MatTier saved_;
+};
 } // namespace detail
 
 /**

@@ -184,10 +184,12 @@ void
 reluBackwardInPlace(Matrix &grad, const Matrix &preact)
 {
     assert(grad.size() == preact.size());
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-        if (preact.data()[i] <= 0.0f)
-            grad.data()[i] = 0.0f;
-    }
+    float *g = grad.data();
+    const float *a = preact.data();
+    // A select, not a conditional store, so it vectorizes; a NaN
+    // pre-activation compares false and keeps its gradient.
+    for (std::size_t i = 0; i < grad.size(); ++i)
+        g[i] = a[i] <= 0.0f ? 0.0f : g[i];
 }
 
 double

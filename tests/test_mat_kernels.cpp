@@ -5,18 +5,25 @@
  * every tile-edge path: non-multiple-of-tile M (4-row blocks), N
  * (4/16-column blocks), and K (8/16-lane vector steps), plus the
  * fused bias+ReLU path, the row-purity guarantee the multi-core row
- * partition relies on, and that partition's bitwise invariance.
+ * partition relies on, that partition's bitwise invariance, and
+ * bit goldens of every kernel on every tier the host runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "rl/actor_critic.hpp"
+#include "rl/adam.hpp"
 #include "rl/mat.hpp"
+#include "rl/nn.hpp"
 #include "util/rng.hpp"
 
 namespace autocat {
@@ -248,9 +255,11 @@ bitwiseEqual(const Matrix &a, const Matrix &b)
  * with at least kMatSplitMinRows output rows carries 4 *
  * kMatSplitMinWork multiply-adds and splits into as many blocks as the
  * budget and its row tiles allow; smaller shapes check the inline
- * path. ctest runs this suite once per backend.
+ * path. ctest runs this suite once per backend, and an AVX-512 host
+ * runs it on the AVX2 tier too.
  */
-TEST(MatKernels, PartitionedKernelsMatchSerialBitwise)
+void
+expectPartitionedKernelsMatchSerial()
 {
     const std::size_t ms[] = {1, 3, 4, 5, 7, 9, 127, 129, 500};
     const std::size_t ns[] = {1, 6, 16, 128, 251};
@@ -292,10 +301,291 @@ TEST(MatKernels, PartitionedKernelsMatchSerialBitwise)
     }
 }
 
+/**
+ * Kernel bit goldens. Every entry point runs over a seeded grid of
+ * shapes that reaches each tile edge — k mod 8 = 0..7 on both sides of
+ * the 16-float step, n mod 16 = 0..15 and n above 32, m in {1, 3, 4, 5,
+ * 9, 500} — plus the Table V layers (251 -> 128 -> 128 -> 8 and the
+ * value head), and each output's bytes are folded into a 64-bit FNV-1a
+ * hash per kernel; reluBackwardInPlace and one Adam::step are hashed
+ * the same way. The SIMD tiers share one set of hashes and the
+ * portable backend has its own; a kernel change that moves any bit of
+ * any output element moves its hash.
+ */
+std::uint64_t
+fnv1a(const void *data, std::size_t bytes, std::uint64_t h)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+struct KernelBits
+{
+    std::uint64_t linear_relu = kFnvBasis;  ///< linearForwardInto, ReLU on
+    std::uint64_t linear = kFnvBasis;       ///< linearForwardInto, ReLU off
+    std::uint64_t trans_b = kFnvBasis;      ///< matmulTransBInto
+    std::uint64_t trans_a = kFnvBasis;      ///< matmulTransAInto
+    std::uint64_t matmul = kFnvBasis;       ///< matmulInto
+    std::uint64_t relu_backward = kFnvBasis;  ///< reluBackwardInPlace
+    std::uint64_t adam = kFnvBasis;  ///< Adam::step: params, m, v
+};
+
+/** Seeded operand source: Gaussian values with a quarter exact zeros
+ *  (the portable kernels skip zero multiplicands), handed out as
+ *  consecutive windows of one pool. */
+class OperandPool
+{
+  public:
+    OperandPool() : pool_(std::size_t{1} << 17)
+    {
+        Rng rng(0x9b175);
+        for (float &v : pool_)
+            v = rng.uniformInt(4) == 0 ? 0.0f
+                                       : static_cast<float>(rng.gaussian());
+    }
+
+    Matrix
+    next(std::size_t rows, std::size_t cols)
+    {
+        Matrix m(rows, cols);
+        if (cursor_ + m.size() > pool_.size())
+            cursor_ = (cursor_ * 7 + 1) % 4099;
+        std::copy(pool_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+                  pool_.begin() +
+                      static_cast<std::ptrdiff_t>(cursor_ + m.size()),
+                  m.data());
+        cursor_ += m.size() + 13;
+        return m;
+    }
+
+    std::vector<float>
+    vec(std::size_t n)
+    {
+        const Matrix m = next(1, n);
+        return std::vector<float>(m.data(), m.data() + n);
+    }
+
+  private:
+    std::vector<float> pool_;
+    std::size_t cursor_ = 0;
+};
+
+void
+hashMatrix(std::uint64_t &h, const Matrix &m)
+{
+    h = fnv1a(m.data(), m.size() * sizeof(float), h);
+}
+
+/** One (m, k, n) product shape of every GEMM entry point. */
+void
+hashGemms(KernelBits &bits, OperandPool &pool, std::size_t m, std::size_t k,
+          std::size_t n)
+{
+    const Matrix x = pool.next(m, k);
+    const Matrix w = pool.next(n, k);
+    const std::vector<float> bias = pool.vec(n);
+    Matrix c;
+    linearForwardInto(c, x, w, bias, /*relu=*/true);
+    hashMatrix(bits.linear_relu, c);
+    linearForwardInto(c, x, w, bias, /*relu=*/false);
+    hashMatrix(bits.linear, c);
+    matmulTransBInto(c, x, w);
+    hashMatrix(bits.trans_b, c);
+    matmulTransAInto(c, pool.next(k, m), pool.next(k, n));
+    hashMatrix(bits.trans_a, c);
+    matmulInto(c, x, pool.next(k, n));
+    hashMatrix(bits.matmul, c);
+}
+
+KernelBits
+kernelBits()
+{
+    KernelBits bits;
+    OperandPool pool;
+    const std::size_t ms[] = {1, 3, 4, 5, 9, 500};
+    std::vector<std::size_t> ks;
+    for (std::size_t k = 1; k <= 24; ++k)
+        ks.push_back(k);
+    ks.push_back(37);
+    ks.push_back(64);
+    for (const std::size_t m : ms)
+        for (const std::size_t k : ks)
+            for (std::size_t n = 1; n <= 48; ++n)
+                hashGemms(bits, pool, m, k, n);
+
+    // Table V: the policy trunk 251 -> 128 -> 128, its 8 logits and the
+    // value head, forward (k -> n) and backward (dW over the batch, dX).
+    const std::size_t layers[][2] = {{251, 128}, {128, 128}, {128, 8},
+                                     {128, 1}};
+    for (const std::size_t m : {std::size_t{1}, std::size_t{4},
+                                std::size_t{500}})
+        for (const auto &l : layers) {
+            hashGemms(bits, pool, m, l[0], l[1]);
+            hashGemms(bits, pool, m, l[1], l[0]);
+        }
+
+    // ReLU backward: the mask includes -0.0f and NaN pre-activations.
+    for (const std::size_t size : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{16}, std::size_t{33},
+                                   std::size_t{500 * 128}}) {
+        Matrix grad = pool.next(1, size);
+        Matrix act = pool.next(1, size);
+        for (std::size_t i = 0; i < size; i += 5)
+            act.data()[i] = i % 2 ? -0.0f : std::nanf("");
+        reluBackwardInPlace(grad, act);
+        hashMatrix(bits.relu_backward, grad);
+    }
+
+    // One Adam step from a mid-training state, over blocks whose sizes
+    // straddle every vector width and the step's partition.
+    const std::size_t sizes[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17,
+                                 33, 128 * 251, 128, 128 * 128, 8 * 128, 8};
+    std::vector<std::vector<float>> params, grads;
+    std::vector<ParamBlock> blocks;
+    Adam::State state;
+    state.t = 7;
+    for (const std::size_t size : sizes) {
+        params.push_back(pool.vec(size));
+        grads.push_back(pool.vec(size));
+        state.m.push_back(pool.vec(size));
+        std::vector<float> v = pool.vec(size);
+        for (float &x : v)
+            x = x * x;
+        state.v.push_back(std::move(v));
+    }
+    for (std::size_t b = 0; b < params.size(); ++b)
+        blocks.push_back({params[b].data(), grads[b].data(), sizes[b]});
+    Adam adam(blocks, 3e-4);
+    adam.setState(state);
+    adam.step(blocks);
+    const Adam::State after = adam.state();
+    for (std::size_t b = 0; b < params.size(); ++b) {
+        bits.adam = fnv1a(params[b].data(), sizes[b] * sizeof(float),
+                          bits.adam);
+        bits.adam = fnv1a(after.m[b].data(), sizes[b] * sizeof(float),
+                          bits.adam);
+        bits.adam = fnv1a(after.v[b].data(), sizes[b] * sizeof(float),
+                          bits.adam);
+    }
+    return bits;
+}
+
+/** Captured from the kernels before the AVX-512 tier and the pinned
+ *  tails landed. */
+constexpr KernelBits kSimdBits = {
+    0xd7191ef06ef035b9ull, 0x28abd5fbd87e956aull, 0x1e058753d067cb03ull,
+    0xec7d2b3462403eaaull, 0xcd91750016b8cc65ull, 0xa1392de06767ac58ull,
+    0x59b372c40233257dull};
+constexpr KernelBits kPortableBits = {
+    0x8659e5d3ca18ff39ull, 0x683c0be807b42c2cull, 0xdc38ac720e0449cfull,
+    0xa763540e82294d11ull, 0x883af5e3246af849ull, 0xa1392de06767ac58ull,
+    0x59b372c40233257dull};
+
+void
+expectKernelBits(const KernelBits &want)
+{
+    const KernelBits got = kernelBits();
+    const auto hex = [](std::uint64_t h) {
+        char buf[24];
+        std::snprintf(buf, sizeof buf, "0x%016llx",
+                      static_cast<unsigned long long>(h));
+        return std::string(buf);
+    };
+    EXPECT_EQ(hex(got.linear_relu), hex(want.linear_relu))
+        << "linearForwardInto, ReLU on";
+    EXPECT_EQ(hex(got.linear), hex(want.linear))
+        << "linearForwardInto, ReLU off";
+    EXPECT_EQ(hex(got.trans_b), hex(want.trans_b)) << "matmulTransBInto";
+    EXPECT_EQ(hex(got.trans_a), hex(want.trans_a)) << "matmulTransAInto";
+    EXPECT_EQ(hex(got.matmul), hex(want.matmul)) << "matmulInto";
+    EXPECT_EQ(hex(got.relu_backward), hex(want.relu_backward))
+        << "reluBackwardInPlace";
+    EXPECT_EQ(hex(got.adam), hex(want.adam)) << "Adam::step";
+}
+
+/** Why this host cannot run @p tier, or "" when it can. */
+std::string
+missingTier(detail::MatTier tier)
+{
+    if (detail::hostMatTier() >= tier)
+        return "";
+    const char *force = std::getenv("AUTOCAT_MAT_PORTABLE");
+    if (force && force[0] == '1')
+        return "AUTOCAT_MAT_PORTABLE=1 selects the portable kernels";
+    return tier == detail::MatTier::Avx512 ? "the CPU lacks AVX-512F"
+                                           : "the CPU lacks AVX2 or FMA";
+}
+
+TEST(MatKernels, KernelBitsMatchGoldensOnAvx512Tier)
+{
+    const std::string missing = missingTier(detail::MatTier::Avx512);
+    if (!missing.empty())
+        GTEST_SKIP() << missing;
+    const detail::MatTierScope tier(detail::MatTier::Avx512);
+    ASSERT_STREQ(matmulBackend(), "avx512f");
+    expectKernelBits(kSimdBits);
+}
+
+TEST(MatKernels, KernelBitsMatchGoldensOnAvx2Tier)
+{
+    const std::string missing = missingTier(detail::MatTier::Avx2);
+    if (!missing.empty())
+        GTEST_SKIP() << missing;
+    const detail::MatTierScope tier(detail::MatTier::Avx2);
+    ASSERT_STREQ(matmulBackend(), "avx2+fma");
+    expectKernelBits(kSimdBits);
+}
+
+TEST(MatKernels, KernelBitsMatchGoldensOnPortableTier)
+{
+    const detail::MatTierScope tier(detail::MatTier::Portable);
+    ASSERT_STREQ(matmulBackend(), "portable");
+    expectKernelBits(kPortableBits);
+}
+
+TEST(MatKernels, PartitionedKernelsMatchSerialBitwise)
+{
+    expectPartitionedKernelsMatchSerial();
+}
+
+/** The partition test again on the AVX2 tier, which a host with
+ *  AVX-512 does not run by default. */
+TEST(MatKernels, PartitionedKernelsMatchSerialBitwiseOnAvx2Tier)
+{
+    const std::string missing = missingTier(detail::MatTier::Avx2);
+    if (!missing.empty())
+        GTEST_SKIP() << missing;
+    const detail::MatTierScope tier(detail::MatTier::Avx2);
+    expectPartitionedKernelsMatchSerial();
+}
+
 TEST(MatKernels, BackendNameIsReported)
 {
     const std::string backend = matmulBackend();
-    EXPECT_TRUE(backend == "avx2+fma" || backend == "portable");
+    EXPECT_TRUE(backend == "avx512f" || backend == "avx2+fma" ||
+                backend == "portable");
+}
+
+TEST(MatKernels, TierScopeCapsAndRestores)
+{
+    const std::string host = matmulBackend();
+    {
+        const detail::MatTierScope outer(detail::MatTier::Portable);
+        EXPECT_EQ(detail::matTier(), detail::MatTier::Portable);
+        {
+            // A cap above the host's tier does not raise it.
+            const detail::MatTierScope inner(detail::MatTier::Avx512);
+            EXPECT_EQ(detail::matTier(), detail::hostMatTier());
+        }
+        EXPECT_STREQ(matmulBackend(), "portable");
+    }
+    EXPECT_EQ(matmulBackend(), host);
 }
 
 } // namespace

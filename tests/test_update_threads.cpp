@@ -4,7 +4,8 @@
  * Adam step split over the calling thread's worker pool (rl/mat.hpp),
  * and the split must not move a bit: three Table V epochs at 1, 2, 3
  * and 4 threads leave identical weights, Adam moments and epoch
- * statistics. ctest runs this suite once per matmul backend.
+ * statistics. ctest runs this suite once per matmul backend; on an
+ * AVX-512 host it also checks that the AVX2 tier leaves the same bits.
  */
 
 #include <gtest/gtest.h>
@@ -80,6 +81,29 @@ TEST(UpdateThreads, TableVEpochsAreBitIdenticalAtOneToFourThreads)
         EXPECT_EQ(run.epochs, serial.epochs) << t << " threads";
         EXPECT_TRUE(run.state == serial.state)
             << t << " threads: weights or Adam moments differ";
+    }
+}
+
+/** The SIMD tiers give the same bits too: three Table V epochs on the
+ *  AVX2 tier, at 1 and 4 threads, leave the checkpoint the AVX-512 tier
+ *  leaves. */
+TEST(UpdateThreads, TableVEpochsAreBitIdenticalAcrossSimdTiers)
+{
+    if (detail::hostMatTier() < detail::MatTier::Avx512)
+        GTEST_SKIP() << "needs the AVX2 and AVX-512 tiers; the "
+                     << matmulBackend()
+                     << " host lacks AVX-512F (or AUTOCAT_MAT_PORTABLE=1)";
+    const auto at = [](detail::MatTier tier, std::size_t threads) {
+        const detail::MatTierScope cap(tier);
+        return trainAt(threads);
+    };
+    const Trained avx512 = at(detail::MatTier::Avx512, 1);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const Trained avx2 = at(detail::MatTier::Avx2, threads);
+        EXPECT_EQ(avx2.epochs, avx512.epochs) << threads << " threads";
+        EXPECT_TRUE(avx2.state == avx512.state)
+            << "AVX2 at " << threads
+            << " threads: weights or Adam moments differ";
     }
 }
 
