@@ -20,9 +20,10 @@ namespace {
 /**
  * Adam::update over elements [i, i1), four at a time in double
  * precision. Each element gets the scalar loop's operations in its
- * order and the same roundings to float; the target has no FMA, so
- * nothing can be contracted and the bits are the scalar loop's. Returns
- * the first element not updated (fewer than four remain).
+ * order and the same roundings to float. This file is built with
+ * -ffp-contract=off, so neither loop fuses a multiply into an add
+ * whatever the target flags, and the bits are the scalar loop's.
+ * Returns the first element not updated (fewer than four remain).
  */
 __attribute__((target("avx2"))) std::size_t
 updateAvx2(float *params, const float *grads, float *m, float *v,

@@ -103,9 +103,9 @@ dotGemmPortable(float *c, const float *a, const float *b, std::size_t m,
  * Both tiers compute each output element with the sequence of roundings
  * the rl/mat.hpp file comment specifies: dot products as dot8() then
  * dotTail(), broadcast products as one FMA chain except matmulInto's
- * tail columns (mmTailAvx2()/mmTailAvx512()). The tail steps reproduce
- * what GCC 12 emitted for the plain `s += a * b` loops these kernels
- * used to have; intrinsics spell them out and this file is built with
+ * tail columns (mmTailAvx2()). The tail steps reproduce what GCC 12
+ * emitted for the plain `s += a * b` loops these kernels used to have;
+ * intrinsics spell them out and this file is built with
  * -ffp-contract=off, so no compiler or flag can move them. Register
  * tiles, panels and vector width only interleave *independent*
  * elements.
@@ -621,33 +621,6 @@ mmTileAvx512(float *c, const float *a, const float *b, std::size_t i0,
     }
 }
 
-/** mmTailAvx2() over MR rows in one masked zmm vector. */
-template <int MR>
-__attribute__((target("avx512f,avx2,fma"))) inline void
-mmTailAvx512(float *c, const float *a, const float *b, std::size_t i0,
-             std::size_t j0, std::size_t k, std::size_t n)
-{
-    const __mmask16 mask =
-        static_cast<__mmask16>((1u << (n - j0)) - 1u);
-    const std::size_t k4 = k / 4 * 4;
-    __m512 acc[MR];
-    for (int r = 0; r < MR; ++r)
-        acc[r] = _mm512_setzero_ps();
-    for (std::size_t p = 0; p < k; ++p) {
-        const __m512 bv = _mm512_maskz_loadu_ps(mask, b + p * n + j0);
-        for (int r = 0; r < MR; ++r) {
-            const __m512 av = _mm512_set1_ps(
-                a[(i0 + static_cast<std::size_t>(r)) * k + p]);
-            acc[r] = p < k4 ? _mm512_add_ps(acc[r], _mm512_mul_ps(av, bv))
-                            : _mm512_fmadd_ps(av, bv, acc[r]);
-        }
-    }
-    for (int r = 0; r < MR; ++r)
-        _mm512_mask_storeu_ps(c + (i0 + static_cast<std::size_t>(r)) * n +
-                                  j0,
-                              mask, acc[r]);
-}
-
 /** matmulAvx2() on 8 x 32 zmm tiles; rows past the last whole 8-row
  *  tile take the AVX2 kernel. */
 __attribute__((target("avx512f,avx2,fma"))) void
@@ -662,8 +635,8 @@ matmulAvx512(float *c, const float *a, const float *b, std::size_t m,
             mmTileAvx512<8, 2>(c, a, b, i, j, k, n);
         if (j < n16)
             mmTileAvx512<8, 1>(c, a, b, i, j, k, n);
-        if (n16 < n)
-            mmTailAvx512<8>(c, a, b, i, n16, k, n);
+        mmTail<4>(c, a, b, i, n16, k, n);
+        mmTail<4>(c, a, b, i + 4, n16, k, n);
     }
     if (m8 < m)
         matmulAvx2(c + m8 * n, a + m8 * k, b, m - m8, k, n);

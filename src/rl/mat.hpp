@@ -10,8 +10,9 @@
  * **Tiers.** The matmul entry points dispatch at runtime between three
  * kernel tiers (matmulBackend() names the calling thread's): AVX-512
  * (register tiles in zmm registers, for the dot-product kernels and
- * matmulInto), AVX2+FMA (every entry point; matmulTransAInto uses it on
- * AVX-512 hosts too) and a portable scalar fallback. The host's best
+ * matmulInto), AVX2+FMA (every entry point; matmulTransAInto and
+ * matmulInto's tail columns use it on AVX-512 hosts too) and a portable
+ * scalar fallback. The host's best
  * tier is chosen once (detail::hostMatTier()); AUTOCAT_MAT_PORTABLE=1
  * in the environment, before first use, forces the portable one, and
  * detail::MatTierScope caps the calling thread's tier so tests can run
