@@ -3,13 +3,13 @@
  * CLI front door for the multi-tenant campaign gateway: accept one or
  * more sweep-config submissions (each carrying `gateway.tenant` and
  * `gateway.priority` keys) and run them all on ONE shared worker
- * fleet — local cell_runner slots, remote runner_daemon endpoints, or
- * both.
+ * fleet of runner_daemons — local slots this driver spawns, remote
+ * endpoints, or both.
  *
  *   $ ./examples/campaign_gateway --root /tmp/gw --dist 3 \
  *         alice_nightly.cfg bob_quick.cfg
  *   $ ./examples/campaign_gateway --root /tmp/gw \
- *         --endpoints 10.0.0.2:7001,10.0.0.3:7001 tenants/*.cfg
+ *         --endpoints 10.0.0.2:7001,10.0.0.3:7001 alice.cfg bob.cfg
  *
  * Higher-priority campaigns schedule first (ties in submission
  * order); every campaign's report lands under
@@ -29,25 +29,6 @@
 #include "serve/gateway/campaign_gateway.hpp"
 
 namespace {
-
-/** Resolve the cell_runner executable: explicit flag, then the
- *  AUTOCAT_CELL_RUNNER environment variable, then a cell_runner
- *  sitting next to this binary (the layout CMake produces). */
-std::string
-resolveRunner(const std::string &flag, const char *argv0)
-{
-    if (!flag.empty())
-        return flag;
-    if (const char *env = std::getenv("AUTOCAT_CELL_RUNNER")) {
-        if (*env)
-            return env;
-    }
-    std::string dir(argv0 ? argv0 : "");
-    const std::size_t slash = dir.rfind('/');
-    return (slash == std::string::npos ? std::string(".")
-                                       : dir.substr(0, slash)) +
-           "/cell_runner";
-}
 
 int
 usage()
@@ -108,7 +89,7 @@ main(int argc, char **argv)
         }
     }
     if (fleet.localProcesses > 0)
-        fleet.runnerPath = resolveRunner(runner_flag, argv[0]);
+        fleet.daemonPath = resolveRunnerDaemon(runner_flag, argv[0]);
 
     try {
         CampaignGateway gateway(root, fleet);

@@ -16,20 +16,19 @@
  * (docs/EVALUATION.md documents the schema) — including across
  * --dist process counts, provided the checkpoint settings match.
  *
- * Distributed flags: --dist N shards cells across N cell_runner
- * processes (resolved via --runner, $AUTOCAT_CELL_RUNNER, or a
- * cell_runner next to this binary); --endpoints H:P[,H:P...] adds
- * remote runner_daemon slots to the fleet (mixed fleets are fine);
- * --checkpoint-dir/--workdir place the per-cell checkpoints and
- * job/row blobs; --manifest-dir DIR records finished cells in a
- * crash-safe grid manifest so a restarted run re-enters instead of
- * recomputing (--manifest-reset wipes a manifest recorded for a
- * different grid); --chaos-kill IDX:AFTER is the CI fault-injection
- * hook (kill cell IDX's first attempt after its AFTER-th checkpoint
- * write; with --chaos-sigterm the runner SIGTERMs itself instead,
- * exercising the graceful path); --stop-after-cells N aborts the
+ * Distributed flags: --dist N shards cells across N runner_daemon
+ * processes this driver spawns (resolved via --runner,
+ * $AUTOCAT_RUNNER_DAEMON, or a runner_daemon next to this binary);
+ * --endpoints H:P[,H:P...] adds remote runner_daemon slots to the
+ * fleet (mixed fleets are fine); --checkpoint-dir/--workdir place the
+ * per-cell checkpoints and job blobs; --manifest-dir DIR records
+ * finished cells in a crash-safe grid manifest so a restarted run
+ * re-enters instead of recomputing (--manifest-reset wipes a manifest
+ * recorded for a different grid); --stop-after-cells N aborts the
  * scheduler after N cells finish (the simulated scheduler death the
- * net-smoke CI job restarts from).
+ * net-smoke CI job restarts from). Worker deaths are injected on the
+ * daemon side: start a runner_daemon with --chaos-kill-after N and
+ * pass it as an endpoint.
  *
  * Exit status: 0 when every cell completed, 1 when any cell failed
  * (including cells whose worker died beyond the retry budget), 2 on
@@ -87,25 +86,6 @@ writeReportFile(const std::string &path,
     return true;
 }
 
-/** Resolve the cell_runner executable: explicit flag, then the
- *  AUTOCAT_CELL_RUNNER environment variable, then a cell_runner
- *  sitting next to this binary (the layout CMake produces). */
-std::string
-resolveRunner(const std::string &flag, const char *argv0)
-{
-    if (!flag.empty())
-        return flag;
-    if (const char *env = std::getenv("AUTOCAT_CELL_RUNNER")) {
-        if (*env)
-            return env;
-    }
-    std::string dir(argv0 ? argv0 : "");
-    const std::size_t slash = dir.rfind('/');
-    return (slash == std::string::npos ? std::string(".")
-                                       : dir.substr(0, slash)) +
-           "/cell_runner";
-}
-
 } // namespace
 
 int
@@ -116,9 +96,8 @@ main(int argc, char **argv)
     SweepConfig cfg;
     std::string config_path, json_override, csv_override;
     std::string runner_flag, workdir_flag, checkpoint_dir_flag;
-    std::string chaos_kill, endpoints_flag, manifest_dir_flag;
+    std::string endpoints_flag, manifest_dir_flag;
     bool manifest_reset_flag = false;
-    bool chaos_sigterm_flag = false;
     long stop_after_cells = 0;
     int dist_override = -1;    // -1 = keep the config's value
     int workers_override = 0;  // 0 = keep the config's value
@@ -143,10 +122,6 @@ main(int argc, char **argv)
             workdir_flag = argv[++i];
         } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
             checkpoint_dir_flag = argv[++i];
-        } else if (arg == "--chaos-kill" && i + 1 < argc) {
-            chaos_kill = argv[++i];
-        } else if (arg == "--chaos-sigterm") {
-            chaos_sigterm_flag = true;
         } else if (arg == "--endpoints" && i + 1 < argc) {
             endpoints_flag = argv[++i];
         } else if (arg == "--manifest-dir" && i + 1 < argc) {
@@ -163,7 +138,6 @@ main(int argc, char **argv)
                          "[--checkpoint-dir DIR] "
                          "[--endpoints H:P[,H:P...]] "
                          "[--manifest-dir DIR] [--manifest-reset] "
-                         "[--chaos-kill IDX:AFTER] [--chaos-sigterm] "
                          "[--stop-after-cells N]\n";
             return 2;
         } else {
@@ -192,15 +166,6 @@ main(int argc, char **argv)
             cfg.distWorkDir = workdir_flag;
         if (!checkpoint_dir_flag.empty())
             cfg.checkpointDir = checkpoint_dir_flag;
-        if (!chaos_kill.empty()) {
-            const std::size_t colon = chaos_kill.find(':');
-            cfg.chaosKillCell =
-                std::atol(chaos_kill.substr(0, colon).c_str());
-            if (colon != std::string::npos)
-                cfg.chaosKillAfter =
-                    std::atoi(chaos_kill.substr(colon + 1).c_str());
-        }
-        cfg.chaosSigterm = chaos_sigterm_flag;
         if (stop_after_cells > 0)
             cfg.stopAfterCells =
                 static_cast<std::size_t>(stop_after_cells);
@@ -224,7 +189,7 @@ main(int argc, char **argv)
         if (manifest_reset_flag)
             cfg.manifestReset = true;
         if (cfg.distProcesses > 0)
-            cfg.runnerPath = resolveRunner(runner_flag, argv[0]);
+            cfg.daemonPath = resolveRunnerDaemon(runner_flag, argv[0]);
 
         SweepRunner runner(std::move(cfg));
         std::cout << "Sweep expands to " << runner.cells().size()

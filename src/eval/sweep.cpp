@@ -253,9 +253,10 @@ runSweepCells(const std::string &name, std::vector<SweepCell> cells,
     const auto t0 = Clock::now();
     std::mutex progress_mutex;
 
-    // Cell execution is shared with the cell_runner worker executable
-    // (serve/cell_exec.hpp): in-process and distributed runs MUST
-    // compute rows through identical code for report byte-identity.
+    // Cell execution is shared with the runner_daemon worker
+    // executable (serve/cell_exec.hpp): in-process and distributed
+    // runs MUST compute rows through identical code for report
+    // byte-identity.
     const auto run_cell = [&](std::size_t i) {
         CellExecOptions options;
         if (!checkpoint_dir.empty()) {
@@ -302,30 +303,34 @@ SweepRunner::SweepRunner(SweepConfig config)
 SweepReport
 SweepRunner::run(const SweepProgress &progress)
 {
-    // Any non-empty fleet — local worker processes and/or remote
-    // runner daemons — routes through the distributed scheduler.
+    // Any non-empty fleet — local runner daemons and/or remote ones —
+    // routes through the distributed scheduler.
     if (config_.distProcesses > 0 || !config_.distEndpoints.empty()) {
-        DistSweepOptions options;
-        options.processes = config_.distProcesses;
-        options.runnerPath = config_.runnerPath;
-        options.endpoints = config_.distEndpoints;
-        options.workDir =
+        FleetOptions fleet;
+        fleet.localProcesses = config_.distProcesses;
+        fleet.daemonPath = config_.daemonPath;
+        fleet.endpoints = config_.distEndpoints;
+        fleet.maxRetries = config_.distRetries;
+        fleet.heartbeatTimeoutS = config_.heartbeatTimeoutS;
+        fleet.stopAfterCells = config_.stopAfterCells;
+
+        std::vector<ScheduledGrid> grids(1);
+        ScheduledGrid &grid = grids.front();
+        grid.name = config_.name;
+        grid.cells = cells_;
+        grid.workDir =
             config_.distWorkDir.empty()
                 ? (config_.checkpointDir.empty() ? "."
                                                  : config_.checkpointDir) +
                       std::string("/dist_work")
                 : config_.distWorkDir;
-        options.checkpointDir = config_.checkpointDir;
-        options.checkpointEvery = config_.checkpointInterval;
-        options.manifestDir = config_.manifestDir;
-        options.manifestReset = config_.manifestReset;
-        options.maxRetries = config_.distRetries;
-        options.heartbeatTimeoutS = config_.heartbeatTimeoutS;
-        options.chaosKillCell = config_.chaosKillCell;
-        options.chaosKillAfter = config_.chaosKillAfter;
-        options.chaosSigterm = config_.chaosSigterm;
-        options.stopAfterCells = config_.stopAfterCells;
-        return runSweepCellsDist(config_.name, cells_, options, progress);
+        grid.checkpointDir = config_.checkpointDir;
+        grid.checkpointEvery = config_.checkpointInterval;
+        grid.manifestDir = config_.manifestDir;
+        grid.manifestReset = config_.manifestReset;
+        grid.progress = progress;
+        return std::move(
+            runSweepGridsFleet(std::move(grids), fleet).front());
     }
     return runSweepCells(config_.name, cells_, config_.workers, progress,
                          config_.checkpointDir,

@@ -118,7 +118,7 @@ struct SweepConfig
 
     // ----- distributed execution (serve/dist_scheduler.hpp)
     /**
-     * Worker *processes* to shard the grid across; 0 runs cells
+     * Local runner_daemon slots to shard the grid across; 0 runs cells
      * in-process on `workers` pool threads. Config key
      * sweep.dist_processes.
      */
@@ -129,32 +129,21 @@ struct SweepConfig
     int distRetries = 1;
 
     /**
-     * Kill and requeue a worker whose heartbeat file goes stale for
-     * this many seconds; 0 disables hang detection. Config key
+     * Kill and requeue an attempt whose daemon sends nothing for this
+     * many seconds; 0 disables hang detection. Config key
      * sweep.heartbeat_timeout_s.
      */
     double heartbeatTimeoutS = 0.0;
 
-    /** Scratch directory for job/result blobs and heartbeats; empty
-     *  derives `<checkpointDir or .>/dist_work`. Config key
-     *  sweep.dist_work_dir. */
+    /** Scratch directory for job blobs and the local daemons' work
+     *  dirs; empty derives `<checkpointDir or .>/dist_work`. Config
+     *  key sweep.dist_work_dir. */
     std::string distWorkDir;
 
-    /** cell_runner executable path; resolved by the driver (CLI flag /
-     *  AUTOCAT_CELL_RUNNER env), never a config-file key. Required
-     *  when distProcesses > 0. */
-    std::string runnerPath;
-
-    /**
-     * Fault-injection harness hooks (CLI only, used by the dist-smoke
-     * and net-smoke CI jobs and tests): SIGKILL the first attempt of
-     * cell chaosKillCell after chaosKillAfter checkpoint writes; -1
-     * disables. chaosSigterm sends the runner SIGTERM instead, so it
-     * exits through the graceful flush path.
-     */
-    long chaosKillCell = -1;
-    int chaosKillAfter = 1;
-    bool chaosSigterm = false;
+    /** runner_daemon executable the local slots spawn; resolved by the
+     *  driver (CLI flag / AUTOCAT_RUNNER_DAEMON env), never a
+     *  config-file key. Required when distProcesses > 0. */
+    std::string daemonPath;
 
     /** Abort the scheduler (DistStopInjected) after this many cells
      *  finish in this run; 0 disables. CLI only — the manifest

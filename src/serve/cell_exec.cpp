@@ -96,8 +96,7 @@ runSweepCell(SweepCell cell, const CellExecOptions &options)
         campaign.phases = out.cell.phases;
         campaign.checkpointPath = options.checkpointPath;
         campaign.checkpointEvery = options.checkpointEvery;
-        campaign.resume =
-            options.resume && !options.checkpointPath.empty();
+        campaign.resume = !options.checkpointPath.empty();
 
         const bool verbose = out.cell.config.verbose;
         const PpoTrainer::EpochCallback epoch_cb =

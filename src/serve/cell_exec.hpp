@@ -1,8 +1,8 @@
 /**
  * @file
  * Single sweep-cell execution, shared by the in-process pool
- * (eval/sweep.cpp) and the cell_runner worker executable
- * (serve/runner_main.cpp).
+ * (eval/sweep.cpp) and the runner_daemon worker executable
+ * (serve/net/daemon_main.cpp).
  *
  * Both paths MUST run a cell through the exact same code for the
  * sharded-vs-local byte-identity contract to hold: a cell is one
@@ -28,15 +28,12 @@ namespace autocat {
 /** Execution knobs for one cell. */
 struct CellExecOptions
 {
-    /** Campaign checkpoint file; empty disables checkpointing. */
+    /** Campaign checkpoint file; empty disables checkpointing. A
+     *  retried cell resumes from it when the file exists. */
     std::string checkpointPath;
 
     /** Mid-phase checkpoint cadence in epochs (0 = phase ends only). */
     int checkpointEvery = 0;
-
-    /** Resume from checkpointPath when the file exists (the default,
-     *  so a retried cell continues instead of restarting). */
-    bool resume = true;
 
     /** Observer for checkpoint writes (heartbeats, chaos hooks). */
     TrainingSession::CheckpointCallback checkpointCb;
@@ -47,13 +44,12 @@ struct CellExecOptions
 };
 
 /**
- * Exit code a runner or daemon uses after a graceful SIGTERM: the
- * heartbeat was flushed and every written checkpoint is durable
- * (checkpoint writes are atomic + fsynced, and the shutdown flag is
- * only observed between them), but no row was produced. Deliberately
- * outside the runner's recognized codes (0/3/4), so the scheduler
- * treats it as a retryable worker death and the retry resumes from
- * the last checkpoint.
+ * Exit code runner_daemon uses after a graceful SIGTERM mid-cell: a
+ * final Heartbeat was flushed and every checkpoint was uploaded whole
+ * (the shutdown flag is only observed between checkpoint writes), but
+ * no row was produced. The scheduler sees a retryable worker death
+ * and the retry resumes from the last upload. Distinct from the
+ * daemon's other exits (0 idle SIGTERM, 1 start-up failure, 2 usage).
  */
 constexpr int kRunnerExitSigterm = 5;
 

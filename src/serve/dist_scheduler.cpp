@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <memory>
@@ -52,16 +53,6 @@ struct GridState
     {
         return grid.workDir + "/job_" + std::to_string(cell) + ".blob";
     }
-    std::string
-    rowPath(std::size_t cell) const
-    {
-        return grid.workDir + "/row_" + std::to_string(cell) + ".blob";
-    }
-    std::string
-    heartbeatPath(std::size_t cell) const
-    {
-        return grid.workDir + "/hb_" + std::to_string(cell);
-    }
 };
 
 void
@@ -95,12 +86,12 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
     const int local_slots = static_cast<int>(std::min<std::size_t>(
         std::max(fleet.localProcesses, 0), total_cells));
     if (local_slots > 0 &&
-        (fleet.runnerPath.empty() ||
-         ::access(fleet.runnerPath.c_str(), X_OK) != 0)) {
+        (fleet.daemonPath.empty() ||
+         ::access(fleet.daemonPath.c_str(), X_OK) != 0)) {
         throw std::invalid_argument(
-            "dist sweep: cell_runner executable not found at \"" +
-            fleet.runnerPath +
-            "\" (pass --runner or set AUTOCAT_CELL_RUNNER)");
+            "dist sweep: runner_daemon executable not found at \"" +
+            fleet.daemonPath +
+            "\" (pass --runner or set AUTOCAT_RUNNER_DAEMON)");
     }
     if (local_slots == 0 && fleet.endpoints.empty()) {
         throw std::invalid_argument(
@@ -127,20 +118,15 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
         state.report.name = state.grid.name;
         state.report.cells.resize(state.grid.cells.size());
 
-        // Stage every job blob up front: a worker needs nothing from
-        // the scheduler but its argv (or one frame stream), and a
-        // crashed scheduler leaves a complete, restartable job set on
-        // disk. The blobs also define the grid's manifest identity.
+        // Stage every job blob up front: a crashed scheduler leaves a
+        // complete, restartable job set on disk. The blobs also
+        // define the grid's manifest identity.
         std::vector<std::string> job_blobs;
         job_blobs.reserve(state.grid.cells.size());
-        std::error_code ec;
         for (const SweepCell &cell : state.grid.cells) {
             job_blobs.push_back(serializeCellJob(cell));
             atomicWriteFile(state.jobPath(cell.index),
                             job_blobs.back(), "cell job");
-            // A row left over from a previous run over the same work
-            // dir must not satisfy this run's cell.
-            fs::remove(state.rowPath(cell.index), ec);
         }
 
         if (!state.grid.manifestDir.empty()) {
@@ -184,11 +170,12 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
         }
     }
 
-    // ----- the fleet
+    // ----- the fleet (local daemons keep their scratch beside the
+    // first grid's job blobs)
     std::vector<std::unique_ptr<RunnerTransport>> transports;
     for (int s = 0; s < local_slots; ++s)
-        transports.push_back(
-            makeLocalProcessTransport(fleet.runnerPath, s));
+        transports.push_back(makeLocalDaemonTransport(
+            fleet.daemonPath, states.front().grid.workDir, s));
     for (const std::string &endpoint : fleet.endpoints)
         transports.push_back(makeTcpRunnerTransport(endpoint));
     std::vector<SlotState> slots(transports.size());
@@ -290,33 +277,17 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
             const PendingCell next = pending.front();
             pending.pop_front();
             const GridState &state = states[next.grid];
-            const SweepCell &cell = state.grid.cells[next.cell];
 
             AttemptSpec spec;
-            spec.cell = &cell;
-            spec.attempt = next.attempt;
             spec.jobPath = state.jobPath(next.cell);
-            spec.rowPath = state.rowPath(next.cell);
-            spec.heartbeatPath = state.heartbeatPath(next.cell);
             if (!state.grid.checkpointDir.empty()) {
                 spec.checkpointPath = cellCheckpointPath(
                     state.grid.checkpointDir, next.cell);
                 spec.checkpointEvery = state.grid.checkpointEvery;
             }
-            // Fault injection hits the FIRST attempt only: the retry
-            // must then finish the cell, which is exactly the recovery
-            // path under test.
-            if (next.grid == 0 &&
-                static_cast<long>(next.cell) == fleet.chaosKillCell &&
-                next.attempt == 1) {
-                spec.chaosKill = !fleet.chaosHang;
-                spec.chaosHang = fleet.chaosHang;
-                spec.chaosKillAfter = fleet.chaosKillAfter;
-                spec.chaosSigterm = fleet.chaosSigterm;
-            }
 
             if (!transports[s]->start(spec)) {
-                // Never actually started (endpoint retired itself):
+                // Never actually started (the slot retired itself):
                 // requeue at the front without consuming an attempt.
                 pending.push_front(next);
                 continue;
@@ -374,10 +345,10 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
             }
         }
 
-        // Hang detection: a healthy attempt shows life (heartbeat
-        // mtime / received frames) continuously; staleness beyond the
-        // budget gets killed and takes the normal death path (which
-        // consumes a retry).
+        // Hang detection: a healthy attempt shows life (received
+        // frames) continuously; staleness beyond the budget gets
+        // killed and takes the normal death path (which consumes a
+        // retry).
         if (fleet.heartbeatTimeoutS > 0) {
             for (std::size_t s = 0; s < transports.size(); ++s) {
                 if (!slots[s].busy || slots[s].killed)
@@ -404,40 +375,20 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
     return reports;
 }
 
-SweepReport
-runSweepCellsDist(const std::string &name, std::vector<SweepCell> cells,
-                  const DistSweepOptions &options,
-                  const SweepProgress &progress)
+std::string
+resolveRunnerDaemon(const std::string &flag, const char *argv0)
 {
-    FleetOptions fleet;
-    // The pre-fleet interface always ran at least one local slot;
-    // endpoint-only fleets must ask for processes = 0 explicitly.
-    fleet.localProcesses = options.endpoints.empty()
-                               ? std::max(options.processes, 1)
-                               : std::max(options.processes, 0);
-    fleet.runnerPath = options.runnerPath;
-    fleet.endpoints = options.endpoints;
-    fleet.maxRetries = options.maxRetries;
-    fleet.heartbeatTimeoutS = options.heartbeatTimeoutS;
-    fleet.chaosKillCell = options.chaosKillCell;
-    fleet.chaosKillAfter = options.chaosKillAfter;
-    fleet.chaosHang = options.chaosHang;
-    fleet.chaosSigterm = options.chaosSigterm;
-    fleet.stopAfterCells = options.stopAfterCells;
-
-    ScheduledGrid grid;
-    grid.name = name;
-    grid.cells = std::move(cells);
-    grid.workDir = options.workDir;
-    grid.checkpointDir = options.checkpointDir;
-    grid.checkpointEvery = options.checkpointEvery;
-    grid.manifestDir = options.manifestDir;
-    grid.manifestReset = options.manifestReset;
-    grid.progress = progress;
-
-    std::vector<ScheduledGrid> grids;
-    grids.push_back(std::move(grid));
-    return std::move(runSweepGridsFleet(std::move(grids), fleet)[0]);
+    if (!flag.empty())
+        return flag;
+    if (const char *env = std::getenv("AUTOCAT_RUNNER_DAEMON")) {
+        if (*env)
+            return env;
+    }
+    std::string dir(argv0 ? argv0 : "");
+    const std::size_t slash = dir.rfind('/');
+    return (slash == std::string::npos ? std::string(".")
+                                       : dir.substr(0, slash)) +
+           "/runner_daemon";
 }
 
 } // namespace autocat

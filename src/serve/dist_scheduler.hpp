@@ -1,14 +1,15 @@
 /**
  * @file
  * DistScheduler: shard expanded sweep grids across a *fleet* of
- * runner transports — local cell_runner processes and/or remote
- * runner_daemon TCP endpoints (serve/net/transport.hpp).
+ * runner_daemon workers — local daemons the scheduler spawns and/or
+ * remote TCP endpoints, all spoken to through the same transport
+ * (serve/net/transport.hpp).
  *
  * Execution model — the process-boundary analogue of util/TaskPool's
  * claiming discipline:
  *
  *  - Every cell is serialized to a job blob (serve/wire.hpp) under
- *    its grid's work directory before anything is spawned.
+ *    its grid's work directory before any attempt starts.
  *  - Each transport is one worker slot holding at most one cell
  *    attempt. A slot that frees up dynamically claims the next
  *    pending cell (grid submission order first, then the retry
@@ -17,15 +18,16 @@
  *    lock because the scheduler loop is the only claimer.
  *  - An attempt that produces a row blob has it validated here
  *    (magic/version/checksum + cell-index match) before it fills the
- *    cell's report slot. An attempt that dies (process death,
+ *    cell's report slot. An attempt that dies (daemon death,
  *    connection drop, malformed frame, corrupt row) or hangs (stale
  *    heartbeat -> kill) consumes one attempt; the cell is requeued
  *    until maxRetries are exhausted, then recorded as a per-cell
- *    failure — the rest of the grid keeps running either way. A
- *    transport whose attempt never *started* (unreachable endpoint)
- *    retires itself and the cell requeues for free.
- *  - Retried cells resume from their campaign checkpoint — remote
- *    attempts upload each checkpoint write back to the scheduler, so
+ *    failure — the rest of the grid keeps running either way. An
+ *    attempt that never *started* (unreachable endpoint, dead local
+ *    daemon) costs nothing: the cell requeues for free, a remote
+ *    transport retires itself, a local slot replaces its daemon.
+ *  - Retried cells resume from their campaign checkpoint — every
+ *    attempt uploads each checkpoint write back to the scheduler, so
  *    a daemon death costs at most checkpointEvery epochs even when
  *    the retry lands on a different machine.
  *  - With a manifest directory set, every finished cell's row blob is
@@ -57,7 +59,7 @@ namespace autocat {
 
 /** Thrown when FleetOptions::stopAfterCells aborts the scheduler
  *  mid-grid (fault-injection: a simulated scheduler death, after
- *  local children are reaped and connections dropped). The manifest
+ *  local daemons are reaped and connections dropped). The manifest
  *  keeps the finished cells; a re-entered run completes the grid. */
 struct DistStopInjected : std::runtime_error
 {
@@ -72,15 +74,19 @@ struct DistStopInjected : std::runtime_error
 };
 
 /** The worker fleet and its failure policy (shared by every grid the
- *  fleet runs). */
+ *  fleet runs). Slots are ordered local first, then endpoints, and a
+ *  free slot claims the next pending cell in that order. */
 struct FleetOptions
 {
-    /** Local cell_runner process slots (clamped to the total cell
-     *  count; 0 = remote-only fleet). */
+    /** Local slots: runner_daemons this process spawns on loopback
+     *  ephemeral ports, with their scratch under the first grid's
+     *  work directory (clamped to the total cell count; 0 =
+     *  remote-only fleet). */
     int localProcesses = 0;
 
-    /** cell_runner executable path (required when localProcesses>0). */
-    std::string runnerPath;
+    /** runner_daemon executable the local slots spawn (required when
+     *  localProcesses > 0). */
+    std::string daemonPath;
 
     /** runner_daemon endpoints, "host:port" each; one slot per
      *  daemon. */
@@ -89,25 +95,9 @@ struct FleetOptions
     /** Re-spawns allowed per cell after a death or hang. */
     int maxRetries = 1;
 
-    /** Kill an attempt whose liveness signal (heartbeat file mtime /
-     *  received frames) is older than this many seconds; 0 disables
-     *  hang detection. */
+    /** Kill an attempt whose liveness signal (received frames) is
+     *  older than this many seconds; 0 disables hang detection. */
     double heartbeatTimeoutS = 0.0;
-
-    // ----- fault-injection hooks (tests / CI harness only)
-    /** Cell (by index, grids[0]) whose FIRST attempt is asked to kill
-     *  itself after chaosKillAfter checkpoint writes; -1 disables.
-     *  Local transports only — daemons carry their own chaos flags. */
-    long chaosKillCell = -1;
-    int chaosKillAfter = 1;
-
-    /** Make chaosKillCell's first attempt hang before doing any work
-     *  (exercises the heartbeat timeout) instead of self-killing. */
-    bool chaosHang = false;
-
-    /** Have chaosKillCell's first attempt SIGTERM itself instead of
-     *  SIGKILL — exercises the graceful-shutdown runner path. */
-    bool chaosSigterm = false;
 
     /** Throw DistStopInjected after this many cells finish in this
      *  run (adopted manifest cells do not count); 0 disables. */
@@ -120,8 +110,9 @@ struct ScheduledGrid
     std::string name;
     std::vector<SweepCell> cells;
 
-    /** Scratch directory for job/row blobs and heartbeat files;
-     *  created on demand (required, one per grid). */
+    /** Scratch directory for job blobs (and, for the first grid, the
+     *  local daemons' scratch); created on demand (required, one per
+     *  grid). */
     std::string workDir;
 
     /** Per-cell campaign checkpoint directory; empty disables
@@ -154,7 +145,7 @@ struct ScheduledGrid
  * retry budget.
  *
  * @throws std::invalid_argument for fleet/grid misconfiguration (no
- *         slots, missing runner, unusable work or manifest dir, a
+ *         slots, missing daemon binary, unusable work or manifest dir, a
  *         manifest bound to a different grid without reset);
  *         std::runtime_error when every transport retired with cells
  *         still pending; DistStopInjected for stopAfterCells
@@ -163,64 +154,13 @@ std::vector<SweepReport>
 runSweepGridsFleet(std::vector<ScheduledGrid> grids,
                    const FleetOptions &fleet);
 
-/** Single-grid scheduler configuration (the pre-fleet interface,
- *  kept for drivers and tests; forwards to runSweepGridsFleet). */
-struct DistSweepOptions
-{
-    /** Worker process slots (clamped to the cell count). */
-    int processes = 3;
-
-    /** cell_runner executable path (required unless the fleet is
-     *  endpoints-only). */
-    std::string runnerPath;
-
-    /** runner_daemon endpoints joining the fleet ("host:port"). */
-    std::vector<std::string> endpoints;
-
-    /** Scratch directory for job/row blobs and heartbeat files;
-     *  created on demand (required). */
-    std::string workDir;
-
-    /** Per-cell campaign checkpoint directory; empty disables
-     *  mid-cell checkpoints. */
-    std::string checkpointDir;
-
-    /** Mid-cell checkpoint cadence in epochs. */
-    int checkpointEvery = 0;
-
-    /** Grid manifest directory; empty disables re-entry. */
-    std::string manifestDir;
-    bool manifestReset = false;
-
-    /** Re-spawns allowed per cell after a death or hang. */
-    int maxRetries = 1;
-
-    /** Kill a worker whose heartbeat is older than this (seconds);
-     *  0 disables hang detection. */
-    double heartbeatTimeoutS = 0.0;
-
-    // ----- fault-injection hooks (tests / CI harness only)
-    long chaosKillCell = -1;
-    int chaosKillAfter = 1;
-    bool chaosHang = false;
-    bool chaosSigterm = false;
-    std::size_t stopAfterCells = 0;
-};
-
 /**
- * Run @p cells across the configured fleet and aggregate the report.
- * Blocks until every cell has completed, failed deterministically, or
- * exhausted its retry budget.
- *
- * @throws std::invalid_argument for a missing/non-executable runner
- *         or an unusable work directory (grid-level misconfiguration,
- *         as opposed to per-cell failures which land in the report);
- *         see runSweepGridsFleet for the full set
+ * The runner_daemon executable a driver's local slots spawn: @p flag
+ * when set, else $AUTOCAT_RUNNER_DAEMON, else a runner_daemon next to
+ * @p argv0 (the layout CMake produces).
  */
-SweepReport runSweepCellsDist(const std::string &name,
-                              std::vector<SweepCell> cells,
-                              const DistSweepOptions &options,
-                              const SweepProgress &progress = {});
+std::string resolveRunnerDaemon(const std::string &flag,
+                                const char *argv0);
 
 } // namespace autocat
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * runner_daemon: a persistent TCP worker for the networked campaign
- * service. It listens on one endpoint, accepts one connection at a
- * time (the scheduler treats each daemon as exactly one fleet slot),
- * and executes each delivered cell through the shared cell-execution
- * path (serve/cell_exec.hpp) — so daemon cells are byte-identical to
- * in-process and cell_runner cells by construction.
+ * runner_daemon: the one worker executable of the sweep service. It
+ * listens on one endpoint, accepts one connection at a time (the
+ * scheduler treats each daemon as exactly one fleet slot), and
+ * executes each delivered cell through the shared cell-execution path
+ * (serve/cell_exec.hpp) — so daemon cells are byte-identical to
+ * in-process cells by construction. The scheduler spawns one daemon
+ * per local slot (`--dist N`) on a loopback ephemeral port; remote
+ * slots are daemons started by hand and passed as endpoints.
  *
  *     runner_daemon [--host H] [--port N] [--port-file PATH]
  *                   [--work-dir DIR]
@@ -14,7 +16,8 @@
  * --port 0 (the default) binds a kernel-assigned ephemeral port, and
  * --port-file publishes the bound port atomically — the CI-parallel-
  * safe discovery handshake (parallel jobs cannot collide on a port
- * they never chose).
+ * they never chose). A --port that is not a whole decimal in 0..65535
+ * is a usage error (exit 2), and no port file is written.
  *
  * Per connection (see serve/net/frame.hpp for the session shape): the
  * daemon expects Hello [Checkpoint] Job, replies with its own Hello
@@ -35,9 +38,9 @@
  *    Heartbeat is flushed, and the daemon exits with the retryable
  *    code kRunnerExitSigterm; while idle it exits 0.
  *
- * Chaos flags (tests / net-smoke CI): kill or SIGTERM the daemon
- * right after its Nth checkpoint *upload* — the scheduler provably
- * holds the bytes the retry will resume from.
+ * Chaos flags (tests, dist-smoke and net-smoke CI): kill or SIGTERM
+ * the daemon right after its Nth checkpoint *upload* — the scheduler
+ * provably holds the bytes the retry will resume from.
  */
 
 #include <cerrno>
@@ -88,6 +91,18 @@ usage(const char *argv0)
                  " [--work-dir DIR] [--chaos-kill-after N]"
                  " [--chaos-sigterm-after N]\n";
     return 2;
+}
+
+/** Parse a whole decimal port number in 0..65535; throws
+ *  std::invalid_argument for anything else. */
+std::uint16_t
+parsePort(const std::string &text)
+{
+    if (text.empty() || text.size() > 5 ||
+        text.find_first_not_of("0123456789") != std::string::npos ||
+        std::stoul(text) > 65535)
+        throw std::invalid_argument("not a port number");
+    return static_cast<std::uint16_t>(std::stoul(text));
 }
 
 struct DaemonOptions
@@ -324,8 +339,7 @@ main(int argc, char **argv)
             if (arg == "--host")
                 options.bind.host = value();
             else if (arg == "--port")
-                options.bind.port = static_cast<std::uint16_t>(
-                    std::stoi(value()));
+                options.bind.port = parsePort(value());
             else if (arg == "--port-file")
                 options.portFile = value();
             else if (arg == "--work-dir")

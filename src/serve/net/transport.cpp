@@ -1,23 +1,24 @@
 #include "serve/net/transport.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <ctime>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "serve/net/frame.hpp"
 #include "serve/wire.hpp"
 #include "util/atomic_file.hpp"
 #include "util/logging.hpp"
+#include "util/socket.hpp"
 
 namespace autocat {
 
@@ -25,165 +26,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** mtime of @p path as a time_t, or 0 when the file does not exist. */
-std::time_t
-fileMtime(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return 0;
-    return st.st_mtime;
-}
-
-/** Describe how a reaped runner ended, for retry/error messages. */
-std::string
-describeExit(int status)
-{
-    if (WIFSIGNALED(status))
-        return std::string("killed by signal ") +
-               std::to_string(WTERMSIG(status));
-    if (WIFEXITED(status))
-        return "exit code " + std::to_string(WEXITSTATUS(status));
-    return "unknown wait status " + std::to_string(status);
-}
-
 // ---------------------------------------------------------------------
-// Local fork/exec slot (the PR 6 process boundary).
-
-class LocalProcessTransport final : public RunnerTransport
-{
-  public:
-    LocalProcessTransport(std::string runner_path, int slot)
-        : runnerPath_(std::move(runner_path)),
-          name_("local[" + std::to_string(slot) + "]")
-    {
-    }
-
-    ~LocalProcessTransport() override { abandon(); }
-
-    const std::string &name() const override { return name_; }
-    bool alive() const override { return true; }
-    bool busy() const override { return pid_ > 0; }
-
-    bool
-    start(const AttemptSpec &spec) override
-    {
-        std::vector<std::string> args;
-        args.push_back(runnerPath_);
-        args.push_back(spec.jobPath);
-        args.push_back(spec.rowPath);
-        if (!spec.checkpointPath.empty()) {
-            args.push_back("--checkpoint");
-            args.push_back(spec.checkpointPath);
-            args.push_back("--checkpoint-every");
-            args.push_back(std::to_string(spec.checkpointEvery));
-        }
-        args.push_back("--heartbeat");
-        args.push_back(spec.heartbeatPath);
-        args.push_back("--attempt");
-        args.push_back(std::to_string(spec.attempt));
-        if (spec.chaosHang) {
-            args.push_back("--chaos-hang");
-        } else if (spec.chaosKill) {
-            args.push_back(spec.chaosSigterm ? "--chaos-sigterm-after"
-                                             : "--chaos-kill-after");
-            args.push_back(std::to_string(spec.chaosKillAfter));
-        }
-
-        std::vector<char *> argv;
-        argv.reserve(args.size() + 1);
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-
-        const pid_t pid = ::fork();
-        if (pid < 0)
-            throw std::runtime_error(std::string("dist sweep: fork: ") +
-                                     std::strerror(errno));
-        if (pid == 0) {
-            ::execv(argv[0], argv.data());
-            // Exec failure in the child: nothing sane to do but die with
-            // a recognizable code (the parent records "exit code 127").
-            ::_exit(127);
-        }
-        pid_ = pid;
-        timedOut_ = false;
-        heartbeatPath_ = spec.heartbeatPath;
-        rowPath_ = spec.rowPath;
-        spawnTime_ = std::time(nullptr);
-        return true;
-    }
-
-    AttemptOutcome
-    poll() override
-    {
-        AttemptOutcome out;
-        int status = 0;
-        const pid_t r = ::waitpid(pid_, &status, WNOHANG);
-        if (r == 0)
-            return out; // still running
-        pid_ = -1;
-        out.kind = AttemptOutcome::Kind::Died;
-        if (r < 0) {
-            out.reason = std::string("could not be reaped: ") +
-                         std::strerror(errno);
-        } else if (timedOut_) {
-            out.reason = "timed out (stale heartbeat)";
-        } else if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            try {
-                out.rowBytes = readWholeFile(rowPath_, "cell row");
-                out.kind = AttemptOutcome::Kind::Row;
-            } catch (const std::exception &e) {
-                out.reason =
-                    std::string("returned a bad row: ") + e.what();
-            }
-        } else {
-            out.reason = "died (" + describeExit(status) + ")";
-        }
-        return out;
-    }
-
-    void
-    kill() override
-    {
-        if (pid_ <= 0)
-            return;
-        timedOut_ = true;
-        ::kill(pid_, SIGKILL);
-    }
-
-    double
-    idleSeconds() const override
-    {
-        const std::time_t last =
-            std::max(fileMtime(heartbeatPath_), spawnTime_);
-        return std::difftime(std::time(nullptr), last);
-    }
-
-    void
-    abandon() override
-    {
-        if (pid_ <= 0)
-            return;
-        ::kill(pid_, SIGKILL);
-        int status = 0;
-        ::waitpid(pid_, &status, 0); // no zombies behind a stop injection
-        pid_ = -1;
-    }
-
-  private:
-    std::string runnerPath_;
-    std::string name_;
-    pid_t pid_ = -1;
-    bool timedOut_ = false;
-    std::time_t spawnTime_ = 0;
-    std::string heartbeatPath_;
-    std::string rowPath_;
-};
-
-// ---------------------------------------------------------------------
-// Remote TCP slot: one runner_daemon endpoint, one connection per
-// attempt.
+// TCP slot: one runner_daemon endpoint (remote, or a local slot's own
+// daemon), one connection per attempt.
 
 class TcpRunnerTransport final : public RunnerTransport
 {
@@ -424,19 +269,214 @@ class TcpRunnerTransport final : public RunnerTransport
     Clock::time_point lastActivity_{};
 };
 
-} // namespace
+// ---------------------------------------------------------------------
+// Local slot: a runner_daemon this process spawns, spoken to over
+// loopback TCP exactly like a remote endpoint.
 
-std::unique_ptr<RunnerTransport>
-makeLocalProcessTransport(std::string runner_path, int slot)
+class LocalDaemonTransport final : public RunnerTransport
 {
-    return std::make_unique<LocalProcessTransport>(
-        std::move(runner_path), slot);
-}
+  public:
+    LocalDaemonTransport(std::string daemon_path,
+                         const std::string &work_dir, int slot)
+        : daemonPath_(std::move(daemon_path)),
+          daemonDir_(work_dir + "/local_" + std::to_string(slot)),
+          portFile_(daemonDir_ + ".port"),
+          name_("local[" + std::to_string(slot) + "]")
+    {
+        spawn();
+    }
+
+    ~LocalDaemonTransport() override { killDaemon(); }
+    LocalDaemonTransport(const LocalDaemonTransport &) = delete;
+    LocalDaemonTransport &operator=(const LocalDaemonTransport &) = delete;
+
+    const std::string &name() const override { return name_; }
+    bool alive() const override { return alive_; }
+    bool busy() const override { return tcp_ && tcp_->busy(); }
+
+    bool
+    start(const AttemptSpec &spec) override
+    {
+        // A daemon that died since its last attempt, or that cannot
+        // take this one, is replaced once; only a freshly spawned
+        // daemon's failure retires the slot.
+        reapIfExited();
+        if (tryStart(spec))
+            return true;
+        if (!startedFresh_) {
+            killDaemon();
+            if (tryStart(spec))
+                return true;
+        }
+        killDaemon();
+        alive_ = false;
+        AUTOCAT_LOG_WARN << "dist sweep: retiring " << name_
+                         << ": a freshly spawned runner_daemon could "
+                            "not take an attempt";
+        return false;
+    }
+
+    AttemptOutcome
+    poll() override
+    {
+        AttemptOutcome out = tcp_->poll();
+        if (out.kind == AttemptOutcome::Kind::Died &&
+            !out.consumesAttempt) {
+            // The daemon never took the attempt: replace it at the
+            // next start(), unless it was fresh (then nothing will
+            // do better).
+            killDaemon();
+            if (startedFresh_) {
+                alive_ = false;
+                AUTOCAT_LOG_WARN << "dist sweep: retiring " << name_
+                                 << ": " << out.reason;
+            }
+        }
+        return out;
+    }
+
+    void
+    kill() override
+    {
+        // Closing the connection alone would leave a wedged daemon
+        // holding its one-connection slot.
+        tcp_->kill();
+        killDaemon();
+    }
+
+    double idleSeconds() const override { return tcp_->idleSeconds(); }
+
+    void
+    abandon() override
+    {
+        if (tcp_)
+            tcp_->abandon();
+        killDaemon();
+    }
+
+  private:
+    static constexpr double kPortWaitS = 30.0;
+
+    /** fork/exec a daemon on an ephemeral loopback port. */
+    void
+    spawn()
+    {
+        std::error_code ec;
+        fs::remove(portFile_, ec); // a stale file names a dead port
+        std::vector<std::string> args = {
+            daemonPath_,  "--host",     "127.0.0.1", "--port",
+            "0",          "--port-file", portFile_,  "--work-dir",
+            daemonDir_};
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+
+        const pid_t parent = ::getpid();
+        const pid_t pid = ::fork();
+        if (pid < 0)
+            throw std::runtime_error(std::string("dist sweep: fork: ") +
+                                     std::strerror(errno));
+        if (pid == 0) {
+            // Die with the scheduler, even when it is SIGKILLed; the
+            // getppid() check covers a parent that died before prctl.
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            if (::getppid() != parent)
+                ::_exit(127);
+            ::execv(argv[0], argv.data());
+            ::_exit(127);
+        }
+        pid_ = pid;
+        tcp_.reset();
+    }
+
+    /** Start @p spec on the current daemon, spawning one if there is
+     *  none and connecting once its port is published. */
+    bool
+    tryStart(const AttemptSpec &spec)
+    {
+        if (pid_ <= 0)
+            spawn();
+        startedFresh_ = !tcp_; // no connection yet: a fresh daemon
+        if (!tcp_) {
+            const int port = waitForPort();
+            if (port <= 0)
+                return false;
+            tcp_ = std::make_unique<TcpRunnerTransport>(
+                "127.0.0.1:" + std::to_string(port));
+        }
+        return tcp_->start(spec);
+    }
+
+    /** The daemon's published port, or 0 when it exited or timed out
+     *  first. */
+    int
+    waitForPort()
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (;;) {
+            std::ifstream in(portFile_);
+            int port = 0;
+            if (in >> port && port > 0)
+                return port;
+            if (reapIfExited())
+                return 0;
+            if (std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count() > kPortWaitS)
+                return 0;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+
+    /** Reap the daemon if it has exited; true when it had. */
+    bool
+    reapIfExited()
+    {
+        int status = 0;
+        if (pid_ <= 0 || ::waitpid(pid_, &status, WNOHANG) != pid_)
+            return false;
+        pid_ = -1;
+        return true;
+    }
+
+    /** SIGKILL the daemon and wait for it. */
+    void
+    killDaemon()
+    {
+        if (pid_ <= 0)
+            return;
+        ::kill(pid_, SIGKILL);
+        int status = 0;
+        while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
+        }
+        pid_ = -1;
+    }
+
+    std::string daemonPath_;
+    std::string daemonDir_;
+    std::string portFile_;
+    std::string name_;
+    pid_t pid_ = -1;
+    bool alive_ = true;
+    bool startedFresh_ = false; ///< last attempt went to a fresh daemon
+    std::unique_ptr<TcpRunnerTransport> tcp_; ///< null until connected
+};
+
+} // namespace
 
 std::unique_ptr<RunnerTransport>
 makeTcpRunnerTransport(const std::string &endpoint)
 {
     return std::make_unique<TcpRunnerTransport>(endpoint);
+}
+
+std::unique_ptr<RunnerTransport>
+makeLocalDaemonTransport(std::string daemon_path,
+                         const std::string &work_dir, int slot)
+{
+    return std::make_unique<LocalDaemonTransport>(std::move(daemon_path),
+                                                  work_dir, slot);
 }
 
 } // namespace autocat

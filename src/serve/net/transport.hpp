@@ -4,13 +4,9 @@
  * cell attempt physically runs*. The scheduler owns a fleet of
  * transports — each one worker slot — and speaks one vocabulary to
  * all of them: start an attempt, poll for its outcome, kill it when
- * its heartbeat goes stale. Mixed fleets (local fork/exec slots plus
- * remote TCP daemons) fall out for free.
- *
- *  - LocalProcessTransport: fork/exec of the cell_runner executable —
- *    PR 6's process boundary, byte-identical semantics. Liveness is
- *    the heartbeat file's mtime; job/row/checkpoint all travel
- *    through the shared work/checkpoint directories.
+ * its heartbeat goes stale. Every slot runs the same protocol against
+ * the same worker binary, runner_daemon; mixed fleets (local slots
+ * plus remote daemons) fall out for free.
  *
  *  - TcpRunnerTransport: one runner_daemon endpoint. A connection is
  *    one attempt: handshake Hello (protocol + job/row wire versions),
@@ -21,6 +17,13 @@
  *    (atomically) to the cell's scheduler-side checkpoint path — the
  *    scheduler's disk is the durable home; daemons are disposable.
  *
+ *  - LocalDaemonTransport: a runner_daemon this process spawns on a
+ *    loopback ephemeral port (discovered through its --port-file) and
+ *    talks to through a TcpRunnerTransport. The daemon dies with the
+ *    scheduler (PR_SET_PDEATHSIG), is SIGKILLed when its attempt's
+ *    heartbeat goes stale, is replaced at the next start() when it
+ *    has died, and is reaped on every exit path.
+ *
  * Failure vocabulary, shared by both:
  *
  *  - Outcome::Row — the attempt produced row-blob bytes; the
@@ -30,42 +33,27 @@
  *    frame, stale heartbeat). Costs one retry.
  *  - start() returning false, or Died with consumesAttempt=false —
  *    the attempt never actually started (unreachable endpoint,
- *    version-mismatched daemon). The transport retires itself
+ *    version-mismatched daemon). A remote transport retires itself
  *    (alive() goes false) and the cell requeues without burning its
- *    budget: a dead machine must not eat a cell's retries.
+ *    budget: a dead machine must not eat a cell's retries. A local
+ *    slot replaces its daemon instead, and retires only when a
+ *    freshly spawned daemon cannot take an attempt.
  */
 
 #ifndef AUTOCAT_SERVE_NET_TRANSPORT_HPP
 #define AUTOCAT_SERVE_NET_TRANSPORT_HPP
 
-#include <chrono>
 #include <memory>
 #include <string>
-
-#include "eval/sweep.hpp"
-#include "serve/net/frame.hpp"
-#include "util/socket.hpp"
 
 namespace autocat {
 
 /** Everything one attempt needs, resolved by the scheduler. */
 struct AttemptSpec
 {
-    const SweepCell *cell = nullptr; ///< identity (labels, chaos match)
-    int attempt = 1;
-
-    std::string jobPath;        ///< staged job blob (read by both kinds)
-    std::string rowPath;        ///< local runner's row output file
-    std::string heartbeatPath;  ///< local runner's heartbeat file
+    std::string jobPath;        ///< staged job blob
     std::string checkpointPath; ///< scheduler-side ckpt; "" = disabled
     int checkpointEvery = 0;    ///< cadence when checkpointing is on
-
-    // Fault injection (local transports only; daemons carry their own
-    // chaos flags on their command line).
-    bool chaosKill = false;
-    int chaosKillAfter = 1;
-    bool chaosHang = false;
-    bool chaosSigterm = false; ///< SIGTERM-self instead of SIGKILL-self
 };
 
 /** Result of polling a busy transport. */
@@ -110,22 +98,30 @@ class RunnerTransport
      *  terminal outcome (Row/Died) frees the slot. */
     virtual AttemptOutcome poll() = 0;
 
-    /** Forcibly end the in-flight attempt (stale heartbeat). The next
-     *  poll() reports the death as "timed out (stale heartbeat)". */
+    /** Forcibly end the in-flight attempt (stale heartbeat); a local
+     *  slot also SIGKILLs its daemon. The next poll() reports the
+     *  death as "timed out (stale heartbeat)". */
     virtual void kill() = 0;
 
     /** Seconds since the attempt last showed life (spawn, heartbeat,
      *  any received frame). */
     virtual double idleSeconds() const = 0;
 
-    /** Scheduler is going down mid-run (stop injection): reap local
-     *  children / drop connections without reporting an outcome. */
+    /** Scheduler is going down mid-run (stop injection): drop the
+     *  connection and reap a local daemon without reporting an
+     *  outcome. */
     virtual void abandon() = 0;
 };
 
-/** Fork/exec slot running @p runner_path (the cell_runner binary). */
+/**
+ * Local slot @p slot: spawns `daemon_path --host 127.0.0.1 --port 0
+ * --port-file <work_dir>/local_<slot>.port --work-dir
+ * <work_dir>/local_<slot>` right away (so a fleet's daemons start in
+ * parallel) and waits for the port at the first start().
+ */
 std::unique_ptr<RunnerTransport>
-makeLocalProcessTransport(std::string runner_path, int slot);
+makeLocalDaemonTransport(std::string daemon_path,
+                         const std::string &work_dir, int slot);
 
 /** TCP slot speaking the serve/net frame protocol to a runner_daemon
  *  at @p endpoint ("host:port"; parsed eagerly — throws

@@ -1,8 +1,8 @@
 /**
  * @file
- * Cell-runner wire format: a SweepCell travels to a worker process as
- * a self-contained *job blob*, and the finished SweepCellResult comes
- * back as a *row blob*.
+ * Cell wire format: a SweepCell travels to a runner_daemon as a
+ * self-contained *job blob* (inside a Job frame, serve/net/frame.hpp),
+ * and the finished SweepCellResult comes back as a *row blob*.
  *
  * Both blobs are single util/binio sections — 8-byte magic, u32
  * format version, length-prefixed payload, trailing FNV-1a checksum —

@@ -88,7 +88,7 @@ tcpListen(const TcpEndpoint &endpoint, std::uint16_t &bound_port,
         errno = EINVAL;
         return OwnedFd();
     }
-    OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid())
         return OwnedFd();
     const int one = 1;
@@ -113,7 +113,7 @@ tcpAccept(int listen_fd, int timeout_ms)
 {
     if (!waitReadable(listen_fd, timeout_ms))
         return OwnedFd();
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0)
         return OwnedFd();
     const int one = 1;
@@ -130,7 +130,7 @@ tcpConnect(const TcpEndpoint &endpoint, int timeout_ms, bool &refused)
         errno = EINVAL;
         return OwnedFd();
     }
-    OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid())
         return OwnedFd();
     // Non-blocking connect so the timeout is enforceable, restored to

@@ -12,6 +12,11 @@
  * wrappers are EINTR-safe and never throw; callers get -1/false plus
  * errno, because a refused or dropped connection is normal fleet
  * weather the scheduler must absorb, not an exception.
+ *
+ * Every socket these helpers return is close-on-exec: a process the
+ * scheduler spawns (its local runner_daemons) must not inherit a
+ * listener or connection, or a peer's connect could land in a backlog
+ * that the child holds open and never accepts.
  */
 
 #ifndef AUTOCAT_UTIL_SOCKET_HPP

@@ -2,15 +2,14 @@
  * @file
  * Distributed sweep service tests: the cell job/row wire format
  * (round trips + corruption rejection), crash-safe checkpoint writes,
- * and the scheduler's failure semantics — worker death mid-cell,
- * checkpoint resume, heartbeat-timeout requeue, retry-budget
- * exhaustion — all pinned against the byte-identity oracle: a sharded
- * run (including one with a deliberately killed worker) must render
- * the exact same report as `workers=1` in-process.
+ * checkpointed in-process sweeps, and the scheduler's grid-level
+ * checks on local daemon slots. Worker deaths, hangs and retry
+ * budgets are tested in test_net, where the chaos and fake daemons
+ * live.
  *
- * Scheduler tests spawn the real cell_runner executable, located via
- * the AUTOCAT_CELL_RUNNER environment variable (set by CTest); they
- * skip when it is absent (e.g. running the binary by hand).
+ * Scheduler tests spawn the real runner_daemon executable, located
+ * via the AUTOCAT_RUNNER_DAEMON environment variable (set by CTest);
+ * they skip when it is absent (e.g. running the binary by hand).
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 #include "eval/report.hpp"
 #include "eval/sweep.hpp"
 #include "eval/sweep_config.hpp"
-#include "serve/cell_exec.hpp"
 #include "serve/dist_scheduler.hpp"
 #include "serve/wire.hpp"
 #include "util/atomic_file.hpp"
@@ -49,9 +47,7 @@ scratchDir(const std::string &name)
 }
 
 /** Cheapest real grid that exercises multiple cells: 2 scenarios x 2
- *  policies over a 2-block cache. Two epochs per cell so that, with
- *  checkpoint_every=1, a mid-cell checkpoint boundary exists to
- *  kill and resume across. */
+ *  policies over a 2-block cache, two epochs per cell. */
 SweepConfig
 tinyDistSweep()
 {
@@ -76,24 +72,30 @@ tinyDistSweep()
     return cfg;
 }
 
-/** Runner executable, or empty when the env var is unset. */
+/** runner_daemon executable, or empty when the env var is unset. */
 std::string
-runnerPath()
+daemonPath()
 {
-    const char *p = std::getenv("AUTOCAT_CELL_RUNNER");
+    const char *p = std::getenv("AUTOCAT_RUNNER_DAEMON");
     return p ? p : "";
 }
 
-DistSweepOptions
-distOptions(const fs::path &root)
+/** Run @p cells as one checkpointed grid on @p local_slots local
+ *  daemons spawned from @p daemon, with scratch under @p root. */
+SweepReport
+runOnLocalDaemons(std::vector<SweepCell> cells, int local_slots,
+                  const std::string &daemon, const fs::path &root)
 {
-    DistSweepOptions opts;
-    opts.processes = 3;
-    opts.runnerPath = runnerPath();
-    opts.workDir = (root / "work").string();
-    opts.checkpointDir = (root / "ckpt").string();
-    opts.checkpointEvery = 1;
-    return opts;
+    std::vector<ScheduledGrid> grids(1);
+    grids[0].name = "tiny-dist";
+    grids[0].cells = std::move(cells);
+    grids[0].workDir = (root / "work").string();
+    grids[0].checkpointDir = (root / "ckpt").string();
+    grids[0].checkpointEvery = 1;
+    FleetOptions fleet;
+    fleet.localProcesses = local_slots;
+    fleet.daemonPath = daemon;
+    return std::move(runSweepGridsFleet(std::move(grids), fleet)[0]);
 }
 
 // --------------------------------------------------------------- wire
@@ -259,74 +261,30 @@ TEST(AtomicFile, StaleTempFilesDoNotShadowTheRealFile)
 TEST(DistScheduler, RejectsMissingRunner)
 {
     const fs::path root = scratchDir("norunner");
-    std::vector<SweepCell> cells = expandSweepGrid(tinyDistSweep());
-    DistSweepOptions opts;
-    opts.runnerPath = (root / "no_such_runner").string();
-    opts.workDir = (root / "work").string();
-    EXPECT_THROW(
-        runSweepCellsDist("x", std::move(cells), opts),
-        std::invalid_argument);
-    fs::remove_all(root);
-}
-
-/**
- * THE acceptance oracle: a grid sharded across 3 worker processes —
- * one of which is SIGKILLed mid-cell right after a checkpoint write
- * and resumed by the scheduler — renders byte-identical default
- * reports to the same grid run in-process with workers=1. Checkpoint
- * cadence must match between the runs (boundaries resync env
- * streams); directories must differ (no shared state).
- */
-TEST(DistScheduler, KilledWorkerResumesByteIdentical)
-{
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
-    const fs::path root = scratchDir("identical");
-
-    const SweepConfig cfg = tinyDistSweep();
-    const std::vector<SweepCell> cells = expandSweepGrid(cfg);
-    ASSERT_EQ(cells.size(), 4u);
-
-    const SweepReport local = runSweepCells(
-        cfg.name, cells, /*workers=*/1, {},
-        (root / "local_ckpt").string(), /*checkpoint_every=*/1);
-
-    DistSweepOptions opts = distOptions(root);
-    opts.chaosKillCell = 2;
-    opts.chaosKillAfter = 1;
-    const SweepReport dist =
-        runSweepCellsDist(cfg.name, cells, opts);
-
-    ASSERT_EQ(dist.cells.size(), local.cells.size());
-    EXPECT_EQ(dist.workersUsed, 3);
-    // The injected death consumed exactly one extra attempt, on the
-    // targeted cell only, and its retry finished the cell.
-    EXPECT_EQ(dist.cells[2].attempts, 2);
-    EXPECT_TRUE(dist.cells[2].completed);
-    for (const std::size_t i : {0u, 1u, 3u})
-        EXPECT_EQ(dist.cells[i].attempts, 1) << "cell " << i;
-
-    EXPECT_EQ(sweepReportJson(dist, {}), sweepReportJson(local, {}));
+    EXPECT_THROW(runOnLocalDaemons(expandSweepGrid(tinyDistSweep()), 3,
+                                   (root / "no_such_daemon").string(),
+                                   root),
+                 std::invalid_argument);
     fs::remove_all(root);
 }
 
 TEST(DistScheduler, DeterministicCellFailureIsARowNotARetry)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("cellfail");
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyDistSweep());
     cells.resize(2);
     // An unknown scenario throws inside the campaign on every attempt
-    // identically; the runner must return it as a failure ROW (exit 0)
-    // so the scheduler records it without burning retries, and the
-    // rest of the grid still runs.
+    // identically; the daemon must return it as a failure ROW so the
+    // scheduler records it without burning retries, and the rest of
+    // the grid still runs.
     cells[1].scenario = "no_such_scenario";
     cells[1].config.scenario = "no_such_scenario";
 
     const SweepReport report =
-        runSweepCellsDist("fail", cells, distOptions(root));
+        runOnLocalDaemons(cells, 3, daemonPath(), root);
 
     ASSERT_EQ(report.cells.size(), 2u);
     EXPECT_TRUE(report.cells[0].completed);
@@ -337,61 +295,6 @@ TEST(DistScheduler, DeterministicCellFailureIsARowNotARetry)
         << report.cells[1].error;
     // Failure rows keep their cell identity for the report.
     EXPECT_EQ(report.cells[1].cell.scenario, "no_such_scenario");
-    EXPECT_EQ(report.numFailed(), 1u);
-    fs::remove_all(root);
-}
-
-TEST(DistScheduler, HungWorkerIsKilledRequeuedAndFinishes)
-{
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
-    const fs::path root = scratchDir("hang");
-
-    std::vector<SweepCell> cells = expandSweepGrid(tinyDistSweep());
-    cells.resize(2);
-
-    DistSweepOptions opts = distOptions(root);
-    opts.chaosKillCell = 1;
-    opts.chaosHang = true; // first attempt of cell 1 wedges silently
-    opts.heartbeatTimeoutS = 1.0;
-    opts.maxRetries = 1;
-
-    const SweepReport report =
-        runSweepCellsDist("hang", cells, opts);
-
-    ASSERT_EQ(report.cells.size(), 2u);
-    EXPECT_TRUE(report.cells[1].completed) << report.cells[1].error;
-    EXPECT_EQ(report.cells[1].attempts, 2);
-    EXPECT_EQ(report.cells[0].attempts, 1);
-    EXPECT_EQ(report.numFailed(), 0u);
-    fs::remove_all(root);
-}
-
-TEST(DistScheduler, RetryBudgetExhaustionLandsAsPerCellError)
-{
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
-    const fs::path root = scratchDir("budget");
-
-    std::vector<SweepCell> cells = expandSweepGrid(tinyDistSweep());
-    cells.resize(2);
-
-    DistSweepOptions opts = distOptions(root);
-    opts.chaosKillCell = 0;
-    opts.chaosKillAfter = 1;
-    opts.maxRetries = 0; // the injected death exhausts the budget
-
-    const SweepReport report =
-        runSweepCellsDist("budget", cells, opts);
-
-    ASSERT_EQ(report.cells.size(), 2u);
-    EXPECT_FALSE(report.cells[0].completed);
-    EXPECT_EQ(report.cells[0].attempts, 1);
-    EXPECT_NE(report.cells[0].error.find("died"), std::string::npos)
-        << report.cells[0].error;
-    // The healthy cell is unaffected: worker failures never abort the
-    // rest of the grid.
-    EXPECT_TRUE(report.cells[1].completed);
     EXPECT_EQ(report.numFailed(), 1u);
     fs::remove_all(root);
 }
@@ -433,7 +336,8 @@ TEST(SweepCheckpointing, ConfigKeysRoundTrip)
     EXPECT_EQ(back.distWorkDir, "scratch/dist");
     // Render->parse->render is a fixed point for the new keys too.
     EXPECT_EQ(renderSweepConfig(back), renderSweepConfig(cfg));
-    // runnerPath and the chaos hooks are CLI-only, never config keys.
+    // The daemon path is CLI-only and chaos lives on the daemon's own
+    // command line: neither is a config key.
     EXPECT_THROW(parseSweepConfig(std::string("sweep.runner = x\n")),
                  std::invalid_argument);
     EXPECT_THROW(

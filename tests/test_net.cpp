@@ -3,27 +3,34 @@
  * Networked campaign service tests: the ACNF frame layer (round
  * trips, partial reads, fuzzing truncation/corruption), the
  * crash-safe grid manifest (re-entry, identity keying, recovery from
- * torn state), graceful SIGTERM in the runner, and the full
- * daemon-fleet scheduler — all pinned against the byte-identity
+ * torn state), the daemon's command line and graceful SIGTERM, and
+ * the full fleet scheduler — local daemon slots, hand-started
+ * endpoints and fake daemons — all pinned against the byte-identity
  * oracle: a grid sharded across 3 TCP runner daemons, with one daemon
  * SIGKILLed mid-cell AND the scheduler itself killed and restarted
  * from the manifest, must render the exact same report as `workers=1`
- * in-process.
+ * in-process. Worker deaths are injected with the daemon's own chaos
+ * flags on hand-started daemons; slots are ordered local first, then
+ * endpoints, and cells are claimed in order, so a test knows which
+ * cell a chaos daemon takes.
  *
- * Fleet tests spawn the real cell_runner / runner_daemon executables,
- * located via the AUTOCAT_CELL_RUNNER / AUTOCAT_RUNNER_DAEMON
- * environment variables (set by CTest); they skip when absent.
+ * Fleet tests spawn the real runner_daemon executable, located via the
+ * AUTOCAT_RUNNER_DAEMON environment variable (set by CTest); they skip
+ * when it is absent.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -58,7 +65,10 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-/** Same tiny 4-cell grid test_dist pins its oracle on. */
+/** The tiny 4-cell grid test_dist also runs: 2 scenarios x 2 policies
+ *  over a 2-block cache, two epochs per cell so that, with
+ *  checkpoint_every=1, a mid-cell checkpoint boundary exists to kill
+ *  and resume across. */
 SweepConfig
 tinyNetSweep()
 {
@@ -83,11 +93,16 @@ tinyNetSweep()
     return cfg;
 }
 
-std::string
-runnerPath()
+/** tinyNetSweep() with quarter-size epochs, for tests that check
+ *  scheduling rather than bytes: a healthy daemon's per-epoch
+ *  heartbeats stay well inside a 1 s budget under sanitizers too. */
+SweepConfig
+quickNetSweep()
 {
-    const char *p = std::getenv("AUTOCAT_CELL_RUNNER");
-    return p ? p : "";
+    SweepConfig cfg = tinyNetSweep();
+    cfg.base.ppo.stepsPerEpoch = 50;
+    cfg.base.ppo.minibatchSize = 50;
+    return cfg;
 }
 
 std::string
@@ -95,6 +110,90 @@ daemonPath()
 {
     const char *p = std::getenv("AUTOCAT_RUNNER_DAEMON");
     return p ? p : "";
+}
+
+/** A fleet of @p local_slots scheduler-spawned daemons. */
+FleetOptions
+localFleet(int local_slots)
+{
+    FleetOptions fleet;
+    fleet.localProcesses = local_slots;
+    fleet.daemonPath = daemonPath();
+    return fleet;
+}
+
+/** @p cells as one grid with its scratch under @p root; checkpointed
+ *  every epoch unless @p checkpointed is false. */
+ScheduledGrid
+gridAt(const fs::path &root, std::vector<SweepCell> cells,
+       bool checkpointed = true)
+{
+    ScheduledGrid grid;
+    grid.name = "tiny-net";
+    grid.cells = std::move(cells);
+    grid.workDir = (root / "work").string();
+    if (checkpointed) {
+        grid.checkpointDir = (root / "ckpt").string();
+        grid.checkpointEvery = 1;
+    }
+    return grid;
+}
+
+/** Run one grid on @p fleet. */
+SweepReport
+runGrid(ScheduledGrid grid, const FleetOptions &fleet)
+{
+    std::vector<ScheduledGrid> grids;
+    grids.push_back(std::move(grid));
+    return std::move(runSweepGridsFleet(std::move(grids), fleet).front());
+}
+
+/** The byte oracle: tinyNetSweep() run in-process with workers=1,
+ *  checkpointed every epoch like every fleet run here (checkpoint
+ *  boundaries resync env streams). Computed once per process. */
+const std::string &
+localReferenceJson()
+{
+    static const std::string json = [] {
+        const fs::path root = scratchDir("reference");
+        const SweepConfig cfg = tinyNetSweep();
+        std::string out = sweepReportJson(
+            runSweepCells(cfg.name, expandSweepGrid(cfg), 1, {},
+                          (root / "ckpt").string(), 1),
+            {});
+        fs::remove_all(root);
+        return out;
+    }();
+    return json;
+}
+
+/** Every process whose parent is this one, zombies included: after
+ *  the scheduler returns or throws, its local daemons must be gone
+ *  and reaped. */
+std::vector<pid_t>
+childPids()
+{
+    std::vector<pid_t> pids;
+    std::error_code ec;
+    for (fs::directory_iterator it("/proc", ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        if (name.find_first_not_of("0123456789") != std::string::npos)
+            continue;
+        std::ifstream in(it->path() / "stat");
+        std::string stat;
+        std::getline(in, stat);
+        // "pid (comm) state ppid ...": comm may hold spaces or parens.
+        const std::size_t close = stat.rfind(')');
+        if (close == std::string::npos)
+            continue;
+        std::istringstream rest(stat.substr(close + 1));
+        char state = 0;
+        pid_t ppid = 0;
+        if (rest >> state >> ppid && ppid == ::getpid())
+            pids.push_back(static_cast<pid_t>(std::stol(name)));
+    }
+    return pids;
 }
 
 /** fork/exec a child with argv @p args; returns its pid. */
@@ -160,6 +259,27 @@ reapDaemon(DaemonProc &daemon, int sig = SIGKILL)
     int status = 0;
     ::waitpid(daemon.pid, &status, 0);
     daemon.pid = -1;
+}
+
+/** Wait up to @p timeout_s for @p pid to exit and return its wait
+ *  status; a child still running then is SIGKILLed and reported as
+ *  -1, so a test fails instead of hanging. */
+int
+waitExit(pid_t pid, double timeout_s)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+        if (std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t0)
+                .count() > timeout_s) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            return -1;
+        }
+        ::usleep(10 * 1000);
+    }
+    return status;
 }
 
 // -------------------------------------------------------------- frames
@@ -463,86 +583,47 @@ TEST(NetConfig, EndpointParsing)
     EXPECT_THROW(parseTcpEndpoint("h:70000"), std::invalid_argument);
 }
 
-// ------------------------------------------------- graceful SIGTERM
-
-TEST(RunnerSigterm, ExitsRetryableWithDurableCheckpoint)
+TEST(NetSocket, EveryDescriptorIsCloseOnExec)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
-    const fs::path root = scratchDir("sigterm");
-
-    const std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
-    const std::string job = (root / "job.blob").string();
-    const std::string row = (root / "row.blob").string();
-    const std::string ckpt = (root / "cell.ckpt").string();
-    atomicWriteFile(job, serializeCellJob(cells[0]), "job");
-
-    // The chaos flag SIGTERMs the runner right after its first
-    // checkpoint write: it must exit with the dedicated retryable
-    // code, leaving the checkpoint durable and NO row.
-    const pid_t pid = spawnChild({runnerPath(), job, row,
-                                  "--checkpoint", ckpt,
-                                  "--checkpoint-every", "1",
-                                  "--chaos-sigterm-after", "1"});
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), kRunnerExitSigterm);
-    EXPECT_FALSE(fs::exists(row));
-    ASSERT_TRUE(fs::exists(ckpt));
-
-    // The retry resumes from that checkpoint and must produce the
-    // same row bytes as an uninterrupted run.
-    const pid_t retry = spawnChild({runnerPath(), job, row,
-                                    "--checkpoint", ckpt,
-                                    "--checkpoint-every", "1"});
-    ASSERT_EQ(::waitpid(retry, &status, 0), retry);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-
-    const std::string clean_row = (root / "clean_row.blob").string();
-    const std::string clean_ckpt = (root / "clean.ckpt").string();
-    const pid_t clean = spawnChild({runnerPath(), job, clean_row,
-                                    "--checkpoint", clean_ckpt,
-                                    "--checkpoint-every", "1"});
-    ASSERT_EQ(::waitpid(clean, &status, 0), clean);
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-    // Row blobs embed wall time, so compare the deterministic report
-    // rendering, not the raw bytes.
-    const auto asReport = [](const std::string &path) {
-        SweepReport report;
-        report.name = "one";
-        report.cells.push_back(
-            deserializeCellRow(readWholeFile(path, "row")));
-        return sweepReportJson(report, {});
+    // A local daemon the scheduler spawns must not inherit its
+    // listeners or connections: a peer's connect would land in a
+    // backlog the daemon holds open and never accepts.
+    const auto cloexec = [](int fd) {
+        const int flags = ::fcntl(fd, F_GETFD);
+        return flags >= 0 && (flags & FD_CLOEXEC) != 0;
     };
-    EXPECT_EQ(asReport(row), asReport(clean_row));
-    fs::remove_all(root);
+    std::uint16_t port = 0;
+    OwnedFd listener = tcpListen(TcpEndpoint{}, port);
+    ASSERT_TRUE(listener.valid());
+    bool refused = false;
+    OwnedFd client =
+        tcpConnect(TcpEndpoint{"127.0.0.1", port}, 5000, refused);
+    ASSERT_TRUE(client.valid());
+    OwnedFd server = tcpAccept(listener.fd(), 5000);
+    ASSERT_TRUE(server.valid());
+    EXPECT_TRUE(cloexec(listener.fd()));
+    EXPECT_TRUE(cloexec(client.fd()));
+    EXPECT_TRUE(cloexec(server.fd()));
 }
 
-TEST(RunnerSigterm, SchedulerRetriesASigtermedWorker)
+// ------------------------------------------ daemon command line, SIGTERM
+
+TEST(DaemonArgs, RejectsMalformedPortsWithoutAPortFile)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
-    const fs::path root = scratchDir("sigterm_sched");
-
-    std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
-    cells.resize(2);
-    DistSweepOptions opts;
-    opts.processes = 2;
-    opts.runnerPath = runnerPath();
-    opts.workDir = (root / "work").string();
-    opts.checkpointDir = (root / "ckpt").string();
-    opts.checkpointEvery = 1;
-    opts.chaosKillCell = 1;
-    opts.chaosKillAfter = 1;
-    opts.chaosSigterm = true; // graceful exit instead of SIGKILL
-
-    const SweepReport report = runSweepCellsDist("st", cells, opts);
-    ASSERT_EQ(report.cells.size(), 2u);
-    EXPECT_TRUE(report.cells[1].completed) << report.cells[1].error;
-    EXPECT_EQ(report.cells[1].attempts, 2);
-    EXPECT_EQ(report.cells[0].attempts, 1);
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("daemon_port");
+    const std::string port_file = (root / "d.port").string();
+    for (const std::string port : {"70000", "-1", "40000x"}) {
+        const pid_t pid =
+            spawnChild({daemonPath(), "--port", port, "--port-file",
+                        port_file, "--work-dir", (root / "d").string()});
+        const int status = waitExit(pid, 10.0);
+        ASSERT_NE(status, -1) << "--port " << port << " kept running";
+        ASSERT_TRUE(WIFEXITED(status)) << port;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << port;
+        EXPECT_FALSE(fs::exists(port_file)) << port;
+    }
     fs::remove_all(root);
 }
 
@@ -561,12 +642,220 @@ TEST(DaemonSigterm, IdleDaemonExitsCleanly)
     fs::remove_all(root);
 }
 
+/**
+ * Graceful SIGTERM mid-cell: a daemon started with
+ * --chaos-sigterm-after 1 exits with the retryable kRunnerExitSigterm
+ * right after its first checkpoint upload, by which point the
+ * scheduler holds that checkpoint. The retry — in a re-entered
+ * scheduler, on local slots — resumes from it to workers=1 bytes.
+ */
+TEST(DaemonSigterm, MidCellExitIsRetryableAndTheRetryResumes)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("sigterm");
+
+    const std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
+
+    ScheduledGrid grid = gridAt(root, cells);
+    grid.manifestDir = (root / "manifest").string();
+
+    // Leg 1: the SIGTERMed daemon is the whole fleet. It takes cell 0,
+    // exits after its first upload and refuses the retry: the fleet
+    // has retired, which fails loudly.
+    DaemonProc daemon =
+        spawnDaemon(root, "d", {"--chaos-sigterm-after", "1"});
+    FleetOptions fleet;
+    fleet.endpoints = {daemon.endpoint()};
+    EXPECT_THROW(runGrid(grid, fleet), std::runtime_error);
+    const int status = waitExit(daemon.pid, 10.0);
+    daemon.pid = -1;
+    ASSERT_TRUE(status != -1 && WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), kRunnerExitSigterm);
+    EXPECT_TRUE(fs::exists(cellCheckpointPath(grid.checkpointDir, 0)));
+
+    // Leg 2: a fresh scheduler retries cell 0 from that checkpoint.
+    const SweepReport dist = runGrid(grid, localFleet(2));
+    ASSERT_EQ(dist.cells.size(), cells.size());
+    EXPECT_TRUE(dist.cells[0].completed) << dist.cells[0].error;
+    EXPECT_EQ(dist.cells[0].attempts, 2);
+    for (const std::size_t i : {1u, 2u, 3u})
+        EXPECT_EQ(dist.cells[i].attempts, 1) << "cell " << i;
+    EXPECT_EQ(sweepReportJson(dist, {}), localReferenceJson());
+    fs::remove_all(root);
+}
+
 // ------------------------------------------------- fleet scheduling
+
+TEST(DistScheduler, RejectsMalformedEndpointsWithoutOrphans)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("bad_endpoint");
+    // The local daemons are spawned before the endpoint is parsed; the
+    // throw must still reap them.
+    FleetOptions fleet = localFleet(2);
+    fleet.endpoints = {"not-an-endpoint"};
+    EXPECT_THROW(runGrid(gridAt(root, expandSweepGrid(tinyNetSweep())),
+                         fleet),
+                 std::invalid_argument);
+    EXPECT_TRUE(childPids().empty());
+    fs::remove_all(root);
+}
+
+/**
+ * THE acceptance oracle for local slots: a grid sharded across 2
+ * local daemon slots plus one hand-started daemon that SIGKILLs itself
+ * right after its first checkpoint upload — the scheduler requeues the
+ * cell and the retry resumes from that upload — renders byte-identical
+ * default reports to the same grid run in-process with workers=1.
+ * Checkpoint cadence must match between the runs (boundaries resync
+ * env streams); directories must differ (no shared state).
+ */
+TEST(DistScheduler, KilledWorkerResumesByteIdentical)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("identical");
+
+    const std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
+    ASSERT_EQ(cells.size(), 4u);
+
+    // Local slots come first and claim cells 0 and 1; the chaos
+    // daemon claims cell 2.
+    DaemonProc chaos =
+        spawnDaemon(root, "chaos", {"--chaos-kill-after", "1"});
+    FleetOptions fleet = localFleet(2);
+    fleet.endpoints = {chaos.endpoint()};
+    ScheduledGrid grid = gridAt(root, cells);
+    const SweepReport dist = runGrid(std::move(grid), fleet);
+    reapDaemon(chaos);
+
+    ASSERT_EQ(dist.cells.size(), cells.size());
+    EXPECT_EQ(dist.workersUsed, 3);
+    // The injected death consumed exactly one extra attempt, on the
+    // targeted cell only, and its retry finished the cell.
+    EXPECT_EQ(dist.cells[2].attempts, 2);
+    EXPECT_TRUE(dist.cells[2].completed);
+    for (const std::size_t i : {0u, 1u, 3u})
+        EXPECT_EQ(dist.cells[i].attempts, 1) << "cell " << i;
+
+    EXPECT_EQ(sweepReportJson(dist, {}), localReferenceJson());
+    EXPECT_TRUE(childPids().empty());
+    fs::remove_all(root);
+}
+
+TEST(DistScheduler, RetryBudgetExhaustionLandsAsPerCellError)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("budget");
+
+    std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
+    cells.resize(2);
+
+    // The local slot claims cell 0; the chaos daemon claims cell 1 and
+    // dies, which exhausts a zero budget.
+    DaemonProc chaos =
+        spawnDaemon(root, "chaos", {"--chaos-kill-after", "1"});
+    FleetOptions fleet = localFleet(1);
+    fleet.endpoints = {chaos.endpoint()};
+    fleet.maxRetries = 0;
+
+    const SweepReport report = runGrid(gridAt(root, cells), fleet);
+    reapDaemon(chaos);
+
+    ASSERT_EQ(report.cells.size(), 2u);
+    EXPECT_FALSE(report.cells[1].completed);
+    EXPECT_EQ(report.cells[1].attempts, 1);
+    EXPECT_EQ(report.cells[1].error.rfind("worker ", 0), 0u)
+        << report.cells[1].error;
+    EXPECT_NE(report.cells[1].error.find("(after 1 attempt)"),
+              std::string::npos)
+        << report.cells[1].error;
+    // The healthy cell is unaffected: worker failures never abort the
+    // rest of the grid.
+    EXPECT_TRUE(report.cells[0].completed);
+    EXPECT_EQ(report.numFailed(), 1u);
+    fs::remove_all(root);
+}
+
+TEST(NetScheduler, LocalDaemonsMatchInProcessBytes)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("local_daemons");
+
+    const std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
+
+    ScheduledGrid grid = gridAt(root, cells);
+    const SweepReport dist = runGrid(std::move(grid), localFleet(3));
+
+    EXPECT_EQ(dist.workersUsed, 3);
+    for (const SweepCellResult &cell : dist.cells) {
+        EXPECT_TRUE(cell.completed) << cell.error;
+        EXPECT_EQ(cell.attempts, 1);
+    }
+    EXPECT_EQ(sweepReportJson(dist, {}), localReferenceJson());
+    // Daemon scratch lives under the grid's work dir, and no daemon
+    // outlives the run.
+    EXPECT_TRUE(fs::is_directory(root / "work" / "local_0"));
+    EXPECT_TRUE(childPids().empty());
+    fs::remove_all(root);
+}
+
+TEST(NetScheduler, DeadLocalDaemonIsRespawnedForFree)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("respawn");
+
+    // One local slot: when a cell finishes its daemon is idle, and the
+    // progress callback SIGKILLs it. The next attempt must land on a
+    // replacement daemon without costing the cell anything — with
+    // maxRetries = 0 any charged attempt would fail the cell.
+    ScheduledGrid grid = gridAt(root, expandSweepGrid(quickNetSweep()));
+    int killed = 0;
+    grid.progress = [&](const SweepCellResult &) {
+        for (const pid_t pid : childPids()) {
+            ::kill(pid, SIGKILL);
+            ++killed;
+        }
+    };
+    FleetOptions fleet = localFleet(1);
+    fleet.maxRetries = 0;
+    const SweepReport dist = runGrid(std::move(grid), fleet);
+
+    EXPECT_EQ(killed, 4);
+    for (const SweepCellResult &cell : dist.cells) {
+        EXPECT_TRUE(cell.completed) << cell.error;
+        EXPECT_EQ(cell.attempts, 1);
+    }
+    EXPECT_TRUE(childPids().empty());
+    fs::remove_all(root);
+}
+
+TEST(NetScheduler, StopInjectionReapsLocalDaemons)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("stop_local");
+
+    // Two slots run both cells; the first to finish stops the
+    // scheduler with the other one still in flight.
+    std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
+    cells.resize(2);
+    FleetOptions fleet = localFleet(2);
+    fleet.stopAfterCells = 1;
+    EXPECT_THROW(runGrid(gridAt(root, cells), fleet), DistStopInjected);
+    EXPECT_TRUE(childPids().empty());
+    fs::remove_all(root);
+}
 
 TEST(NetScheduler, DeadEndpointRetiresWithoutBurningRetries)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("dead_endpoint");
 
     // Grab a port nothing listens on: bind an ephemeral listener and
@@ -579,14 +868,12 @@ TEST(NetScheduler, DeadEndpointRetiresWithoutBurningRetries)
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
     cells.resize(2);
-    DistSweepOptions opts;
-    opts.processes = 1;
-    opts.runnerPath = runnerPath();
-    opts.workDir = (root / "work").string();
-    opts.endpoints = {"127.0.0.1:" + std::to_string(dead_port)};
-    opts.maxRetries = 0; // any burned attempt would fail the cell
+    FleetOptions fleet = localFleet(1);
+    fleet.endpoints = {"127.0.0.1:" + std::to_string(dead_port)};
+    fleet.maxRetries = 0; // any burned attempt would fail the cell
 
-    const SweepReport report = runSweepCellsDist("dead", cells, opts);
+    const SweepReport report =
+        runGrid(gridAt(root, cells, /*checkpointed=*/false), fleet);
     ASSERT_EQ(report.cells.size(), 2u);
     for (const SweepCellResult &cell : report.cells) {
         EXPECT_TRUE(cell.completed) << cell.error;
@@ -606,34 +893,45 @@ TEST(NetScheduler, AllEndpointsDeadFailsLoudly)
     }
     std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
     cells.resize(1);
-    DistSweepOptions opts;
-    opts.processes = 0; // endpoint-only fleet
-    opts.workDir = (root / "work").string();
-    opts.endpoints = {"127.0.0.1:" + std::to_string(dead_port)};
-    EXPECT_THROW(runSweepCellsDist("dead", cells, opts),
+    FleetOptions fleet; // endpoint-only fleet
+    fleet.endpoints = {"127.0.0.1:" + std::to_string(dead_port)};
+    EXPECT_THROW(runGrid(gridAt(root, cells, /*checkpointed=*/false),
+                         fleet),
                  std::runtime_error);
     fs::remove_all(root);
 }
 
-/** Listen once, send @p payload to whoever connects, close. */
+/** Listen once, send @p payload to whoever connects first, and stop
+ *  listening (a reconnect is refused). With @p hold_open the
+ *  connection then stays open, silent, until the peer closes it. */
 std::thread
-evilDaemon(std::uint16_t &port, std::string payload)
+evilDaemon(std::uint16_t &port, std::string payload,
+           bool hold_open = false)
 {
     OwnedFd listener = tcpListen(TcpEndpoint{}, port);
     EXPECT_TRUE(listener.valid());
     return std::thread([fd = listener.release(),
-                        payload = std::move(payload)] {
+                        payload = std::move(payload), hold_open] {
         OwnedFd owned(fd);
         OwnedFd conn = tcpAccept(owned.fd(), 20000);
-        if (conn.valid() && !payload.empty())
+        owned.reset();
+        if (!conn.valid())
+            return;
+        if (!payload.empty())
             sendAll(conn.fd(), payload.data(), payload.size());
+        char buf[4096];
+        for (int i = 0; hold_open && i < 200; ++i) {
+            if (waitReadable(conn.fd(), 100) &&
+                recvSome(conn.fd(), buf, sizeof(buf)) <= 0)
+                break;
+        }
     });
 }
 
 TEST(NetScheduler, GarbageBeforeHandshakeRetiresEndpointForFree)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("evil_prehello");
 
     std::uint16_t evil_port = 0;
@@ -642,14 +940,12 @@ TEST(NetScheduler, GarbageBeforeHandshakeRetiresEndpointForFree)
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
     cells.resize(2);
-    DistSweepOptions opts;
-    opts.processes = 1;
-    opts.runnerPath = runnerPath();
-    opts.workDir = (root / "work").string();
-    opts.endpoints = {"127.0.0.1:" + std::to_string(evil_port)};
-    opts.maxRetries = 0; // malformed-before-handshake must be free
+    FleetOptions fleet = localFleet(1);
+    fleet.endpoints = {"127.0.0.1:" + std::to_string(evil_port)};
+    fleet.maxRetries = 0; // malformed-before-handshake must be free
 
-    const SweepReport report = runSweepCellsDist("evil", cells, opts);
+    const SweepReport report =
+        runGrid(gridAt(root, cells, /*checkpointed=*/false), fleet);
     evil.join();
     for (const SweepCellResult &cell : report.cells) {
         EXPECT_TRUE(cell.completed) << cell.error;
@@ -660,8 +956,8 @@ TEST(NetScheduler, GarbageBeforeHandshakeRetiresEndpointForFree)
 
 TEST(NetScheduler, MalformedFramesMidCellConsumeOneAttemptAndRequeue)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("evil_midcell");
 
     // A protocol-correct handshake followed by stream corruption: the
@@ -678,14 +974,12 @@ TEST(NetScheduler, MalformedFramesMidCellConsumeOneAttemptAndRequeue)
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
     cells.resize(2);
-    DistSweepOptions opts;
-    opts.processes = 1;
-    opts.runnerPath = runnerPath();
-    opts.workDir = (root / "work").string();
-    opts.endpoints = {"127.0.0.1:" + std::to_string(evil_port)};
-    opts.maxRetries = 1;
+    FleetOptions fleet = localFleet(1);
+    fleet.endpoints = {"127.0.0.1:" + std::to_string(evil_port)};
+    fleet.maxRetries = 1;
 
-    const SweepReport report = runSweepCellsDist("evil2", cells, opts);
+    const SweepReport report =
+        runGrid(gridAt(root, cells, /*checkpointed=*/false), fleet);
     evil.join();
     ASSERT_EQ(report.cells.size(), 2u);
     // Slot order is deterministic: local takes cell 0, evil takes
@@ -697,32 +991,59 @@ TEST(NetScheduler, MalformedFramesMidCellConsumeOneAttemptAndRequeue)
     fs::remove_all(root);
 }
 
+TEST(DistScheduler, HungWorkerIsKilledRequeuedAndFinishes)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("hang");
+
+    // A fake daemon that answers the handshake and then goes silent:
+    // only the stale-heartbeat kill can end its attempt.
+    HelloPayload hello;
+    hello.jobWireVersion = kCellJobVersion;
+    hello.rowWireVersion = kCellRowVersion;
+    std::uint16_t silent_port = 0;
+    std::thread silent = evilDaemon(
+        silent_port, encodeFrame(FrameType::Hello, encodeHello(hello)),
+        /*hold_open=*/true);
+
+    std::vector<SweepCell> cells = expandSweepGrid(quickNetSweep());
+    cells.resize(2);
+    FleetOptions fleet = localFleet(1);
+    fleet.endpoints = {"127.0.0.1:" + std::to_string(silent_port)};
+    fleet.heartbeatTimeoutS = 1.0;
+    fleet.maxRetries = 1;
+
+    const SweepReport report = runGrid(gridAt(root, cells), fleet);
+    silent.join();
+
+    ASSERT_EQ(report.cells.size(), 2u);
+    EXPECT_TRUE(report.cells[1].completed) << report.cells[1].error;
+    EXPECT_EQ(report.cells[1].attempts, 2);
+    EXPECT_EQ(report.cells[0].attempts, 1);
+    EXPECT_EQ(report.numFailed(), 0u);
+    fs::remove_all(root);
+}
+
 TEST(NetScheduler, MixedFleetMatchesLocalBytes)
 {
-    if (runnerPath().empty() || daemonPath().empty())
-        GTEST_SKIP() << "runner/daemon not set";
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("mixed");
 
-    const SweepConfig cfg = tinyNetSweep();
-    const std::vector<SweepCell> cells = expandSweepGrid(cfg);
-    const SweepReport local = runSweepCells(
-        cfg.name, cells, 1, {}, (root / "local_ckpt").string(), 1);
+    const std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
 
     DaemonProc d0 = spawnDaemon(root, "d0");
     DaemonProc d1 = spawnDaemon(root, "d1");
-    DistSweepOptions opts;
-    opts.processes = 1; // 1 local slot + 2 daemons: a mixed fleet
-    opts.runnerPath = runnerPath();
-    opts.workDir = (root / "work").string();
-    opts.checkpointDir = (root / "ckpt").string();
-    opts.checkpointEvery = 1;
-    opts.endpoints = {d0.endpoint(), d1.endpoint()};
+    FleetOptions fleet = localFleet(1); // 1 local slot + 2 daemons
+    fleet.endpoints = {d0.endpoint(), d1.endpoint()};
+    ScheduledGrid grid = gridAt(root, cells);
 
-    const SweepReport dist = runSweepCellsDist(cfg.name, cells, opts);
+    const SweepReport dist = runGrid(std::move(grid), fleet);
     reapDaemon(d0);
     reapDaemon(d1);
     EXPECT_EQ(dist.workersUsed, 3);
-    EXPECT_EQ(sweepReportJson(dist, {}), sweepReportJson(local, {}));
+    EXPECT_EQ(sweepReportJson(dist, {}), localReferenceJson());
     fs::remove_all(root);
 }
 
@@ -741,33 +1062,27 @@ TEST(NetScheduler, DaemonKillPlusSchedulerRestartIsByteIdentical)
         GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("oracle");
 
-    const SweepConfig cfg = tinyNetSweep();
-    const std::vector<SweepCell> cells = expandSweepGrid(cfg);
+    const std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
     ASSERT_EQ(cells.size(), 4u);
-    const SweepReport local = runSweepCells(
-        cfg.name, cells, 1, {}, (root / "local_ckpt").string(), 1);
 
     DaemonProc d0 = spawnDaemon(root, "d0");
     DaemonProc d1 =
         spawnDaemon(root, "d1", {"--chaos-kill-after", "1"});
     DaemonProc d2 = spawnDaemon(root, "d2");
 
-    DistSweepOptions opts;
-    opts.processes = 0; // daemons only
-    opts.workDir = (root / "work").string();
-    opts.checkpointDir = (root / "ckpt").string();
-    opts.checkpointEvery = 1;
-    opts.manifestDir = (root / "manifest").string();
-    opts.endpoints = {d0.endpoint(), d1.endpoint(), d2.endpoint()};
-    opts.maxRetries = 1;
+    ScheduledGrid grid = gridAt(root, cells);
+    grid.manifestDir = (root / "manifest").string();
+    FleetOptions fleet; // daemons only
+    fleet.endpoints = {d0.endpoint(), d1.endpoint(), d2.endpoint()};
+    fleet.maxRetries = 1;
 
     // Run 1: the scheduler "dies" (stop injection) after two cells
     // land; daemon d1 SIGKILLed itself mid-cell along the way.
-    DistSweepOptions first = opts;
+    FleetOptions first = fleet;
     first.stopAfterCells = 2;
     bool stopped = false;
     try {
-        runSweepCellsDist(cfg.name, cells, first);
+        runGrid(grid, first);
     } catch (const DistStopInjected &e) {
         stopped = true;
         EXPECT_EQ(e.cellsDone, 2u);
@@ -779,7 +1094,7 @@ TEST(NetScheduler, DaemonKillPlusSchedulerRestartIsByteIdentical)
     std::vector<std::pair<std::string, fs::file_time_type>> recorded;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const std::string p =
-            opts.manifestDir + "/row_" + std::to_string(i) + ".blob";
+            grid.manifestDir + "/row_" + std::to_string(i) + ".blob";
         if (fs::exists(p))
             recorded.emplace_back(p, fs::last_write_time(p));
     }
@@ -787,7 +1102,7 @@ TEST(NetScheduler, DaemonKillPlusSchedulerRestartIsByteIdentical)
 
     // Run 2: a FRESH scheduler process (new call, same manifest dir)
     // re-enters and finishes the grid on the surviving daemons.
-    const SweepReport dist = runSweepCellsDist(cfg.name, cells, opts);
+    const SweepReport dist = runGrid(grid, fleet);
     reapDaemon(d0);
     reapDaemon(d1);
     reapDaemon(d2);
@@ -797,10 +1112,10 @@ TEST(NetScheduler, DaemonKillPlusSchedulerRestartIsByteIdentical)
         EXPECT_EQ(fs::last_write_time(path), mtime)
             << path << " was rewritten by the re-entered run";
     }
-    ASSERT_EQ(dist.cells.size(), local.cells.size());
+    ASSERT_EQ(dist.cells.size(), cells.size());
     for (const SweepCellResult &cell : dist.cells)
         EXPECT_TRUE(cell.completed) << cell.error;
-    EXPECT_EQ(sweepReportJson(dist, {}), sweepReportJson(local, {}));
+    EXPECT_EQ(sweepReportJson(dist, {}), localReferenceJson());
     fs::remove_all(root);
 }
 
@@ -808,8 +1123,8 @@ TEST(NetScheduler, DaemonKillPlusSchedulerRestartIsByteIdentical)
 
 TEST(Gateway, MultiTenantCampaignsShareOneFleetByteIdentically)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("gateway");
 
     // Two tenants, different (sub)grids, one fleet. Bob's campaign
@@ -831,11 +1146,7 @@ TEST(Gateway, MultiTenantCampaignsShareOneFleetByteIdentically)
     const SweepReport bob_solo =
         runSweepCells(bob.name, expandSweepGrid(bob), 1, {});
 
-    FleetOptions fleet;
-    fleet.localProcesses = 2;
-    fleet.runnerPath = runnerPath();
-
-    CampaignGateway gateway((root / "gw").string(), fleet);
+    CampaignGateway gateway((root / "gw").string(), localFleet(2));
     gateway.submit(alice);
     gateway.submit(bob);
     // Same (tenant, campaign) pair: refused, not silently duplicated.
@@ -861,6 +1172,7 @@ TEST(Gateway, MultiTenantCampaignsShareOneFleetByteIdentically)
                                  "alice-nightly" / "manifest"));
     EXPECT_TRUE(fs::is_directory(root / "gw" / "bob" / "bob-quick" /
                                  "work"));
+    EXPECT_TRUE(childPids().empty());
     fs::remove_all(root);
 }
 

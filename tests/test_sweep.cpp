@@ -20,7 +20,6 @@
 #include "eval/sweep.hpp"
 #include "eval/sweep_config.hpp"
 #include "hw/machines.hpp"
-#include "serve/dist_scheduler.hpp"
 
 namespace autocat {
 namespace {
@@ -268,13 +267,14 @@ TEST(SweepRun, ChannelScenarioReportBytesIdenticalAcrossWorkerCounts)
 
 TEST(SweepRun, ChannelScenarioDistShardsMatchLocalBytes)
 {
-    // Same contract through the distributed service: process-sharded
-    // channel-scenario cells (--dist path) must reproduce the local
-    // workers=1 bytes. Spawns the real cell_runner, located via
-    // AUTOCAT_CELL_RUNNER (set by CTest); skips when absent.
-    const char *runner = std::getenv("AUTOCAT_CELL_RUNNER");
-    if (runner == nullptr || *runner == '\0')
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
+    // Same contract through the distributed service: channel-scenario
+    // cells sharded over local runner_daemons (the --dist path through
+    // SweepRunner) must reproduce the local workers=1 bytes. Spawns
+    // the real runner_daemon, located via AUTOCAT_RUNNER_DAEMON (set
+    // by CTest); skips when absent.
+    const char *daemon = std::getenv("AUTOCAT_RUNNER_DAEMON");
+    if (daemon == nullptr || *daemon == '\0')
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
 
     namespace fs = std::filesystem;
     const fs::path root =
@@ -302,14 +302,15 @@ TEST(SweepRun, ChannelScenarioDistShardsMatchLocalBytes)
         cfg.name, cells, /*workers=*/1, {},
         (root / "local_ckpt").string(), /*checkpoint_every=*/1);
 
-    DistSweepOptions opts;
-    opts.processes = 3;
-    opts.runnerPath = runner;
-    opts.workDir = (root / "work").string();
-    opts.checkpointDir = (root / "ckpt").string();
-    opts.checkpointEvery = 1;
-    const SweepReport dist = runSweepCellsDist(cfg.name, cells, opts);
+    SweepConfig dist_cfg = cfg;
+    dist_cfg.distProcesses = 3;
+    dist_cfg.daemonPath = daemon;
+    dist_cfg.distWorkDir = (root / "work").string();
+    dist_cfg.checkpointDir = (root / "ckpt").string();
+    dist_cfg.checkpointInterval = 1;
+    const SweepReport dist = SweepRunner(dist_cfg).run();
 
+    EXPECT_EQ(dist.workersUsed, 3);
     ASSERT_EQ(dist.cells.size(), local.cells.size());
     for (const SweepCellResult &cell : dist.cells)
         EXPECT_TRUE(cell.completed) << cell.cell.label << ": " << cell.error;
