@@ -835,6 +835,40 @@ TEST(NetScheduler, DeadLocalDaemonIsRespawnedForFree)
     fs::remove_all(root);
 }
 
+TEST(NetScheduler, WedgedLocalDaemonIsKilledAndReplaced)
+{
+    if (daemonPath().empty())
+        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
+    const fs::path root = scratchDir("wedged");
+
+    // One local slot whose daemon is SIGSTOPped once its first cell
+    // lands: the kernel still queues the next connection, so only a
+    // stale heartbeat ends that attempt. Closing the connection alone
+    // would leave the wedged daemon behind to take the retry too; the
+    // slot must SIGKILL it so the retry runs on a fresh daemon.
+    ScheduledGrid grid = gridAt(root, expandSweepGrid(quickNetSweep()));
+    grid.cells.resize(2);
+    bool stopped = false;
+    grid.progress = [&](const SweepCellResult &) {
+        if (stopped)
+            return;
+        for (const pid_t pid : childPids())
+            ::kill(pid, SIGSTOP);
+        stopped = true;
+    };
+    FleetOptions fleet = localFleet(1);
+    fleet.heartbeatTimeoutS = 1.0;
+    fleet.maxRetries = 1;
+    const SweepReport report = runGrid(std::move(grid), fleet);
+
+    ASSERT_EQ(report.cells.size(), 2u);
+    EXPECT_EQ(report.cells[0].attempts, 1);
+    EXPECT_TRUE(report.cells[1].completed) << report.cells[1].error;
+    EXPECT_EQ(report.cells[1].attempts, 2);
+    EXPECT_TRUE(childPids().empty());
+    fs::remove_all(root);
+}
+
 TEST(NetScheduler, StopInjectionReapsLocalDaemons)
 {
     if (daemonPath().empty())
