@@ -20,9 +20,9 @@
  * any cell failed, 2 on submission/config errors.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/sweep_config.hpp"
@@ -47,9 +47,10 @@ main(int argc, char **argv)
 {
     using namespace autocat;
 
-    std::string root, runner_flag, endpoints_flag;
-    FleetOptions fleet;
-    fleet.localProcesses = 2;
+    std::string root, runner_flag;
+    // Fleet flags that mirror a sweep.* key, as (key, value): parsed
+    // through the key, so a flag is validated like the key in a file.
+    std::vector<std::pair<std::string, std::string>> key_flags;
     std::vector<std::string> config_paths;
 
     for (int i = 1; i < argc; ++i) {
@@ -57,15 +58,15 @@ main(int argc, char **argv)
         if (arg == "--root" && i + 1 < argc) {
             root = argv[++i];
         } else if (arg == "--dist" && i + 1 < argc) {
-            fleet.localProcesses = std::atoi(argv[++i]);
+            key_flags.emplace_back("sweep.dist_processes", argv[++i]);
         } else if (arg == "--runner" && i + 1 < argc) {
             runner_flag = argv[++i];
         } else if (arg == "--endpoints" && i + 1 < argc) {
-            endpoints_flag = argv[++i];
+            key_flags.emplace_back("sweep.dist_endpoints", argv[++i]);
         } else if (arg == "--retries" && i + 1 < argc) {
-            fleet.maxRetries = std::atoi(argv[++i]);
+            key_flags.emplace_back("sweep.dist_retries", argv[++i]);
         } else if (arg == "--heartbeat-timeout" && i + 1 < argc) {
-            fleet.heartbeatTimeoutS = std::atof(argv[++i]);
+            key_flags.emplace_back("sweep.heartbeat_timeout_s", argv[++i]);
         } else if (!arg.empty() && arg[0] == '-') {
             return usage();
         } else {
@@ -75,23 +76,19 @@ main(int argc, char **argv)
     if (root.empty() || config_paths.empty())
         return usage();
 
-    if (!endpoints_flag.empty()) {
-        std::size_t start = 0;
-        for (;;) {
-            const std::size_t comma = endpoints_flag.find(',', start);
-            fleet.endpoints.push_back(
-                comma == std::string::npos
-                    ? endpoints_flag.substr(start)
-                    : endpoints_flag.substr(start, comma - start));
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
-    }
-    if (fleet.localProcesses > 0)
-        fleet.daemonPath = resolveRunnerDaemon(runner_flag, argv[0]);
-
     try {
+        SweepConfig flags;
+        flags.distProcesses = 2; // two local daemons unless --dist says
+        for (const auto &[key, value] : key_flags)
+            applySweepConfigKey(flags, key, value);
+        FleetOptions fleet;
+        fleet.localProcesses = flags.distProcesses;
+        fleet.endpoints = flags.distEndpoints;
+        fleet.maxRetries = flags.distRetries;
+        fleet.heartbeatTimeoutS = flags.heartbeatTimeoutS;
+        if (fleet.localProcesses > 0)
+            fleet.daemonPath = resolveRunnerDaemon(runner_flag, argv[0]);
+
         CampaignGateway gateway(root, fleet);
         for (const std::string &path : config_paths) {
             SweepConfig cfg = loadSweepConfig(path);

@@ -30,17 +30,24 @@
  * daemon side: start a runner_daemon with --chaos-kill-after N and
  * pass it as an endpoint.
  *
+ * Flags that mirror a sweep.* key (--json, --csv, --workers, --dist,
+ * --workdir, --checkpoint-dir, --endpoints, --manifest-dir,
+ * --manifest-reset) are applied through the key, so they are validated
+ * like the key in a config file.
+ *
  * Exit status: 0 when every cell completed, 1 when any cell failed
  * (including cells whose worker died beyond the retry budget), 2 on
- * config or report-I/O errors, 3 when --stop-after-cells injected a
- * scheduler stop (the run is intentionally unfinished).
+ * config, flag or report-I/O errors, 3 when --stop-after-cells
+ * injected a scheduler stop (the run is intentionally unfinished).
  */
 
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <utility>
+#include <vector>
 
+#include "core/config_parser.hpp"
 #include "eval/report.hpp"
 #include "eval/sweep.hpp"
 #include "eval/sweep_config.hpp"
@@ -94,13 +101,11 @@ main(int argc, char **argv)
     using namespace autocat;
 
     SweepConfig cfg;
-    std::string config_path, json_override, csv_override;
-    std::string runner_flag, workdir_flag, checkpoint_dir_flag;
-    std::string endpoints_flag, manifest_dir_flag;
-    bool manifest_reset_flag = false;
-    long stop_after_cells = 0;
-    int dist_override = -1;    // -1 = keep the config's value
-    int workers_override = 0;  // 0 = keep the config's value
+    std::string config_path, runner_flag, stop_after_cells;
+    // Flags that mirror a sweep.* key, as (key, value): applied through
+    // the key once the config is read, so a flag is validated exactly
+    // like the key in a file.
+    std::vector<std::pair<std::string, std::string>> key_flags;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--print-default") {
@@ -109,27 +114,27 @@ main(int argc, char **argv)
             return 0;
         }
         if (arg == "--json" && i + 1 < argc) {
-            json_override = argv[++i];
+            key_flags.emplace_back("sweep.report_json", argv[++i]);
         } else if (arg == "--csv" && i + 1 < argc) {
-            csv_override = argv[++i];
+            key_flags.emplace_back("sweep.report_csv", argv[++i]);
         } else if (arg == "--workers" && i + 1 < argc) {
-            workers_override = std::atoi(argv[++i]);
+            key_flags.emplace_back("sweep.workers", argv[++i]);
         } else if (arg == "--dist" && i + 1 < argc) {
-            dist_override = std::atoi(argv[++i]);
+            key_flags.emplace_back("sweep.dist_processes", argv[++i]);
         } else if (arg == "--runner" && i + 1 < argc) {
             runner_flag = argv[++i];
         } else if (arg == "--workdir" && i + 1 < argc) {
-            workdir_flag = argv[++i];
+            key_flags.emplace_back("sweep.dist_work_dir", argv[++i]);
         } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
-            checkpoint_dir_flag = argv[++i];
+            key_flags.emplace_back("sweep.checkpoint_dir", argv[++i]);
         } else if (arg == "--endpoints" && i + 1 < argc) {
-            endpoints_flag = argv[++i];
+            key_flags.emplace_back("sweep.dist_endpoints", argv[++i]);
         } else if (arg == "--manifest-dir" && i + 1 < argc) {
-            manifest_dir_flag = argv[++i];
+            key_flags.emplace_back("sweep.manifest_dir", argv[++i]);
         } else if (arg == "--manifest-reset") {
-            manifest_reset_flag = true;
+            key_flags.emplace_back("sweep.manifest_reset", "true");
         } else if (arg == "--stop-after-cells" && i + 1 < argc) {
-            stop_after_cells = std::atol(argv[++i]);
+            stop_after_cells = argv[++i];
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "usage: sweep_from_config [config.cfg] "
                          "[--json out.json] [--csv out.csv] "
@@ -154,40 +159,12 @@ main(int argc, char **argv)
             std::cout << "No config given; running the built-in 2x2 "
                          "smoke grid.\n";
         }
-        if (!json_override.empty())
-            cfg.reportJsonPath = json_override;
-        if (!csv_override.empty())
-            cfg.reportCsvPath = csv_override;
-        if (workers_override > 0)
-            cfg.workers = workers_override;
-        if (dist_override >= 0)
-            cfg.distProcesses = dist_override;
-        if (!workdir_flag.empty())
-            cfg.distWorkDir = workdir_flag;
-        if (!checkpoint_dir_flag.empty())
-            cfg.checkpointDir = checkpoint_dir_flag;
-        if (stop_after_cells > 0)
+        for (const auto &[key, value] : key_flags)
+            applySweepConfigKey(cfg, key, value);
+        if (!stop_after_cells.empty()) {
             cfg.stopAfterCells =
-                static_cast<std::size_t>(stop_after_cells);
-        if (!endpoints_flag.empty()) {
-            cfg.distEndpoints.clear();
-            std::size_t start = 0;
-            for (;;) {
-                const std::size_t comma =
-                    endpoints_flag.find(',', start);
-                cfg.distEndpoints.push_back(
-                    comma == std::string::npos
-                        ? endpoints_flag.substr(start)
-                        : endpoints_flag.substr(start, comma - start));
-                if (comma == std::string::npos)
-                    break;
-                start = comma + 1;
-            }
+                parseConfigUint(stop_after_cells, "--stop-after-cells");
         }
-        if (!manifest_dir_flag.empty())
-            cfg.manifestDir = manifest_dir_flag;
-        if (manifest_reset_flag)
-            cfg.manifestReset = true;
         if (cfg.distProcesses > 0)
             cfg.daemonPath = resolveRunnerDaemon(runner_flag, argv[0]);
 

@@ -5,94 +5,129 @@
 #include <stdexcept>
 
 #include "core/config_parser.hpp"
+#include "core/config_table.hpp"
 
 namespace autocat {
 
 namespace {
 
-/** The single config-visible detector spec of a phase, created on
- *  first use (the API allows several per phase; the config format
- *  carries at most one). */
-DetectorSpec &
-phaseDetector(CurriculumPhase &phase)
+/** Throws unless @p kind names a detection scheme or is "none". */
+void
+requireDetectorKind(const std::string &kind, const std::string &key)
 {
-    if (phase.detectors.empty())
-        phase.detectors.emplace_back();
-    return phase.detectors.front();
+    if (kind == "none" || hasDetectorKind(kind))
+        return;
+    std::string known;
+    for (const std::string &k : detectorKinds())
+        known += (known.empty() ? "" : ", ") + k;
+    throw std::invalid_argument("config: unknown detector kind '" + kind +
+                                "' for " + key + " (known: " + known +
+                                ", none)");
 }
 
-/** Apply one phase field (key already split into index and field). */
-void
-applyPhaseField(CurriculumPhase &phase, const std::string &field,
-                const std::string &key, const std::string &value)
+/** The detector keys of a phase. */
+const ConfigTable<DetectorSpec> &
+detectorKeys()
 {
-    if (field == "name")
-        phase.name = value;
-    else if (field == "scenario")
-        phase.scenario = value;
-    else if (field == "max_epochs")
-        phase.maxEpochs = parseConfigInt(value, key);
-    else if (field == "target_accuracy")
-        phase.targetAccuracy = parseConfigDouble(value, key);
-    else if (field == "max_detection_rate")
-        phase.maxDetectionRate = parseConfigDouble(value, key);
-    else if (field == "detector") {
-        if (value == "none") {
-            phase.detectors.clear();
-        } else {
-            if (!hasDetectorKind(value)) {
-                std::string known;
-                for (const std::string &k : detectorKinds())
-                    known += (known.empty() ? "" : ", ") + k;
-                throw std::invalid_argument(
-                    "config: unknown detector kind '" + value +
-                    "' for " + key + " (known: " + known + ", none)");
-            }
-            phaseDetector(phase).kind = value;
-        }
-    } else if (field == "detector_mode")
-        phaseDetector(phase).mode = detectorModeFromString(value);
-    else if (field == "detector_penalty")
-        phaseDetector(phase).penalty = parseConfigDouble(value, key);
-    else if (field == "detector_miss_threshold")
-        phaseDetector(phase).missThreshold = parseConfigU32(value, key);
-    else if (field == "detector_interval")
-        phaseDetector(phase).cycloneInterval = parseConfigU32(value, key);
-    else if (field == "detection_enable")
-        phase.detectionEnable = parseConfigBool(value, key);
-    else if (field == "multi_secret")
-        phase.multiSecret = parseConfigBool(value, key);
-    else if (field == "multi_secret_episode_steps")
-        phase.multiSecretEpisodeSteps = parseConfigU32(value, key);
-    else if (field == "correct_guess_reward")
-        phase.rewards.correctGuessReward = parseConfigDouble(value, key);
-    else if (field == "wrong_guess_reward")
-        phase.rewards.wrongGuessReward = parseConfigDouble(value, key);
-    else if (field == "step_reward")
-        phase.rewards.stepReward = parseConfigDouble(value, key);
-    else if (field == "length_violation_reward")
-        phase.rewards.lengthViolationReward =
-            parseConfigDouble(value, key);
-    else if (field == "detection_reward")
-        phase.rewards.detectionReward = parseConfigDouble(value, key);
-    else if (field == "no_guess_reward")
-        phase.rewards.noGuessReward = parseConfigDouble(value, key);
-    else
-        throw std::invalid_argument("config: unknown phase field '" +
-                                    field + "' in '" + key + "'");
+    static const ConfigTable<DetectorSpec> keys = {
+        {"detector", [](auto &d) -> auto & { return d.kind; },
+         requireDetectorKind},
+        {"detector_mode", [](auto &d) -> auto & { return d.mode; }},
+        {"detector_penalty", [](auto &d) -> auto & { return d.penalty; }},
+        {"detector_miss_threshold",
+         [](auto &d) -> auto & { return d.missThreshold; }},
+        {"detector_interval",
+         [](auto &d) -> auto & { return d.cycloneInterval; }},
+    };
+    return keys;
 }
 
-/** Reject render values the `key = value` format cannot carry. */
-void
-rejectUnrepresentable(const std::string &value, const char *what)
+/** The phase[N].* fields. */
+const ConfigTable<CurriculumPhase> &
+phaseKeys()
 {
-    if (value.find_first_of("#\n") != std::string::npos ||
-        value != trimConfigToken(value)) {
-        throw std::invalid_argument(
-            std::string("renderPhaseKeys: ") + what +
-            " is not representable in the config format: '" + value +
-            "'");
-    }
+    static const ConfigTable<CurriculumPhase> keys = {
+        {"name", [](auto &p) -> auto & { return p.name; }},
+        {"scenario", [](auto &p) -> auto & { return p.scenario; }},
+        {"max_epochs", [](auto &p) -> auto & { return p.maxEpochs; }},
+        {"target_accuracy",
+         [](auto &p) -> auto & { return p.targetAccuracy; }},
+        {"max_detection_rate",
+         [](auto &p) -> auto & { return p.maxDetectionRate; }},
+        // The format carries at most one detector per phase: its first
+        // key creates it, and "detector = none" removes it.
+        {[](CurriculumPhase &p, const std::string &name,
+            const std::string &key, const std::string &value) {
+             DetectorSpec d =
+                 p.detectors.empty() ? DetectorSpec() : p.detectors.front();
+             if (!detectorKeys().apply(d, name, key, value))
+                 return false;
+             if (d.kind == "none")
+                 p.detectors.clear();
+             else
+                 p.detectors.assign(1, d);
+             return true;
+         },
+         [](const CurriculumPhase &p, const std::string &prefix,
+            std::string &out) {
+             if (p.detectors.size() > 1) {
+                 throw std::invalid_argument(
+                     "config: the config format carries at most one "
+                     "detector per phase");
+             }
+             for (const DetectorSpec &d : p.detectors) {
+                 if (!hasDetectorKind(d.kind)) {
+                     throw std::invalid_argument(
+                         "config: unknown detector kind '" + d.kind + "'");
+                 }
+                 detectorKeys().render(d, out, prefix);
+             }
+         }},
+        {"detection_enable",
+         [](auto &p) -> auto & { return p.detectionEnable; }},
+        {"multi_secret", [](auto &p) -> auto & { return p.multiSecret; }},
+        {"multi_secret_episode_steps",
+         [](auto &p) -> auto & { return p.multiSecretEpisodeSteps; }},
+        {"correct_guess_reward",
+         [](auto &p) -> auto & { return p.rewards.correctGuessReward; }},
+        {"wrong_guess_reward",
+         [](auto &p) -> auto & { return p.rewards.wrongGuessReward; }},
+        {"step_reward", [](auto &p) -> auto & { return p.rewards.stepReward; }},
+        {"length_violation_reward",
+         [](auto &p) -> auto & { return p.rewards.lengthViolationReward; }},
+        {"detection_reward",
+         [](auto &p) -> auto & { return p.rewards.detectionReward; }},
+        {"no_guess_reward",
+         [](auto &p) -> auto & { return p.rewards.noGuessReward; }},
+    };
+    return keys;
+}
+
+/** The phase list: the phase[N].* family. */
+const ConfigTable<std::vector<CurriculumPhase>> &
+phaseListKeys()
+{
+    using Table = ConfigTable<std::vector<CurriculumPhase>>;
+    static const Table keys = {
+        Table::indexed("phase", kMaxConfigPhases,
+                       [](auto &phases) -> auto & { return phases; },
+                       phaseKeys()),
+    };
+    return keys;
+}
+
+/** The campaign.* keys. */
+const ConfigTable<CampaignConfig> &
+campaignKeys()
+{
+    static const ConfigTable<CampaignConfig> keys = {
+        {"campaign.checkpoint_path",
+         [](auto &c) -> auto & { return c.checkpointPath; }},
+        {"campaign.checkpoint_every",
+         [](auto &c) -> auto & { return c.checkpointEvery; }},
+        {"campaign.resume", [](auto &c) -> auto & { return c.resume; }},
+    };
+    return keys;
 }
 
 } // namespace
@@ -101,28 +136,7 @@ bool
 applyPhaseKey(std::vector<CurriculumPhase> &phases,
               const std::string &key, const std::string &value)
 {
-    const std::string prefix = "phase[";
-    if (key.compare(0, prefix.size(), prefix) != 0)
-        return false;
-    const auto close = key.find(']');
-    if (close == std::string::npos || close + 1 >= key.size() ||
-        key[close + 1] != '.') {
-        throw std::invalid_argument("config: malformed phase key '" +
-                                    key + "'");
-    }
-
-    // Strict index parse: "0z" must not silently parse as phase 0.
-    const std::uint64_t idx = parseConfigUint(
-        key.substr(prefix.size(), close - prefix.size()), key);
-    if (idx >= kMaxConfigPhases) {
-        throw std::invalid_argument(
-            "config: phase index out of range in '" + key + "'");
-    }
-    if (phases.size() <= idx)
-        phases.resize(idx + 1);
-
-    applyPhaseField(phases[idx], key.substr(close + 2), key, value);
-    return true;
+    return phaseListKeys().apply(phases, key, value);
 }
 
 void
@@ -143,99 +157,17 @@ validateConfigPhases(const std::vector<CurriculumPhase> &phases)
 std::string
 renderPhaseKeys(const std::vector<CurriculumPhase> &phases)
 {
-    std::ostringstream out;
-    for (std::size_t k = 0; k < phases.size(); ++k) {
-        const CurriculumPhase &phase = phases[k];
-        const std::string p = "phase[" + std::to_string(k) + "].";
-        if (!phase.name.empty()) {
-            rejectUnrepresentable(phase.name, "phase name");
-            out << p << "name = " << phase.name << "\n";
-        }
-        if (!phase.scenario.empty()) {
-            rejectUnrepresentable(phase.scenario, "phase scenario");
-            out << p << "scenario = " << phase.scenario << "\n";
-        }
-        out << p << "max_epochs = " << phase.maxEpochs << "\n"
-            << p << "target_accuracy = "
-            << renderConfigDouble(phase.targetAccuracy) << "\n"
-            << p << "max_detection_rate = "
-            << renderConfigDouble(phase.maxDetectionRate) << "\n";
-        if (phase.detectors.size() > 1) {
-            throw std::invalid_argument(
-                "renderPhaseKeys: the config format carries at most one "
-                "detector per phase");
-        }
-        if (!phase.detectors.empty()) {
-            const DetectorSpec &d = phase.detectors.front();
-            if (!hasDetectorKind(d.kind)) {
-                throw std::invalid_argument(
-                    "renderPhaseKeys: unknown detector kind '" + d.kind +
-                    "'");
-            }
-            out << p << "detector = " << d.kind << "\n"
-                << p << "detector_mode = " << detectorModeName(d.mode)
-                << "\n"
-                << p << "detector_penalty = "
-                << renderConfigDouble(d.penalty) << "\n"
-                << p << "detector_miss_threshold = " << d.missThreshold
-                << "\n"
-                << p << "detector_interval = " << d.cycloneInterval
-                << "\n";
-        }
-        if (phase.detectionEnable) {
-            out << p << "detection_enable = "
-                << (*phase.detectionEnable ? "true" : "false") << "\n";
-        }
-        if (phase.multiSecret) {
-            out << p << "multi_secret = "
-                << (*phase.multiSecret ? "true" : "false") << "\n";
-        }
-        if (phase.multiSecretEpisodeSteps) {
-            out << p << "multi_secret_episode_steps = "
-                << *phase.multiSecretEpisodeSteps << "\n";
-        }
-        const RewardOverrides &r = phase.rewards;
-        if (r.correctGuessReward)
-            out << p << "correct_guess_reward = "
-                << renderConfigDouble(*r.correctGuessReward) << "\n";
-        if (r.wrongGuessReward)
-            out << p << "wrong_guess_reward = "
-                << renderConfigDouble(*r.wrongGuessReward) << "\n";
-        if (r.stepReward)
-            out << p << "step_reward = "
-                << renderConfigDouble(*r.stepReward) << "\n";
-        if (r.lengthViolationReward)
-            out << p << "length_violation_reward = "
-                << renderConfigDouble(*r.lengthViolationReward) << "\n";
-        if (r.detectionReward)
-            out << p << "detection_reward = "
-                << renderConfigDouble(*r.detectionReward) << "\n";
-        if (r.noGuessReward)
-            out << p << "no_guess_reward = "
-                << renderConfigDouble(*r.noGuessReward) << "\n";
-    }
-    return out.str();
+    std::string out;
+    phaseListKeys().render(phases, out);
+    return out;
 }
 
 bool
 applyCampaignKey(CampaignConfig &cfg, const std::string &key,
                  const std::string &value)
 {
-    if (applyPhaseKey(cfg.phases, key, value))
-        return true;
-    if (key.compare(0, 9, "campaign.") != 0)
-        return false;
-    if (key == "campaign.checkpoint_path") {
-        cfg.checkpointPath = value;
-    } else if (key == "campaign.checkpoint_every") {
-        cfg.checkpointEvery = parseConfigInt(value, key);
-    } else if (key == "campaign.resume") {
-        cfg.resume = parseConfigBool(value, key);
-    } else {
-        throw std::invalid_argument("config: unknown campaign option '" +
-                                    key + "'");
-    }
-    return true;
+    return applyPhaseKey(cfg.phases, key, value) ||
+           campaignKeys().apply(cfg, key, value);
 }
 
 CampaignConfig
@@ -269,22 +201,9 @@ loadCampaignConfig(const std::string &path)
 std::string
 renderCampaignConfig(const CampaignConfig &cfg)
 {
-    if (cfg.checkpointPath.find_first_of("#\n") != std::string::npos ||
-        cfg.checkpointPath != trimConfigToken(cfg.checkpointPath)) {
-        throw std::invalid_argument(
-            "renderCampaignConfig: checkpoint path is not representable "
-            "in the config format: '" + cfg.checkpointPath + "'");
-    }
-    std::ostringstream out;
-    out << renderExplorationConfig(cfg.base);
-    if (!cfg.checkpointPath.empty())
-        out << "campaign.checkpoint_path = " << cfg.checkpointPath
-            << "\n";
-    out << "campaign.checkpoint_every = " << cfg.checkpointEvery << "\n"
-        << "campaign.resume = " << (cfg.resume ? "true" : "false")
-        << "\n";
-    out << renderPhaseKeys(cfg.phases);
-    return out.str();
+    std::string out = renderExplorationConfig(cfg.base);
+    campaignKeys().render(cfg, out);
+    return out + renderPhaseKeys(cfg.phases);
 }
 
 } // namespace autocat

@@ -20,6 +20,10 @@
  *     window_size         = 16
  *     step_reward         = -0.01
  *     max_epochs          = 120
+ *
+ * Each key is one line of an ordered table (core/config_table.hpp)
+ * that names it and binds it to its field; parsing and rendering walk
+ * the same table, so a new knob is one added line.
  */
 
 #ifndef AUTOCAT_CORE_CONFIG_PARSER_HPP

@@ -6,135 +6,91 @@
 
 #include "core/campaign_config.hpp"
 #include "core/config_parser.hpp"
+#include "core/config_table.hpp"
 #include "util/socket.hpp"
 
 namespace autocat {
 
 namespace {
 
-/** Split a comma-separated list; empty items — including the one a
- *  trailing comma leaves behind — are malformed. */
-std::vector<std::string>
-parseList(const std::string &value, const std::string &key)
+/** Endpoints are validated when parsed, not when the fleet dials them. */
+void
+requireTcpEndpoints(const std::vector<std::string> &endpoints,
+                    const std::string &key)
 {
-    std::vector<std::string> items;
-    std::size_t start = 0;
-    for (;;) {
-        const std::size_t comma = value.find(',', start);
-        const std::string item = trimConfigToken(
-            comma == std::string::npos
-                ? value.substr(start)
-                : value.substr(start, comma - start));
-        if (item.empty()) {
-            throw std::invalid_argument("config: empty item in list for " +
-                                        key);
+    for (const std::string &endpoint : endpoints) {
+        try {
+            parseTcpEndpoint(endpoint);
+        } catch (const std::exception &e) {
+            throw std::invalid_argument("config: " + key + ": " + e.what());
         }
-        items.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
     }
-    return items;
 }
 
-/** Apply one `sweep.*` key; throws for unknown fields / bad values. */
-void
-applySweepKey(SweepConfig &cfg, const std::string &key,
-              const std::string &value)
+/** The sweep.* and gateway.* keys, in render order. */
+const ConfigTable<SweepConfig> &
+sweepKeys()
 {
-    if (key == "sweep.name") {
-        cfg.name = value;
-    } else if (key == "sweep.scenarios") {
-        cfg.grid.scenarios = parseList(value, key);
-    } else if (key == "sweep.policies") {
-        cfg.grid.policies.clear();
-        for (const std::string &p : parseList(value, key))
-            cfg.grid.policies.push_back(replPolicyFromString(p));
-    } else if (key == "sweep.seeds") {
-        cfg.grid.seeds.clear();
-        for (const std::string &s : parseList(value, key))
-            cfg.grid.seeds.push_back(parseConfigUint(s, key));
-    } else if (key == "sweep.hardware_targets") {
-        cfg.grid.hardwareTargets = parseConfigBool(value, key);
-    } else if (key == "sweep.workers") {
-        const std::uint64_t workers = parseConfigUint(value, key);
-        if (workers < 1 || workers > 4096)
-            throw std::invalid_argument("config: " + key +
-                                        " must be in [1, 4096]");
-        cfg.workers = static_cast<int>(workers);
-    } else if (key == "sweep.include_timing") {
-        cfg.includeTiming = parseConfigBool(value, key);
-    } else if (key == "sweep.report_json") {
-        cfg.reportJsonPath = value;
-    } else if (key == "sweep.report_csv") {
-        cfg.reportCsvPath = value;
-    } else if (key == "sweep.checkpoint_dir") {
-        cfg.checkpointDir = value;
-    } else if (key == "sweep.checkpoint_interval") {
-        const std::uint64_t every = parseConfigUint(value, key);
-        if (every > 1000000)
-            throw std::invalid_argument("config: " + key +
-                                        " must be in [0, 1000000]");
-        cfg.checkpointInterval = static_cast<int>(every);
-    } else if (key == "sweep.dist_processes") {
-        const std::uint64_t n = parseConfigUint(value, key);
-        if (n > 1024)
-            throw std::invalid_argument("config: " + key +
-                                        " must be in [0, 1024]");
-        cfg.distProcesses = static_cast<int>(n);
-    } else if (key == "sweep.dist_retries") {
-        const std::uint64_t n = parseConfigUint(value, key);
-        if (n > 100)
-            throw std::invalid_argument("config: " + key +
-                                        " must be in [0, 100]");
-        cfg.distRetries = static_cast<int>(n);
-    } else if (key == "sweep.heartbeat_timeout_s") {
-        const double t = parseConfigDouble(value, key);
-        if (t < 0)
-            throw std::invalid_argument("config: " + key +
-                                        " must be >= 0");
-        cfg.heartbeatTimeoutS = t;
-    } else if (key == "sweep.dist_work_dir") {
-        cfg.distWorkDir = value;
-    } else if (key == "sweep.dist_endpoints") {
-        cfg.distEndpoints = parseList(value, key);
-        for (const std::string &endpoint : cfg.distEndpoints) {
-            try {
-                parseTcpEndpoint(endpoint); // validate at parse time
-            } catch (const std::exception &e) {
-                throw std::invalid_argument("config: " + key + ": " +
-                                            e.what());
-            }
-        }
-    } else if (key == "sweep.manifest_dir") {
-        cfg.manifestDir = value;
-    } else if (key == "sweep.manifest_reset") {
-        cfg.manifestReset = parseConfigBool(value, key);
-    } else if (key == "gateway.tenant") {
-        cfg.gatewayTenant = value;
-    } else if (key == "gateway.priority") {
-        const std::uint64_t p = parseConfigUint(value, key);
-        if (p > 1000000)
-            throw std::invalid_argument("config: " + key +
-                                        " must be in [0, 1000000]");
-        cfg.gatewayPriority = static_cast<int>(p);
-    } else if (key == "sweep.bakeoff_agents") {
-        cfg.bakeoffAgents = parseList(value, key);
-    } else if (key == "sweep.bakeoff_scenarios") {
-        cfg.bakeoffScenarios = parseList(value, key);
-    } else if (key == "sweep.masked_penalty") {
-        const double p = parseConfigDouble(value, key);
-        if (p < 0)
-            throw std::invalid_argument("config: " + key +
-                                        " must be >= 0");
-        cfg.maskedPenalty = p;
-    } else {
-        throw std::invalid_argument("config: unknown sweep option '" +
-                                    key + "'");
-    }
+    static const ConfigTable<SweepConfig> keys = {
+        {"sweep.name", [](auto &c) -> auto & { return c.name; }},
+        {"sweep.scenarios", [](auto &c) -> auto & { return c.grid.scenarios; }},
+        {"sweep.policies", [](auto &c) -> auto & { return c.grid.policies; }},
+        {"sweep.seeds", [](auto &c) -> auto & { return c.grid.seeds; }},
+        {"sweep.hardware_targets",
+         [](auto &c) -> auto & { return c.grid.hardwareTargets; }},
+        {"sweep.workers", [](auto &c) -> auto & { return c.workers; },
+         configRange(1, 4096)},
+        {"sweep.include_timing",
+         [](auto &c) -> auto & { return c.includeTiming; }},
+        {"sweep.report_json",
+         [](auto &c) -> auto & { return c.reportJsonPath; }},
+        {"sweep.report_csv", [](auto &c) -> auto & { return c.reportCsvPath; }},
+        {"sweep.checkpoint_dir",
+         [](auto &c) -> auto & { return c.checkpointDir; }},
+        {"sweep.checkpoint_interval",
+         [](auto &c) -> auto & { return c.checkpointInterval; },
+         configRange(0, 1000000)},
+        {"sweep.dist_processes",
+         [](auto &c) -> auto & { return c.distProcesses; },
+         configRange(0, 1024)},
+        {"sweep.dist_retries", [](auto &c) -> auto & { return c.distRetries; },
+         configRange(0, 100)},
+        {"sweep.heartbeat_timeout_s",
+         [](auto &c) -> auto & { return c.heartbeatTimeoutS; },
+         configRange(0)},
+        {"sweep.dist_work_dir",
+         [](auto &c) -> auto & { return c.distWorkDir; }},
+        {"sweep.dist_endpoints",
+         [](auto &c) -> auto & { return c.distEndpoints; },
+         requireTcpEndpoints},
+        {"sweep.manifest_dir", [](auto &c) -> auto & { return c.manifestDir; }},
+        {"sweep.manifest_reset",
+         [](auto &c) -> auto & { return c.manifestReset; }},
+        {"gateway.tenant", [](auto &c) -> auto & { return c.gatewayTenant; }},
+        {"gateway.priority",
+         [](auto &c) -> auto & { return c.gatewayPriority; },
+         configRange(0, 1000000)},
+        {"sweep.bakeoff_agents",
+         [](auto &c) -> auto & { return c.bakeoffAgents; }},
+        {"sweep.bakeoff_scenarios",
+         [](auto &c) -> auto & { return c.bakeoffScenarios; }},
+        {"sweep.masked_penalty",
+         [](auto &c) -> auto & { return c.maskedPenalty; }, configRange(0)},
+    };
+    return keys;
 }
 
 } // namespace
+
+bool
+applySweepConfigKey(SweepConfig &cfg, const std::string &key,
+                    const std::string &value)
+{
+    // Campaign cells: sweeps carry the same phase[N].* family campaign
+    // configs use (core/campaign_config.hpp).
+    return applyPhaseKey(cfg.phases, key, value) ||
+           sweepKeys().apply(cfg, key, value);
+}
 
 SweepConfig
 parseSweepConfig(std::istream &in)
@@ -142,15 +98,7 @@ parseSweepConfig(std::istream &in)
     SweepConfig cfg;
     cfg.base = parseExplorationConfig(
         in, [&cfg](const std::string &key, const std::string &value) {
-            // Campaign cells: sweeps carry the same phase[N].* family
-            // campaign configs use (core/campaign_config.hpp).
-            if (applyPhaseKey(cfg.phases, key, value))
-                return true;
-            if (key.compare(0, 6, "sweep.") != 0 &&
-                key.compare(0, 8, "gateway.") != 0)
-                return false;
-            applySweepKey(cfg, key, value);
-            return true;
+            return applySweepConfigKey(cfg, key, value);
         });
     validateConfigPhases(cfg.phases);
     return cfg;
@@ -175,98 +123,9 @@ loadSweepConfig(const std::string &path)
 std::string
 renderSweepConfig(const SweepConfig &cfg)
 {
-    // '#' starts a comment anywhere in a config line, '\n' would split
-    // the value into an injected config line, and values are
-    // whitespace-trimmed on parse — a value containing any of these
-    // cannot be represented: it would silently re-parse changed,
-    // breaking the render -> parse fixed point. List items
-    // additionally cannot contain the ',' separator.
-    const auto reject = [](const std::string &value, const char *bad) {
-        if (value.find_first_of(bad) != std::string::npos ||
-            value != trimConfigToken(value)) {
-            throw std::invalid_argument(
-                "renderSweepConfig: value is not representable in the "
-                "config format: '" + value + "'");
-        }
-    };
-    reject(cfg.name, "#\n");
-    reject(cfg.reportJsonPath, "#\n");
-    reject(cfg.reportCsvPath, "#\n");
-    reject(cfg.checkpointDir, "#\n");
-    reject(cfg.distWorkDir, "#\n");
-    reject(cfg.manifestDir, "#\n");
-    reject(cfg.gatewayTenant, "#\n");
-    for (const std::string &endpoint : cfg.distEndpoints)
-        reject(endpoint, "#,\n");
-    for (const std::string &scenario : cfg.grid.scenarios)
-        reject(scenario, "#,\n");
-    for (const std::string &agent : cfg.bakeoffAgents)
-        reject(agent, "#,\n");
-    for (const std::string &scenario : cfg.bakeoffScenarios)
-        reject(scenario, "#,\n");
-
-    std::ostringstream out;
-    out << renderExplorationConfig(cfg.base);
-    out << "sweep.name = " << cfg.name << "\n";
-    const auto join = [](const std::vector<std::string> &items) {
-        std::string s;
-        for (const std::string &item : items)
-            s += (s.empty() ? "" : ", ") + item;
-        return s;
-    };
-    if (!cfg.grid.scenarios.empty())
-        out << "sweep.scenarios = " << join(cfg.grid.scenarios) << "\n";
-    if (!cfg.grid.policies.empty()) {
-        std::vector<std::string> names;
-        for (ReplPolicy p : cfg.grid.policies)
-            names.push_back(replPolicyName(p));
-        out << "sweep.policies = " << join(names) << "\n";
-    }
-    if (!cfg.grid.seeds.empty()) {
-        std::vector<std::string> seeds;
-        for (std::uint64_t s : cfg.grid.seeds)
-            seeds.push_back(std::to_string(s));
-        out << "sweep.seeds = " << join(seeds) << "\n";
-    }
-    out << "sweep.hardware_targets = "
-        << (cfg.grid.hardwareTargets ? "true" : "false") << "\n"
-        << "sweep.workers = " << cfg.workers << "\n"
-        << "sweep.include_timing = "
-        << (cfg.includeTiming ? "true" : "false") << "\n";
-    if (!cfg.reportJsonPath.empty())
-        out << "sweep.report_json = " << cfg.reportJsonPath << "\n";
-    if (!cfg.reportCsvPath.empty())
-        out << "sweep.report_csv = " << cfg.reportCsvPath << "\n";
-    if (!cfg.checkpointDir.empty())
-        out << "sweep.checkpoint_dir = " << cfg.checkpointDir << "\n";
-    out << "sweep.checkpoint_interval = " << cfg.checkpointInterval
-        << "\n"
-        << "sweep.dist_processes = " << cfg.distProcesses << "\n"
-        << "sweep.dist_retries = " << cfg.distRetries << "\n"
-        << "sweep.heartbeat_timeout_s = "
-        << renderConfigDouble(cfg.heartbeatTimeoutS) << "\n";
-    if (!cfg.distWorkDir.empty())
-        out << "sweep.dist_work_dir = " << cfg.distWorkDir << "\n";
-    if (!cfg.distEndpoints.empty())
-        out << "sweep.dist_endpoints = " << join(cfg.distEndpoints)
-            << "\n";
-    if (!cfg.manifestDir.empty())
-        out << "sweep.manifest_dir = " << cfg.manifestDir << "\n";
-    out << "sweep.manifest_reset = "
-        << (cfg.manifestReset ? "true" : "false") << "\n";
-    if (!cfg.gatewayTenant.empty())
-        out << "gateway.tenant = " << cfg.gatewayTenant << "\n";
-    out << "gateway.priority = " << cfg.gatewayPriority << "\n";
-    if (!cfg.bakeoffAgents.empty())
-        out << "sweep.bakeoff_agents = " << join(cfg.bakeoffAgents)
-            << "\n";
-    if (!cfg.bakeoffScenarios.empty())
-        out << "sweep.bakeoff_scenarios = " << join(cfg.bakeoffScenarios)
-            << "\n";
-    out << "sweep.masked_penalty = "
-        << renderConfigDouble(cfg.maskedPenalty) << "\n";
-    out << renderPhaseKeys(cfg.phases);
-    return out.str();
+    std::string out = renderExplorationConfig(cfg.base);
+    sweepKeys().render(cfg, out);
+    return out + renderPhaseKeys(cfg.phases);
 }
 
 } // namespace autocat

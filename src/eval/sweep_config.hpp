@@ -42,6 +42,17 @@
 namespace autocat {
 
 /**
+ * Apply one `sweep.*`, `gateway.*` or `phase[N].*` key to @p cfg;
+ * returns false for keys outside these families. The drivers apply
+ * their CLI flags that mirror a key through here, so a flag is
+ * validated exactly like the key in a file.
+ *
+ * @throws std::invalid_argument for a malformed or out-of-bounds value
+ */
+bool applySweepConfigKey(SweepConfig &cfg, const std::string &key,
+                         const std::string &value);
+
+/**
  * Parse a sweep config (base exploration keys + `sweep.*` keys).
  *
  * @throws std::invalid_argument for unknown or malformed keys

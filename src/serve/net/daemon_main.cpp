@@ -16,8 +16,9 @@
  * --port 0 (the default) binds a kernel-assigned ephemeral port, and
  * --port-file publishes the bound port atomically — the CI-parallel-
  * safe discovery handshake (parallel jobs cannot collide on a port
- * they never chose). A --port that is not a whole decimal in 0..65535
- * is a usage error (exit 2), and no port file is written.
+ * they never chose). A --port that is not a whole decimal in 0..65535,
+ * or a chaos count that is not a non-negative decimal, is a usage
+ * error (exit 2), and no port file is written.
  *
  * Per connection (see serve/net/frame.hpp for the session shape): the
  * daemon expects Hello [Checkpoint] Job, replies with its own Hello
@@ -55,6 +56,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include "core/config_parser.hpp"
 #include "rl/mat.hpp"
 #include "serve/cell_exec.hpp"
 #include "serve/net/frame.hpp"
@@ -345,9 +347,9 @@ main(int argc, char **argv)
             else if (arg == "--work-dir")
                 options.workDir = value();
             else if (arg == "--chaos-kill-after")
-                options.chaosKillAfter = std::atoi(value().c_str());
+                options.chaosKillAfter = parseConfigInt(value(), arg);
             else if (arg == "--chaos-sigterm-after")
-                options.chaosSigtermAfter = std::atoi(value().c_str());
+                options.chaosSigtermAfter = parseConfigInt(value(), arg);
             else
                 return usage(argv[0]);
         } catch (const std::exception &) {

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/campaign_config.hpp"
 #include "core/config_parser.hpp"
+#include "eval/sweep_config.hpp"
+#include "util/binio.hpp"
 #include "util/rng.hpp"
 
 namespace autocat {
@@ -476,7 +480,12 @@ TEST(ConfigParser, ExtensionHookReceivesUnknownKeys)
     }
 }
 
-/** Randomized config covering every rendered knob family. */
+/**
+ * Randomized config setting every key. A key left at its default
+ * survives the render -> parse -> render fixed point even when it
+ * parses into the wrong field; randomized, such a binding changes the
+ * re-rendered text.
+ */
 ExplorationConfig
 randomConfig(Rng &rng)
 {
@@ -488,6 +497,9 @@ randomConfig(Rng &rng)
     const InclusionPolicy inclusions[] = {InclusionPolicy::Inclusive,
                                           InclusionPolicy::Exclusive,
                                           InclusionPolicy::Nine};
+    const char *scenarios[] = {"guessing_game", "l1l2_private",
+                               "tlb_evict", "prefetch_probe", ""};
+    const auto unit = [&rng] { return rng.uniformDouble(); };
 
     ExplorationConfig cfg;
     cfg.env.cache.numSets = 1u << rng.uniformInt(4);
@@ -496,19 +508,32 @@ randomConfig(Rng &rng)
     cfg.env.cache.prefetcher = prefetchers[rng.uniformInt(3)];
     cfg.env.cache.randomSetMapping = rng.bernoulli(0.5);
     cfg.env.cache.addressSpaceSize = 16 + rng.uniformInt(64);
+    cfg.env.cache.seed = rng.uniformInt(1000);
     cfg.env.attackAddrS = rng.uniformInt(4);
     cfg.env.attackAddrE = cfg.env.attackAddrS + rng.uniformInt(8);
     cfg.env.victimAddrE = rng.uniformInt(4);
+    cfg.env.victimAddrS = rng.uniformInt(cfg.env.victimAddrE + 1);
     cfg.env.flushEnable = rng.bernoulli(0.5);
     cfg.env.victimNoAccessEnable = rng.bernoulli(0.5);
     cfg.env.detectionEnable = rng.bernoulli(0.5);
+    cfg.env.plCacheLockVictim = rng.bernoulli(0.5);
+    cfg.env.requireTriggerBeforeGuess = rng.bernoulli(0.5);
     cfg.env.windowSize = rng.uniformInt(64);
     cfg.env.episodeLengthLimit = rng.uniformInt(64);
     cfg.env.multiSecret = rng.bernoulli(0.5);
     cfg.env.multiSecretEpisodeSteps = 1 + rng.uniformInt(200);
+    cfg.env.revealOnGuess = rng.bernoulli(0.5);
     cfg.env.randomInit = rng.bernoulli(0.5);
     cfg.env.initAccesses = rng.uniformInt(16);
+    cfg.env.correctGuessReward = unit();
+    cfg.env.wrongGuessReward = -unit();
     cfg.env.stepReward = -0.001 * static_cast<double>(rng.uniformInt(50));
+    cfg.env.lengthViolationReward = -unit();
+    cfg.env.detectionReward = -unit();
+    cfg.env.noGuessReward = -unit();
+    cfg.env.maskActions = rng.bernoulli(0.5);
+    cfg.env.maskUselessActions = rng.bernoulli(0.5);
+    cfg.env.uselessActionPenalty = 0.1 * unit();
     cfg.env.seed = rng.uniformInt(1000);
     // Channel knobs (tlb.* / channel.*) are rendered unconditionally,
     // so every fuzz round exercises their round trip. The TLB address
@@ -528,9 +553,22 @@ randomConfig(Rng &rng)
     cfg.env.channel.prefetchBurstBase = rng.uniformInt(8);
     cfg.ppo.seed = rng.uniformInt(1000);
     cfg.ppo.stepsPerEpoch = 100 + static_cast<int>(rng.uniformInt(5000));
-    cfg.ppo.hidden = 16u << rng.uniformInt(4);
+    cfg.ppo.lr = 1e-3 * unit();
     cfg.ppo.entropyCoef = 0.001 * static_cast<double>(rng.uniformInt(100));
+    cfg.ppo.gamma = 0.9 + 0.1 * unit();
+    cfg.ppo.lambda = 0.9 + 0.1 * unit();
+    cfg.ppo.clip = 0.1 + 0.2 * unit();
+    cfg.ppo.updatePasses = 1 + static_cast<int>(rng.uniformInt(12));
+    cfg.ppo.minibatchSize = 1 + static_cast<int>(rng.uniformInt(1000));
+    cfg.ppo.entropyDecay = unit();
+    cfg.ppo.entropyMin = 1e-3 * unit();
+    cfg.ppo.valueCoef = unit();
+    cfg.ppo.maxGradNorm = unit();
+    cfg.ppo.hidden = 16u << rng.uniformInt(4);
+    cfg.ppo.layers = 1 + rng.uniformInt(4);
+    cfg.scenario = scenarios[rng.uniformInt(5)];
     cfg.maxEpochs = 1 + static_cast<int>(rng.uniformInt(300));
+    cfg.targetAccuracy = unit();
     cfg.evalEpisodes = 1 + static_cast<int>(rng.uniformInt(200));
     cfg.verbose = rng.bernoulli(0.5);
     cfg.numStreams = 1 + static_cast<int>(rng.uniformInt(8));
@@ -539,12 +577,15 @@ randomConfig(Rng &rng)
 
     if (rng.bernoulli(0.6)) {
         const unsigned depth = 1 + static_cast<unsigned>(rng.uniformInt(3));
-        cfg.env.hierarchy.numCores = 2;
+        cfg.env.hierarchy.numCores =
+            1 + static_cast<unsigned>(rng.uniformInt(4));
         for (unsigned k = 0; k < depth; ++k) {
             HierarchyLevelConfig lvl;
             lvl.cache.numSets = 1u << rng.uniformInt(3);
             lvl.cache.numWays = 1u << rng.uniformInt(3);
             lvl.cache.policy = policies[rng.uniformInt(4)];
+            lvl.cache.prefetcher = prefetchers[rng.uniformInt(3)];
+            lvl.cache.randomSetMapping = rng.bernoulli(0.5);
             lvl.cache.addressSpaceSize = 16 + rng.uniformInt(64);
             lvl.cache.seed = rng.uniformInt(100);
             lvl.inclusion = inclusions[rng.uniformInt(3)];
@@ -569,23 +610,14 @@ TEST(ConfigParserFuzz, RenderParseRenderIsAFixedPointOnRandomConfigs)
     }
 }
 
-/** Random campaign layered on a random base: every campaign.* /
- *  phase[N].* knob family is exercised. */
-CampaignConfig
-randomCampaignConfig(Rng &rng)
+/** Random phase list (1 to 3 phases) setting every phase[N].* key. */
+std::vector<CurriculumPhase>
+randomPhases(Rng &rng)
 {
-    CampaignConfig cfg;
-    cfg.base = randomConfig(rng);
-    if (rng.bernoulli(0.5))
-        cfg.checkpointPath =
-            "ckpt_" + std::to_string(rng.uniformInt(100)) + ".bin";
-    cfg.checkpointEvery = static_cast<int>(rng.uniformInt(10));
-    cfg.resume = rng.bernoulli(0.5);
-
     const char *kinds[] = {"miss", "cchunter", "cyclone"};
-    const std::size_t num_phases = 1 + rng.uniformInt(3);
-    for (std::size_t k = 0; k < num_phases; ++k) {
-        CurriculumPhase phase;
+    std::vector<CurriculumPhase> phases(1 + rng.uniformInt(3));
+    for (std::size_t k = 0; k < phases.size(); ++k) {
+        CurriculumPhase &phase = phases[k];
         if (rng.bernoulli(0.5))
             phase.name = "p" + std::to_string(k);
         if (rng.bernoulli(0.3))
@@ -633,8 +665,74 @@ randomCampaignConfig(Rng &rng)
         if (rng.bernoulli(0.3))
             phase.rewards.noGuessReward =
                 -0.5 * static_cast<double>(rng.uniformInt(6));
-        cfg.phases.push_back(std::move(phase));
     }
+    return phases;
+}
+
+/** Random campaign layered on a random base: every campaign.* /
+ *  phase[N].* knob family is exercised. */
+CampaignConfig
+randomCampaignConfig(Rng &rng)
+{
+    CampaignConfig cfg;
+    cfg.base = randomConfig(rng);
+    if (rng.bernoulli(0.5))
+        cfg.checkpointPath =
+            "ckpt_" + std::to_string(rng.uniformInt(100)) + ".bin";
+    cfg.checkpointEvery = 1 + static_cast<int>(rng.uniformInt(10));
+    cfg.resume = rng.bernoulli(0.5);
+    cfg.phases = randomPhases(rng);
+    return cfg;
+}
+
+/** Random sweep on a random base: every sweep.* / gateway.* key, plus
+ *  a phase list in half the rounds. */
+SweepConfig
+randomSweepConfig(Rng &rng)
+{
+    const auto names = [&rng](const std::string &stem) {
+        std::vector<std::string> items(rng.uniformInt(4));
+        for (std::string &item : items)
+            item = stem + std::to_string(rng.uniformInt(100));
+        return items;
+    };
+    const auto maybe = [&rng](const std::string &text) {
+        return rng.bernoulli(0.5) ? text : std::string();
+    };
+
+    SweepConfig cfg;
+    cfg.base = randomConfig(rng);
+    cfg.name = maybe("sweep_" + std::to_string(rng.uniformInt(100)));
+    cfg.grid.scenarios = names("scenario_");
+    cfg.grid.policies.resize(rng.uniformInt(3));
+    for (ReplPolicy &policy : cfg.grid.policies)
+        policy = rng.bernoulli(0.5) ? ReplPolicy::Rrip : ReplPolicy::TreePlru;
+    cfg.grid.seeds.resize(rng.uniformInt(4));
+    for (std::uint64_t &seed : cfg.grid.seeds)
+        seed = rng.uniformInt(1000000);
+    cfg.grid.hardwareTargets = rng.bernoulli(0.5);
+    cfg.workers = 2 + static_cast<int>(rng.uniformInt(4095));
+    cfg.includeTiming = rng.bernoulli(0.5);
+    cfg.reportJsonPath = maybe("out.json");
+    cfg.reportCsvPath = maybe("out.csv");
+    cfg.checkpointDir = maybe("ckpt");
+    cfg.checkpointInterval = 1 + static_cast<int>(rng.uniformInt(1000000));
+    cfg.distProcesses = 1 + static_cast<int>(rng.uniformInt(1024));
+    cfg.distRetries = 2 + static_cast<int>(rng.uniformInt(99));
+    cfg.heartbeatTimeoutS = 10.0 * rng.uniformDouble();
+    cfg.distWorkDir = maybe("work");
+    cfg.distEndpoints.resize(rng.uniformInt(3));
+    for (std::string &endpoint : cfg.distEndpoints)
+        endpoint = "127.0.0.1:" + std::to_string(1 + rng.uniformInt(65535));
+    cfg.manifestDir = maybe("manifest");
+    cfg.manifestReset = rng.bernoulli(0.5);
+    cfg.gatewayTenant = maybe("tenant_" + std::to_string(rng.uniformInt(9)));
+    cfg.gatewayPriority = 1 + static_cast<int>(rng.uniformInt(1000000));
+    cfg.bakeoffAgents = names("agent_");
+    cfg.bakeoffScenarios = names("bakeoff_");
+    cfg.maskedPenalty = rng.uniformDouble();
+    if (rng.bernoulli(0.5))
+        cfg.phases = randomPhases(rng);
     return cfg;
 }
 
@@ -650,6 +748,80 @@ TEST(ConfigParserFuzz, CampaignRenderParseRenderIsAFixedPoint)
         const std::string twice = renderCampaignConfig(reparsed);
         ASSERT_EQ(once, twice) << "round " << round;
     }
+}
+
+TEST(ConfigParserFuzz, SweepRenderParseRenderIsAFixedPoint)
+{
+    Rng rng(0x5eed5eed);
+    for (int round = 0; round < 50; ++round) {
+        const SweepConfig cfg = randomSweepConfig(rng);
+        const std::string once = renderSweepConfig(cfg);
+        SweepConfig reparsed;
+        ASSERT_NO_THROW(reparsed = parseSweepConfig(once))
+            << "round " << round << "\n" << once;
+        const std::string twice = renderSweepConfig(reparsed);
+        ASSERT_EQ(once, twice) << "round " << round;
+    }
+}
+
+/**
+ * Render goldens: FNV-1a 64 of each family's default render and of a
+ * seeded stream of 100 random renders per family. Rendered text is the
+ * wire — job blobs embed it and grid-manifest hashes cover the blobs —
+ * so a reordered, re-spelled or re-formatted key moves a hash and
+ * makes every recorded manifest refuse its grid. Fix the renderer; do
+ * not re-capture these.
+ */
+std::string
+renderHash(const std::string &text)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(fnv1a64(text)));
+    return buf;
+}
+
+template <typename Render>
+std::string
+randomRenderStreamHash(std::uint64_t seed, Render render)
+{
+    Rng rng(seed);
+    std::string text;
+    for (int round = 0; round < 100; ++round)
+        text += render(rng);
+    return renderHash(text);
+}
+
+TEST(ConfigRenderGolden, DefaultRendersMatchGoldens)
+{
+    EXPECT_EQ(renderHash(renderExplorationConfig(ExplorationConfig())),
+              "0x38cfda5707e570bb");
+    EXPECT_EQ(renderHash(renderCampaignConfig(CampaignConfig())),
+              "0x40606ba89b142535");
+    EXPECT_EQ(renderHash(renderSweepConfig(SweepConfig())),
+              "0x49cef5526d05ad72");
+}
+
+TEST(ConfigRenderGolden, RandomRenderStreamsMatchGoldens)
+{
+    EXPECT_EQ(randomRenderStreamHash(1,
+                                     [](Rng &rng) {
+                                         return renderExplorationConfig(
+                                             randomConfig(rng));
+                                     }),
+              "0x4e754d418cd219ca");
+    EXPECT_EQ(randomRenderStreamHash(2,
+                                     [](Rng &rng) {
+                                         return renderCampaignConfig(
+                                             randomCampaignConfig(rng));
+                                     }),
+              "0x9ffe81dd439db8bc");
+    EXPECT_EQ(randomRenderStreamHash(3,
+                                     [](Rng &rng) {
+                                         return renderSweepConfig(
+                                             randomSweepConfig(rng));
+                                     }),
+              "0x926c77a5605d35cd");
 }
 
 TEST(ConfigParserFuzz, CorruptedCampaignKeysNeverParseSilently)

@@ -614,15 +614,22 @@ TEST(DaemonArgs, RejectsMalformedPortsWithoutAPortFile)
         GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("daemon_port");
     const std::string port_file = (root / "d.port").string();
-    for (const std::string port : {"70000", "-1", "40000x"}) {
+    const std::pair<std::string, std::string> bad_args[] = {
+        {"--port", "70000"},
+        {"--port", "-1"},
+        {"--port", "40000x"},
+        {"--chaos-kill-after", "abc"},
+        {"--chaos-sigterm-after", "-3"},
+    };
+    for (const auto &[flag, value] : bad_args) {
         const pid_t pid =
-            spawnChild({daemonPath(), "--port", port, "--port-file",
-                        port_file, "--work-dir", (root / "d").string()});
+            spawnChild({daemonPath(), flag, value, "--port-file", port_file,
+                        "--work-dir", (root / "d").string()});
         const int status = waitExit(pid, 10.0);
-        ASSERT_NE(status, -1) << "--port " << port << " kept running";
-        ASSERT_TRUE(WIFEXITED(status)) << port;
-        EXPECT_EQ(WEXITSTATUS(status), 2) << port;
-        EXPECT_FALSE(fs::exists(port_file)) << port;
+        ASSERT_NE(status, -1) << flag << " " << value << " kept running";
+        ASSERT_TRUE(WIFEXITED(status)) << flag << " " << value;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << flag << " " << value;
+        EXPECT_FALSE(fs::exists(port_file)) << flag << " " << value;
     }
     fs::remove_all(root);
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -20,6 +21,8 @@
 #include "eval/sweep.hpp"
 #include "eval/sweep_config.hpp"
 #include "hw/machines.hpp"
+#include "serve/manifest/manifest.hpp"
+#include "serve/wire.hpp"
 
 namespace autocat {
 namespace {
@@ -385,6 +388,63 @@ TEST(SweepConfigFile, RoundTripIsAFixedPoint)
     EXPECT_EQ(once, twice);
 }
 
+/**
+ * Grid identity golden: gridManifestHash over the job blobs of a grid
+ * with hierarchy levels, phases, bakeoff and hardware-target rows. Job
+ * blobs embed the rendered exploration and phase keys, so any change
+ * to their bytes or order moves this hash, and a recorded manifest
+ * would then refuse its own grid.
+ */
+TEST(SweepConfigFile, GridManifestHashMatchesGolden)
+{
+    const SweepConfig cfg = parseSweepConfig(std::string(R"(
+        num_sets = 2
+        num_ways = 2
+        attack_addr_e = 5
+        victim_addr_e = 1
+        flush_enable = true
+        step_reward = -0.015
+        learning_rate = 0.0005
+        lambda = 0.9
+        max_epochs = 3
+        hierarchy.num_cores = 2
+        hierarchy.levels[0].num_sets = 2
+        hierarchy.levels[0].num_ways = 1
+        hierarchy.levels[0].shared = false
+        hierarchy.levels[1].num_sets = 2
+        hierarchy.levels[1].num_ways = 4
+        hierarchy.levels[1].rep_policy = rrip
+        hierarchy.levels[1].inclusion = exclusive
+        tlb.num_ways = 4
+        channel.prefetch_burst_len = 4
+        sweep.name = golden
+        sweep.scenarios = guessing_game
+        sweep.policies = lru, plru
+        sweep.seeds = 3, 11
+        sweep.hardware_targets = true
+        sweep.bakeoff_agents = ppo_masked, random_search
+        sweep.masked_penalty = 0.02
+        phase[0].name = warmup
+        phase[0].max_epochs = 2
+        phase[0].target_accuracy = 0.9
+        phase[1].scenario = miss_detect_terminate
+        phase[1].max_epochs = 4
+        phase[1].detector = miss
+        phase[1].detector_mode = terminate
+        phase[1].multi_secret = false
+        phase[1].step_reward = -0.02
+    )"));
+    std::vector<std::string> jobs;
+    for (const SweepCell &cell : expandSweepGrid(cfg))
+        jobs.push_back(serializeCellJob(cell));
+    EXPECT_EQ(jobs.size(), 4u + 2u * tableIIITargets().size() + 4u);
+
+    char hash[24];
+    std::snprintf(hash, sizeof hash, "0x%016llx",
+                  static_cast<unsigned long long>(gridManifestHash(jobs)));
+    EXPECT_STREQ(hash, "0x3a1e4841b60de72f");
+}
+
 TEST(SweepConfigFile, MalformedSweepKeysFailLoudly)
 {
     EXPECT_THROW(parseSweepConfig(std::string("sweep.bogus = 1")),
@@ -427,6 +487,36 @@ TEST(SweepConfigFile, MalformedSweepKeysFailLoudly)
     } catch (const std::invalid_argument &e) {
         EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
     }
+}
+
+TEST(SweepConfigFile, KeyEntryPointValidatesLikeTheFile)
+{
+    // The drivers apply --dist, --workers, --endpoints, ... through
+    // applySweepConfigKey, so a flag gets its key's checks.
+    SweepConfig cfg;
+    EXPECT_THROW(applySweepConfigKey(cfg, "sweep.dist_processes", "abc"),
+                 std::invalid_argument);
+    EXPECT_THROW(applySweepConfigKey(cfg, "sweep.dist_processes", "5000"),
+                 std::invalid_argument);
+    EXPECT_THROW(applySweepConfigKey(cfg, "sweep.workers", "0"),
+                 std::invalid_argument);
+    EXPECT_THROW(applySweepConfigKey(cfg, "sweep.dist_endpoints", "nope"),
+                 std::invalid_argument);
+    EXPECT_EQ(cfg.distProcesses, 0);
+    EXPECT_EQ(cfg.workers, 1);
+    EXPECT_TRUE(cfg.distEndpoints.empty());
+
+    EXPECT_TRUE(applySweepConfigKey(cfg, "sweep.dist_processes", "3"));
+    EXPECT_TRUE(applySweepConfigKey(cfg, "sweep.dist_endpoints",
+                                    "127.0.0.1:7001 , localhost:7002"));
+    EXPECT_TRUE(applySweepConfigKey(cfg, "phase[1].max_epochs", "4"));
+    EXPECT_EQ(cfg.distProcesses, 3);
+    ASSERT_EQ(cfg.distEndpoints.size(), 2u);
+    EXPECT_EQ(cfg.distEndpoints[1], "localhost:7002");
+    ASSERT_EQ(cfg.phases.size(), 2u);
+    EXPECT_EQ(cfg.phases[1].maxEpochs, 4);
+    // Keys of other families are declined, not rejected.
+    EXPECT_FALSE(applySweepConfigKey(cfg, "num_ways", "4"));
 }
 
 TEST(SweepConfigFile, RenderRejectsUnrepresentableValues)
