@@ -175,36 +175,58 @@ evaluateWithDetector(
 }
 
 /**
- * Curriculum training for the multi-secret channel agents
- * (Tables VIII/IX): the policy first learns the one-shot attack on
- * single-secret episodes, then repetition on short multi-secret
- * episodes, then the full 160-step channel. All three environments
- * must share observation/action dimensions (same address ranges and
- * window). Each stage runs as a 1-stream VecEnv so detector state
- * attached to the specific instances stays observable to the caller.
- *
- * @return trainer bound to @p multi_full at the end
+ * A multi-secret channel agent (Tables VIII/IX): the trainer and the
+ * three curriculum stages it trains on, each a 1-stream SyncVecEnv
+ * over the caller's instance so detector state attached to it stays
+ * observable. The trainer holds the stages' addresses, so the agent is
+ * neither copied nor moved.
  */
-inline std::unique_ptr<PpoTrainer>
+struct ChannelAgent
+{
+    ChannelAgent(Environment &single_env, Environment &short_env,
+                 Environment &full_env, const PpoConfig &ppo)
+        : single(single_env), multiShort(short_env), multiFull(full_env),
+          trainer(single, ppo)
+    {
+    }
+    ChannelAgent(const ChannelAgent &) = delete;
+    ChannelAgent &operator=(const ChannelAgent &) = delete;
+
+    SyncVecEnv single, multiShort, multiFull;
+    PpoTrainer trainer;
+};
+
+/**
+ * Curriculum training for the multi-secret channel agents: the policy
+ * first learns the one-shot attack on single-secret episodes, then
+ * repetition on short multi-secret episodes, then the full 160-step
+ * channel. All three environments must share observation/action
+ * dimensions (same address ranges and window).
+ *
+ * @return the agent, its trainer bound to @p multi_full
+ */
+inline std::unique_ptr<ChannelAgent>
 trainChannelAgent(CacheGuessingGame &single, CacheGuessingGame &multi_short,
                   CacheGuessingGame &multi_full, const PpoConfig &ppo,
                   int phase1_epochs, int phase2_epochs, int phase3_epochs)
 {
-    auto trainer = std::make_unique<PpoTrainer>(single, ppo);
+    auto agent =
+        std::make_unique<ChannelAgent>(single, multi_short, multi_full, ppo);
+    PpoTrainer &trainer = agent->trainer;
     for (int e = 1; e <= phase1_epochs; ++e) {
-        trainer->runEpoch();
+        trainer.runEpoch();
         if (e % 10 == 0 &&
-            trainer->evaluate(40).guessAccuracy >= 0.98) {
+            trainer.evaluate(40).guessAccuracy >= 0.98) {
             break;
         }
     }
-    trainer->setEnvironment(multi_short);
+    trainer.setVecEnv(agent->multiShort);
     for (int e = 0; e < phase2_epochs; ++e)
-        trainer->runEpoch();
-    trainer->setEnvironment(multi_full);
+        trainer.runEpoch();
+    trainer.setVecEnv(agent->multiFull);
     for (int e = 0; e < phase3_epochs; ++e)
-        trainer->runEpoch();
-    return trainer;
+        trainer.runEpoch();
+    return agent;
 }
 
 /** Wrap a trained policy as an act function. */

@@ -101,10 +101,11 @@ main()
         env->attachDetector(det, DetectorMode::Penalize);
         PpoConfig ppo;
         ppo.seed = seed;
-        auto trainer = trainChannelAgent(*single, *multi_short, *env, ppo,
-                                         byMode(12, 60, 80),
-                                         byMode(4, 25, 40), train_epochs);
-        return capture(*env, policyActFn(trainer->policy()), *det, {});
+        auto agent = trainChannelAgent(*single, *multi_short, *env, ppo,
+                                       byMode(12, 60, 80),
+                                       byMode(4, 25, 40), train_epochs);
+        return capture(*env, policyActFn(agent->trainer.policy()), *det,
+                       {});
     };
     const TrainCapture baseline = trained(0.0, 57);
     const TrainCapture autocor = trained(-30.0, 58);

@@ -4,7 +4,7 @@
  * on four simulated machines (2048-bit random messages, best bit rate
  * with average error rate < 5%, sweeping the per-symbol repeat count).
  *
- * Absolute Mbps depends on the latency constants (EXPERIMENTS.md);
+ * Absolute Mbps depends on the latency constants (hw/latency_model.hpp);
  * the reproduced claims are the ordering (SS faster on every machine)
  * and the stealth property (no sender misses).
  */

@@ -3,11 +3,12 @@
  * Table III: attack sequences found on (simulated) real hardware.
  *
  * The paper explores Intel CPUs through CacheQuery without knowing
- * their replacement policies. Our substitution (DESIGN.md) is a
- * black-box single-set target per CPU/level with the documented
- * geometry, a hidden policy, measurement noise, and stray-access
- * interference. The agent sees only the MemorySystem interface, so
- * the black-box adaptation claim is exercised unchanged; the reported
+ * their replacement policies. Our substitution (hw/target.hpp,
+ * hw/machines.hpp) is a black-box single-set target per CPU/level with
+ * the documented geometry, a hidden policy, measurement noise, and
+ * stray-access interference, registered as one scenario per row. The
+ * agent sees only the MemorySystem interface, so the black-box
+ * adaptation claim is exercised unchanged; the reported
  * accuracy is the greedy policy evaluated over 1000 noisy episodes
  * (the paper repeats each sequence 1000x on silicon).
  */
@@ -52,9 +53,14 @@ main()
         // (reduced in fast mode).
         cfg.evalEpisodes = eval_episodes;
 
-        auto target =
-            std::make_unique<SimulatedHardwareTarget>(preset, 77 + i);
-        const ExplorationResult r = explore(cfg, std::move(target));
+        cfg.scenario = "table3_hw_" + std::to_string(i);
+        registerScenario(
+            cfg.scenario, [preset, i](const ScenarioContext &ctx) {
+                return std::make_unique<CacheGuessingGame>(
+                    ctx.env,
+                    std::make_unique<SimulatedHardwareTarget>(preset, 77 + i));
+            });
+        const ExplorationResult r = explore(cfg);
         const double accuracy = r.finalAccuracy;
 
         table.addRow({preset.cpu, preset.level,

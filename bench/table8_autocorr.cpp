@@ -56,11 +56,11 @@ evalTrained(double penalty_coef, int channel_epochs, int episodes,
 
     PpoConfig ppo;
     ppo.seed = seed;
-    auto trainer = trainChannelAgent(*single, *multi_short, *multi, ppo,
-                                     byMode(12, 60, 80),
-                                     byMode(4, 25, 40), channel_epochs);
+    auto agent = trainChannelAgent(*single, *multi_short, *multi, ppo,
+                                   byMode(12, 60, 80), byMode(4, 25, 40),
+                                   channel_epochs);
 
-    return evaluateWithDetector(*multi, policyActFn(trainer->policy()),
+    return evaluateWithDetector(*multi, policyActFn(agent->trainer.policy()),
                                 episodes, detector.get());
 }
 

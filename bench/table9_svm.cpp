@@ -4,7 +4,8 @@
  *
  * A linear SVM is trained offline on cyclic-interference features of
  * synthetic benign traces vs. textbook prime+probe traces (the paper
- * uses SPEC2017 for the benign side; see DESIGN.md substitutions).
+ * uses SPEC2017 for the benign side; the substitute generator is
+ * described in detect/benign_traces.hpp).
  * Three agents are then measured against it: the textbook attacker,
  * an RL baseline trained without the detector, and "RL SVM" trained
  * with the detection penalty in the reward.
@@ -93,11 +94,11 @@ main()
                               DetectorMode::Penalize);
         PpoConfig ppo;
         ppo.seed = seed;
-        auto trainer = trainChannelAgent(*single, *multi_short, *multi, ppo,
-                                         byMode(12, 60, 80),
-                                         byMode(4, 25, 40), train_epochs);
+        auto agent = trainChannelAgent(*single, *multi_short, *multi, ppo,
+                                       byMode(12, 60, 80),
+                                       byMode(4, 25, 40), train_epochs);
         return evaluateWithDetector(*multi,
-                                    policyActFn(trainer->policy()),
+                                    policyActFn(agent->trainer.policy()),
                                     eval_episodes, nullptr);
     };
 

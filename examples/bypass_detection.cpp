@@ -2,11 +2,12 @@
  * @file
  * Example: training an attacker against an active detector.
  *
- * Attaches the miss-count detector (performance-counter style) to the
- * environment in Terminate mode: any victim cache miss ends the
- * episode with a detection penalty. The agent must find an attack
- * that never makes the victim miss — the pressure that produced
- * StealthyStreamline in the paper (Section V-D).
+ * Trains on the miss_detect_terminate scenario, which attaches the
+ * miss-count detector (performance-counter style) to the environment
+ * in Terminate mode: any victim cache miss ends the episode with a
+ * detection penalty. The agent must find an attack that never makes
+ * the victim miss — the pressure that produced StealthyStreamline in
+ * the paper (Section V-D).
  *
  *   $ ./examples/bypass_detection
  */
@@ -32,7 +33,7 @@ main()
     cfg.env.victimAddrE = 0;
     cfg.env.victimNoAccessEnable = true;
     cfg.env.windowSize = 16;
-    cfg.env.detectionEnable = true;  // detector terminates episodes
+    cfg.scenario = "miss_detect_terminate";  // detector ends episodes
     cfg.maxEpochs = 170;
 
     // With the victim line resident at episode start the victim can
@@ -41,11 +42,7 @@ main()
     cfg.env.initAccesses = 8;
 
     std::cout << "Training against the miss-count detector...\n";
-    const ExplorationResult with_detector = explore(
-        cfg, nullptr, [](CacheGuessingGame &env) {
-            env.attachDetector(std::make_shared<MissBasedDetector>(),
-                               DetectorMode::Terminate);
-        });
+    const ExplorationResult with_detector = explore(cfg);
 
     std::cout << "\nWith detector:\n"
               << "  converged: " << (with_detector.converged ? "yes"
@@ -57,7 +54,7 @@ main()
               << with_detector.finalGuess << "\n";
 
     // Baseline without the detector for contrast.
-    cfg.env.detectionEnable = false;
+    cfg.scenario = "guessing_game";
     const ExplorationResult baseline = explore(cfg);
     std::cout << "\nWithout detector (baseline):\n"
               << "  accuracy " << baseline.finalAccuracy

@@ -21,14 +21,14 @@
  * $AUTOCAT_RUNNER_DAEMON, or a runner_daemon next to this binary);
  * --endpoints H:P[,H:P...] adds remote runner_daemon slots to the
  * fleet (mixed fleets are fine); --checkpoint-dir/--workdir place the
- * per-cell checkpoints and job blobs; --manifest-dir DIR records
- * finished cells in a crash-safe grid manifest so a restarted run
- * re-enters instead of recomputing (--manifest-reset wipes a manifest
- * recorded for a different grid); --stop-after-cells N aborts the
- * scheduler after N cells finish (the simulated scheduler death the
- * net-smoke CI job restarts from). Worker deaths are injected on the
- * daemon side: start a runner_daemon with --chaos-kill-after N and
- * pass it as an endpoint.
+ * per-cell checkpoints and the local daemons' scratch; --manifest-dir
+ * DIR records finished cells in a crash-safe grid manifest so a
+ * restarted run re-enters instead of recomputing (--manifest-reset
+ * wipes a manifest recorded for a different grid); --stop-after-cells
+ * N aborts the scheduler after N cells finish (the simulated
+ * scheduler death the net-smoke CI job restarts from). Worker deaths
+ * are injected on the daemon side: start a runner_daemon with
+ * --chaos-kill-after N and pass it as an endpoint.
  *
  * Flags that mirror a sweep.* key (--json, --csv, --workers, --dist,
  * --workdir, --checkpoint-dir, --endpoints, --manifest-dir,

@@ -7,6 +7,10 @@ file, and exits non-zero listing any target that does not exist.
 External links (http/https/mailto) are ignored; anchors are checked
 against the target file's headings.
 
+Also scans the files under src/, bench/ and examples/ for mentions of
+a markdown file by name (e.g. "see EVALUATION.md") and fails on any
+name that no markdown file in the repo carries.
+
 Usage: scripts/check_doc_links.py [repo_root]
 """
 
@@ -15,6 +19,8 @@ import sys
 from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+MD_NAME_RE = re.compile(r"\b[\w\-]+\.md\b")
+CODE_DIRS = ("src", "bench", "examples")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 
@@ -49,6 +55,29 @@ def check_file(md: Path, root: Path) -> list:
     return errors
 
 
+def check_code_mentions(root: Path) -> list:
+    """Markdown file names mentioned in code that name no repo file."""
+    def visible(path: Path) -> bool:
+        return not any(part.startswith(".")
+                       for part in path.relative_to(root).parts)
+
+    names = {p.name for p in root.rglob("*.md") if visible(p)}
+    errors = []
+    for sub in CODE_DIRS:
+        for path in sorted((root / sub).rglob("*")):
+            if not path.is_file() or not visible(path):
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in MD_NAME_RE.findall(line):
+                    if name not in names:
+                        errors.append(
+                            f"{path.relative_to(root)}:{lineno}: "
+                            f"mentions {name}, which no markdown file "
+                            f"in the repo is named")
+    return errors
+
+
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     files = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
@@ -59,9 +88,11 @@ def main() -> int:
             continue
         checked += 1
         errors.extend(check_file(md, root))
+    errors.extend(check_code_mentions(root))
     for e in errors:
         print(f"ERROR: {e}")
-    print(f"checked {checked} file(s), {len(errors)} broken link(s)")
+    print(f"checked {checked} file(s) and the code under "
+          f"{', '.join(CODE_DIRS)}: {len(errors)} problem(s)")
     return 1 if errors else 0
 
 

@@ -70,12 +70,9 @@ TextbookPrimeProbeAgent::act(int last_latency)
     return actions_.triggerIndex();
 }
 
-namespace {
-
-template <typename ActFn>
 AgentRunStats
-runLoop(CacheGuessingGame &env, int episodes, ActFn &&choose,
-        const std::function<void()> &on_start)
+runScriptedAgent(CacheGuessingGame &env, ScriptedAgent &agent,
+                 int episodes)
 {
     AgentRunStats stats;
     stats.episodes = static_cast<std::size_t>(episodes);
@@ -85,15 +82,13 @@ runLoop(CacheGuessingGame &env, int episodes, ActFn &&choose,
     double return_sum = 0.0;
 
     for (int e = 0; e < episodes; ++e) {
-        std::vector<float> obs = env.reset();
-        if (on_start)
-            on_start();
+        env.reset();
+        agent.onEpisodeStart();
         int last_lat = LatNa;
         bool done = false;
         bool detected = false;
         while (!done) {
-            const std::size_t action = choose(obs, last_lat);
-            StepResult sr = env.step(action);
+            const StepResult sr = env.step(agent.act(last_lat));
             ++steps;
             return_sum += sr.reward;
             last_lat = sr.info.observedLatency;
@@ -105,7 +100,6 @@ runLoop(CacheGuessingGame &env, int episodes, ActFn &&choose,
             if (sr.info.detected)
                 detected = true;
             done = sr.done;
-            obs = std::move(sr.obs);
         }
         if (detected)
             ++detected_eps;
@@ -125,32 +119,6 @@ runLoop(CacheGuessingGame &env, int episodes, ActFn &&choose,
                  : 0.0;
     stats.meanReturn = return_sum / std::max(1, episodes);
     return stats;
-}
-
-} // namespace
-
-AgentRunStats
-runScriptedAgent(CacheGuessingGame &env, ScriptedAgent &agent,
-                 int episodes)
-{
-    return runLoop(
-        env, episodes,
-        [&](const std::vector<float> &, int last_lat) {
-            return agent.act(last_lat);
-        },
-        [&] { agent.onEpisodeStart(); });
-}
-
-AgentRunStats
-runPolicyAgent(CacheGuessingGame &env, ActorCritic &policy, int episodes)
-{
-    return runLoop(
-        env, episodes,
-        [&](const std::vector<float> &obs, int) {
-            const AcOutput &out = policy.forwardOne(obs);
-            return policy.argmax(out.logits, 0);
-        },
-        {});
 }
 
 } // namespace autocat

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "env/guessing_game.hpp"
-#include "rl/ppo.hpp"
 
 namespace autocat {
 
@@ -77,10 +76,6 @@ struct AgentRunStats
 /** Run @p agent for @p episodes on @p env. */
 AgentRunStats runScriptedAgent(CacheGuessingGame &env,
                                ScriptedAgent &agent, int episodes);
-
-/** Run a trained policy greedily for @p episodes on @p env. */
-AgentRunStats runPolicyAgent(CacheGuessingGame &env, ActorCritic &policy,
-                             int episodes);
 
 } // namespace autocat
 

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "env/batch_env_pool.hpp"
 #include "rl/checkpoint.hpp"
 #include "util/atomic_file.hpp"
 #include "util/binio.hpp"
@@ -20,8 +19,7 @@ constexpr char kCampaignMagic[8] = {'A', 'C', 'C', 'A', 'M', 'P', 'G',
 constexpr std::uint32_t kCampaignVersion = 1;
 
 /** Phase stop criterion: conjunctive over the criteria that are set,
- *  always requiring at least one guess per episode on average (the
- *  legacy trainUntil() contract). */
+ *  always requiring at least one guess per episode on average. */
 bool
 phaseStopSatisfied(const CurriculumPhase &phase, const EvalStats &eval)
 {
@@ -127,12 +125,8 @@ RewardOverrides::apply(EnvConfig &env) const
         env.noGuessReward = *noGuessReward;
 }
 
-TrainingSession::TrainingSession(CampaignConfig config,
-                                 std::unique_ptr<MemorySystem> memory,
-                                 EnvDecorator decorate)
-    : config_(std::move(config)),
-      memory_(std::move(memory)),
-      decorate_(std::move(decorate))
+TrainingSession::TrainingSession(CampaignConfig config)
+    : config_(std::move(config))
 {
 }
 
@@ -153,16 +147,16 @@ TrainingSession::resolvedPhases() const
 {
     if (!config_.phases.empty())
         return config_.phases;
-    // Legacy explore() semantics: one phase driven by the base config's
-    // budget and accuracy target. trainUntil() treated ANY target as an
-    // active criterion (a negative target converges on the first
-    // guessing epoch), while a negative phase target means "disabled" —
-    // clamp to 0 so the legacy behavior is preserved exactly.
-    CurriculumPhase legacy;
-    legacy.name = "explore";
-    legacy.maxEpochs = config_.base.maxEpochs;
-    legacy.targetAccuracy = std::max(0.0, config_.base.targetAccuracy);
-    return {legacy};
+    // explore(): one phase driven by the base config's budget and
+    // accuracy target. explore() treats ANY target as an active
+    // criterion (a negative target converges on the first guessing
+    // epoch), while a negative phase target means "disabled" — clamp
+    // to 0.
+    CurriculumPhase single;
+    single.name = "explore";
+    single.maxEpochs = config_.base.maxEpochs;
+    single.targetAccuracy = std::max(0.0, config_.base.targetAccuracy);
+    return {single};
 }
 
 std::string
@@ -190,47 +184,14 @@ void
 TrainingSession::buildPhaseEnv(const CurriculumPhase &phase,
                                const ScenarioContext &ctx)
 {
-    const std::string scenario = phaseScenario(phase);
-    const auto decorate_stream = [this](Environment &env) {
-        if (!decorate_)
-            return;
-        auto *game = dynamic_cast<CacheGuessingGame *>(&env);
-        if (!game)
-            throw std::invalid_argument(
-                "explore: the decorator requires a CacheGuessingGame "
-                "scenario");
-        decorate_(*game);
-    };
-
-    const VecEnvKind kind = config_.base.batchEnv
-                                ? VecEnvKind::Batch
-                                : (config_.base.threadedEnvs
-                                       ? VecEnvKind::Threaded
-                                       : VecEnvKind::Sync);
-    if (memory_) {
-        // An externally-built memory system exists exactly once, so it
-        // can back exactly one stream.
-        std::vector<std::unique_ptr<Environment>> envs;
-        envs.push_back(makeEnv(scenario, ctx, std::move(memory_)));
-        decorate_stream(*envs.front());
-        switch (kind) {
-          case VecEnvKind::Batch:
-            vec_ = std::make_unique<BatchVecEnv>(std::move(envs));
-            break;
-          case VecEnvKind::Threaded:
-            vec_ = std::make_unique<ThreadedVecEnv>(std::move(envs));
-            break;
-          case VecEnvKind::Sync:
-            vec_ = std::make_unique<SyncVecEnv>(std::move(envs));
-            break;
-        }
-    } else {
-        vec_ = makeVecEnv(
-            scenario, ctx,
-            static_cast<std::size_t>(
-                std::max(1, config_.base.numStreams)),
-            kind, decorate_stream);
-    }
+    vec_ = makeVecEnv(phaseScenario(phase), ctx,
+                      static_cast<std::size_t>(
+                          std::max(1, config_.base.numStreams)),
+                      config_.base.batchEnv
+                          ? VecEnvKind::Batch
+                          : (config_.base.threadedEnvs
+                                 ? VecEnvKind::Threaded
+                                 : VecEnvKind::Sync));
 }
 
 void
@@ -302,15 +263,6 @@ TrainingSession::run(const EpochCallback &epoch_cb,
 
     const std::vector<CurriculumPhase> phases = resolvedPhases();
     const bool checkpointing = !config_.checkpointPath.empty();
-    if (checkpointing && memory_)
-        throw std::invalid_argument(
-            "campaign: checkpointing cannot rebuild an externally-built "
-            "memory system; drop the memory argument or the checkpoint "
-            "path");
-    if (phases.size() > 1 && memory_)
-        throw std::invalid_argument(
-            "campaign: an externally-built memory system supports a "
-            "single phase only");
 
     CampaignResult result;
     std::size_t start_phase = 0;

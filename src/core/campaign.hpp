@@ -19,9 +19,7 @@
  *
  * explore() (core/explore.hpp) is a thin one-phase campaign: a
  * CampaignConfig whose phase list is empty resolves to a single phase
- * built from the base ExplorationConfig, and the session's epoch loop
- * reproduces the legacy trainUntil()/evaluate()/extractSequence()
- * sequence bit-for-bit.
+ * built from the base ExplorationConfig's budget and accuracy target.
  *
  * ## Checkpointing and deterministic resume
  *
@@ -120,8 +118,8 @@ struct CampaignConfig
     ExplorationConfig base;
 
     /**
-     * Ordered phases; empty resolves to a single phase equivalent to
-     * the legacy explore() semantics of the base config.
+     * Ordered phases; empty resolves to the single phase explore()
+     * runs for the base config.
      */
     std::vector<CurriculumPhase> phases;
 
@@ -169,13 +167,9 @@ struct CampaignResult
 };
 
 /**
- * A campaign execution: owns the trainer and the per-phase VecEnv.
- *
- * The optional @p memory / @p decorate arguments mirror explore()'s
- * legacy hooks (externally-built memory system forcing a single
- * stream, detector decoration). They are incompatible with
- * checkpointing and multi-phase campaigns, which must be able to
- * rebuild environments from configuration alone.
+ * A campaign execution: owns the trainer and the per-phase VecEnv,
+ * which it builds from configuration alone (the scenario registry), so
+ * any phase boundary can be rebuilt on resume.
  */
 class TrainingSession
 {
@@ -188,9 +182,7 @@ class TrainingSession
     using CheckpointCallback = std::function<void(
         const std::string &path, std::size_t phase, int epochsDone)>;
 
-    explicit TrainingSession(CampaignConfig config,
-                             std::unique_ptr<MemorySystem> memory = nullptr,
-                             EnvDecorator decorate = {});
+    explicit TrainingSession(CampaignConfig config);
     ~TrainingSession();
 
     /** Execute (or resume) the campaign. One run() per session. */
@@ -203,7 +195,7 @@ class TrainingSession
 
     const CampaignConfig &config() const { return config_; }
 
-    /** The phase list run() executes (resolved legacy phase included). */
+    /** The phase list run() executes (explore()'s phase included). */
     std::vector<CurriculumPhase> resolvedPhases() const;
 
   private:
@@ -223,8 +215,6 @@ class TrainingSession
                std::vector<PhaseResult> *results);
 
     CampaignConfig config_;
-    std::unique_ptr<MemorySystem> memory_;
-    EnvDecorator decorate_;
     std::unique_ptr<VecEnv> vec_;
     std::unique_ptr<PpoTrainer> trainer_;
     bool ran_ = false;

@@ -51,13 +51,10 @@ extractSequence(CacheGuessingGame &env, ActorCritic &policy,
 /*
  * explore() is a thin one-phase campaign: an empty phase list resolves
  * to a single phase driven by the base config's budget and accuracy
- * target, and TrainingSession's epoch loop reproduces the legacy
- * trainUntil()/evaluate()/extractSequence() sequence bit-for-bit
- * (pinned by test_explore and test_e2e_discovery).
+ * target (pinned by test_explore and test_e2e_discovery).
  */
 ExplorationResult
-explore(const ExplorationConfig &config,
-        std::unique_ptr<MemorySystem> memory, const EnvDecorator &decorate)
+explore(const ExplorationConfig &config)
 {
     CampaignConfig campaign;
     campaign.base = config;
@@ -73,8 +70,7 @@ explore(const ExplorationConfig &config,
             }
         };
 
-    TrainingSession session(std::move(campaign), std::move(memory),
-                            decorate);
+    TrainingSession session(std::move(campaign));
     return session.run(log_cb).final;
 }
 

@@ -9,14 +9,10 @@
 #ifndef AUTOCAT_CORE_EXPLORE_HPP
 #define AUTOCAT_CORE_EXPLORE_HPP
 
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "attacks/classifier.hpp"
 #include "attacks/sequence.hpp"
-#include "cache/memory_system.hpp"
-#include "detect/detector.hpp"
 #include "env/env_config.hpp"
 #include "env/env_registry.hpp"
 #include "env/guessing_game.hpp"
@@ -104,29 +100,16 @@ struct ExplorationResult
     AttackCategory category = AttackCategory::Unknown;
 };
 
-/** Hook to decorate the environment (attach detectors) before training. */
-using EnvDecorator = std::function<void(CacheGuessingGame &)>;
-
 /**
  * Run one exploration.
  *
  * Training environments are built from the scenario registry
- * (config.scenario) as a config.numStreams-stream VecEnv; the
- * decorator runs on every stream. Passing a decorator with a scenario
- * that does not produce CacheGuessingGame environments is an error
- * (std::invalid_argument) — detectors cannot be attached silently
- * nowhere.
- *
- * @param config    exploration description
- * @param memory    optional externally-built memory system (e.g. a
- *                  SimulatedHardwareTarget); forces a single stream
- *                  since only one instance exists. Defaults to the one
- *                  the EnvConfig describes.
- * @param decorate  optional detector attachment hook
+ * (config.scenario) as a config.numStreams-stream VecEnv. A run over
+ * something the EnvConfig cannot describe (a hardware target, a
+ * detector in the loop) names a scenario registered for it (see
+ * env/env_registry.hpp).
  */
-ExplorationResult explore(const ExplorationConfig &config,
-                          std::unique_ptr<MemorySystem> memory = nullptr,
-                          const EnvDecorator &decorate = {});
+ExplorationResult explore(const ExplorationConfig &config);
 
 /**
  * Extract the greedy episode trajectory from a trained policy.

@@ -9,7 +9,7 @@
  * cache with strided loops, working-set re-use, and zipf-like random
  * accesses, producing near-zero *cross-domain cyclic* interference,
  * while contention channels alternate domains on the same sets every
- * few accesses. (See DESIGN.md substitution table.)
+ * few accesses.
  */
 
 #ifndef AUTOCAT_DETECT_BENIGN_TRACES_HPP

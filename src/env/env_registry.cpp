@@ -69,14 +69,11 @@ resolveHierarchy(EnvConfig cfg, const HierarchyShape &shape)
 EnvFactory
 hierarchyFactory(const HierarchyShape &shape)
 {
-    return [shape](const ScenarioContext &ctx,
-                   std::unique_ptr<MemorySystem> memory)
+    return [shape](const ScenarioContext &ctx)
                -> std::unique_ptr<Environment> {
         const EnvConfig resolved = resolveHierarchy(ctx.env, shape);
-        if (!memory)
-            memory = makeMemorySystem(resolved);
-        return std::make_unique<CacheGuessingGame>(resolved,
-                                                   std::move(memory));
+        return std::make_unique<CacheGuessingGame>(
+            resolved, makeMemorySystem(resolved));
     };
 }
 
@@ -92,16 +89,12 @@ detectorScenarioFactory(const DetectorSpec &default_spec,
                         bool force_detection_enable)
 {
     return [default_spec, force_detection_enable](
-               const ScenarioContext &ctx,
-               std::unique_ptr<MemorySystem> memory)
-               -> std::unique_ptr<Environment> {
+               const ScenarioContext &ctx) -> std::unique_ptr<Environment> {
         EnvConfig cfg = ctx.env;
         if (force_detection_enable)
             cfg.detectionEnable = true;
-        if (!memory)
-            memory = makeMemorySystem(cfg);
         auto game =
-            std::make_unique<CacheGuessingGame>(cfg, std::move(memory));
+            std::make_unique<CacheGuessingGame>(cfg, makeMemorySystem(cfg));
         if (ctx.detectors.empty()) {
             game->attachDetector(
                 makeDetector(default_spec, ctx.attackedCache()),
@@ -120,14 +113,8 @@ detectorScenarioFactory(const DetectorSpec &default_spec,
  * same guarantee the config parser gives the cache address space).
  */
 std::unique_ptr<Environment>
-makeTlbEvictEnv(const ScenarioContext &ctx,
-                std::unique_ptr<MemorySystem> memory)
+makeTlbEvictEnv(const ScenarioContext &ctx)
 {
-    if (memory) {
-        throw std::invalid_argument(
-            "tlb_evict: an external MemorySystem cannot back the TLB "
-            "channel");
-    }
     EnvConfig cfg = ctx.env;
     TlbConfig tlb = cfg.channel.tlb;
     const std::uint64_t needed =
@@ -155,14 +142,8 @@ makeTlbEvictEnv(const ScenarioContext &ctx,
  * alias.
  */
 std::unique_ptr<Environment>
-makePrefetchProbeEnv(const ScenarioContext &ctx,
-                     std::unique_ptr<MemorySystem> memory)
+makePrefetchProbeEnv(const ScenarioContext &ctx)
 {
-    if (memory) {
-        throw std::invalid_argument(
-            "prefetch_probe: an external MemorySystem cannot back the "
-            "prefetcher channel");
-    }
     EnvConfig cfg = ctx.env;
     CacheConfig cache = cfg.cache;
     const std::uint64_t max_stride =
@@ -190,13 +171,9 @@ registry()
     static Registry *r = [] {
         auto *init = new Registry;
         init->factories["guessing_game"] =
-            [](const ScenarioContext &ctx,
-               std::unique_ptr<MemorySystem> memory)
-            -> std::unique_ptr<Environment> {
-            if (!memory)
-                memory = makeMemorySystem(ctx.env);
-            return std::make_unique<CacheGuessingGame>(ctx.env,
-                                                       std::move(memory));
+            [](const ScenarioContext &ctx) -> std::unique_ptr<Environment> {
+            return std::make_unique<CacheGuessingGame>(
+                ctx.env, makeMemorySystem(ctx.env));
         };
         // Hierarchy scenarios: the guessing game over a CacheHierarchy
         // (Table IV configs 16/17 and the shapes the ROADMAP calls for).
@@ -294,8 +271,7 @@ scenarioNames()
 }
 
 std::unique_ptr<Environment>
-makeEnv(const std::string &name, const ScenarioContext &ctx,
-        std::unique_ptr<MemorySystem> memory)
+makeEnv(const std::string &name, const ScenarioContext &ctx)
 {
     EnvFactory factory;
     {
@@ -307,22 +283,20 @@ makeEnv(const std::string &name, const ScenarioContext &ctx,
                                     "\"");
         factory = it->second;
     }
-    std::unique_ptr<Environment> env = factory(ctx, std::move(memory));
+    std::unique_ptr<Environment> env = factory(ctx);
     applyContextDetectors(*env, ctx, name);
     return env;
 }
 
 std::unique_ptr<Environment>
-makeEnv(const std::string &name, const EnvConfig &config,
-        std::unique_ptr<MemorySystem> memory)
+makeEnv(const std::string &name, const EnvConfig &config)
 {
-    return makeEnv(name, ScenarioContext(config), std::move(memory));
+    return makeEnv(name, ScenarioContext(config));
 }
 
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, VecEnvKind kind,
-           const std::function<void(Environment &)> &decorate)
+           std::size_t num_streams, VecEnvKind kind)
 {
     if (num_streams == 0)
         throw std::invalid_argument("makeVecEnv: need at least one stream");
@@ -332,8 +306,6 @@ makeVecEnv(const std::string &name, const ScenarioContext &ctx,
         ScenarioContext stream_ctx = ctx;
         stream_ctx.env.seed = ctx.env.seed + i;
         envs.push_back(makeEnv(name, stream_ctx));
-        if (decorate)
-            decorate(*envs.back());
     }
     switch (kind) {
       case VecEnvKind::Threaded:
@@ -348,11 +320,9 @@ makeVecEnv(const std::string &name, const ScenarioContext &ctx,
 
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, VecEnvKind kind,
-           const std::function<void(Environment &)> &decorate)
+           std::size_t num_streams, VecEnvKind kind)
 {
-    return makeVecEnv(name, ScenarioContext(config), num_streams, kind,
-                      decorate);
+    return makeVecEnv(name, ScenarioContext(config), num_streams, kind);
 }
 
 } // namespace autocat

@@ -8,8 +8,9 @@
  * hardware targets, detector-in-the-loop workloads) plug in without
  * touching any call site. A scenario is a factory from a
  * ScenarioContext — the EnvConfig plus declarative detector
- * attachments — (and an optional externally-built MemorySystem) to an
- * Environment.
+ * attachments — to an Environment. Something the EnvConfig cannot
+ * describe (a SimulatedHardwareTarget, say) is a scenario of its own:
+ * registerScenario() a factory that builds it.
  *
  * Built-in scenarios:
  *  - "guessing_game": the paper's cache guessing game over the memory
@@ -54,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/memory_system.hpp"
 #include "detect/detector_factory.hpp"
 #include "env/env_config.hpp"
 #include "rl/env_interface.hpp"
@@ -88,14 +88,12 @@ struct ScenarioContext
 };
 
 /**
- * Scenario factory. @p memory may be null, in which case the factory
- * builds the memory system the context's EnvConfig describes (if it
- * needs one). Detector attachments in the context are applied by
+ * Scenario factory. Detector attachments in the context are applied by
  * makeEnv() after construction; factories only attach their own
  * scenario-default detectors (and only when ctx.detectors is empty).
  */
-using EnvFactory = std::function<std::unique_ptr<Environment>(
-    const ScenarioContext &, std::unique_ptr<MemorySystem> memory)>;
+using EnvFactory =
+    std::function<std::unique_ptr<Environment>(const ScenarioContext &)>;
 
 /**
  * Register a scenario under @p name, replacing any previous factory
@@ -121,13 +119,11 @@ std::vector<std::string> scenarioNames();
  *         cannot be attached silently nowhere)
  */
 std::unique_ptr<Environment>
-makeEnv(const std::string &name, const ScenarioContext &ctx,
-        std::unique_ptr<MemorySystem> memory = nullptr);
+makeEnv(const std::string &name, const ScenarioContext &ctx);
 
 /** EnvConfig shorthand (no detector attachments). */
 std::unique_ptr<Environment>
-makeEnv(const std::string &name, const EnvConfig &config,
-        std::unique_ptr<MemorySystem> memory = nullptr);
+makeEnv(const std::string &name, const EnvConfig &config);
 
 /** Which VecEnv adapter makeVecEnv wraps the streams in. */
 enum class VecEnvKind
@@ -149,20 +145,15 @@ enum class VecEnvKind
  * @param ctx         shared context (env.seed becomes the base seed)
  * @param num_streams N >= 1
  * @param kind        adapter the streams are wrapped in
- * @param decorate    optional per-stream hook (extra detectors, forced
- *                    state) run on each environment right after
- *                    construction and context attachment
  */
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync,
-           const std::function<void(Environment &)> &decorate = {});
+           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync);
 
 /** EnvConfig shorthand (no detector attachments). */
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync,
-           const std::function<void(Environment &)> &decorate = {});
+           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync);
 
 } // namespace autocat
 

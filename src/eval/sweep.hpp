@@ -135,8 +135,8 @@ struct SweepConfig
      */
     double heartbeatTimeoutS = 0.0;
 
-    /** Scratch directory for job blobs and the local daemons' work
-     *  dirs; empty derives `<checkpointDir or .>/dist_work`. Config
+    /** Scratch directory for the local daemons' work dirs and port
+     *  files; empty derives `<checkpointDir or .>/dist_work`. Config
      *  key sweep.dist_work_dir. */
     std::string distWorkDir;
 

@@ -5,8 +5,8 @@
  * Converts attack/covert-channel access sequences into cycle counts
  * (and thus Mbps at a given core frequency). The constants follow
  * typical published Intel load-to-use latencies; the exact values are
- * documented in EXPERIMENTS.md since the paper's absolute bit rates
- * depend on its authors' silicon.
+ * the LatencyModel defaults below, since the paper's absolute bit
+ * rates depend on its authors' silicon.
  */
 
 #ifndef AUTOCAT_HW_LATENCY_MODEL_HPP

@@ -13,15 +13,6 @@ PpoTrainer::PpoTrainer(VecEnv &envs, const PpoConfig &config)
     init();
 }
 
-PpoTrainer::PpoTrainer(Environment &env, const PpoConfig &config)
-    : owned_env_(std::make_unique<SyncVecEnv>(env)),
-      envs_(owned_env_.get()),
-      config_(config),
-      rng_(config.seed)
-{
-    init();
-}
-
 void
 PpoTrainer::init()
 {
@@ -349,23 +340,6 @@ PpoTrainer::evaluate(int episodes, bool greedy)
     return stats;
 }
 
-int
-PpoTrainer::trainUntil(double target_accuracy, int max_epochs,
-                       int eval_episodes, const EpochCallback &callback)
-{
-    for (int e = 1; e <= max_epochs; ++e) {
-        EpochStats stats = runEpoch();
-        stats.eval = evaluate(eval_episodes, /*greedy=*/true);
-        if (callback)
-            callback(stats);
-        const bool guessing =
-            stats.eval.guesses >= stats.eval.episodes;
-        if (guessing && stats.eval.guessAccuracy >= target_accuracy)
-            return e;
-    }
-    return -1;
-}
-
 void
 PpoTrainer::setVecEnv(VecEnv &envs)
 {
@@ -375,20 +349,6 @@ PpoTrainer::setVecEnv(VecEnv &envs)
             "setVecEnv: observation/action dimensions must match");
     }
     envs_ = &envs;
-    owned_env_.reset();
-    rebuildBuffer();
-}
-
-void
-PpoTrainer::setEnvironment(Environment &env)
-{
-    if (env.observationSize() != envs_->observationSize() ||
-        env.numActions() != envs_->numActions()) {
-        throw std::invalid_argument(
-            "setEnvironment: observation/action dimensions must match");
-    }
-    owned_env_ = std::make_unique<SyncVecEnv>(env);
-    envs_ = owned_env_.get();
     rebuildBuffer();
 }
 

@@ -97,28 +97,14 @@ class PpoTrainer
     /** Observer invoked after every epoch (may be empty). */
     using EpochCallback = std::function<void(const EpochStats &)>;
 
-    /** Train through @p envs (N streams, batched forward passes). */
-    PpoTrainer(VecEnv &envs, const PpoConfig &config);
-
     /**
-     * Single-environment shorthand: wraps @p env in an internal
-     * 1-stream SyncVecEnv. @p env must outlive the trainer.
+     * Train through @p envs (N streams, batched forward passes).
+     * @p envs must outlive the trainer (or its next setVecEnv()).
      */
-    PpoTrainer(Environment &env, const PpoConfig &config);
+    PpoTrainer(VecEnv &envs, const PpoConfig &config);
 
     /** Collect stepsPerEpoch transitions and run the PPO update. */
     EpochStats runEpoch();
-
-    /**
-     * Train until the greedy policy reaches @p target_accuracy (with at
-     * least one guess per episode on average) or @p max_epochs elapse.
-     *
-     * @return the 1-based epoch at which convergence was first observed,
-     *         or -1 if training did not converge
-     */
-    int trainUntil(double target_accuracy, int max_epochs,
-                   int eval_episodes = 100,
-                   const EpochCallback &callback = {});
 
     /**
      * Evaluate the current policy over @p episodes fresh episodes,
@@ -158,9 +144,6 @@ class PpoTrainer
      */
     void setVecEnv(VecEnv &envs);
 
-    /** Single-environment shorthand for setVecEnv(). */
-    void setEnvironment(Environment &env);
-
   private:
     /** Serialization backdoor (rl/checkpoint.cpp only). */
     friend struct PpoCheckpointAccess;
@@ -172,7 +155,6 @@ class PpoTrainer
     void init();
     void rebuildBuffer();
 
-    std::unique_ptr<SyncVecEnv> owned_env_;  ///< single-env shorthand
     VecEnv *envs_;
     PpoConfig config_;
     Rng rng_;

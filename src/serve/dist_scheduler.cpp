@@ -15,7 +15,6 @@
 #include "serve/manifest/manifest.hpp"
 #include "serve/net/transport.hpp"
 #include "serve/wire.hpp"
-#include "util/atomic_file.hpp"
 #include "util/logging.hpp"
 
 namespace autocat {
@@ -46,13 +45,8 @@ struct GridState
     ScheduledGrid grid;
     SweepReport report;
     std::optional<GridManifest> manifest;
+    std::vector<std::string> jobBlobs; ///< per cell, sent on every attempt
     std::size_t done = 0;
-
-    std::string
-    jobPath(std::size_t cell) const
-    {
-        return grid.workDir + "/job_" + std::to_string(cell) + ".blob";
-    }
 };
 
 void
@@ -99,7 +93,7 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
             "endpoints)");
     }
 
-    // ----- per-grid setup: stage jobs, open manifests, adopt rows
+    // ----- per-grid setup: serialize jobs, open manifests, adopt rows
     std::vector<GridState> states;
     states.reserve(grids.size());
     std::deque<PendingCell> pending;
@@ -118,21 +112,18 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
         state.report.name = state.grid.name;
         state.report.cells.resize(state.grid.cells.size());
 
-        // Stage every job blob up front: a crashed scheduler leaves a
-        // complete, restartable job set on disk. The blobs also
-        // define the grid's manifest identity.
-        std::vector<std::string> job_blobs;
-        job_blobs.reserve(state.grid.cells.size());
-        for (const SweepCell &cell : state.grid.cells) {
-            job_blobs.push_back(serializeCellJob(cell));
-            atomicWriteFile(state.jobPath(cell.index),
-                            job_blobs.back(), "cell job");
-        }
+        // Every job blob is serialized up front and kept in memory for
+        // the attempts; the blobs also define the grid's manifest
+        // identity. A restarted scheduler serializes them again from
+        // its config.
+        state.jobBlobs.reserve(state.grid.cells.size());
+        for (const SweepCell &cell : state.grid.cells)
+            state.jobBlobs.push_back(serializeCellJob(cell));
 
         if (!state.grid.manifestDir.empty()) {
             state.manifest.emplace(
                 state.grid.manifestDir, state.grid.name,
-                gridManifestHash(job_blobs), state.grid.cells.size(),
+                gridManifestHash(state.jobBlobs), state.grid.cells.size(),
                 state.grid.manifestReset);
         }
 
@@ -170,8 +161,8 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
         }
     }
 
-    // ----- the fleet (local daemons keep their scratch beside the
-    // first grid's job blobs)
+    // ----- the fleet (local daemons keep their scratch in the first
+    // grid's work directory)
     std::vector<std::unique_ptr<RunnerTransport>> transports;
     for (int s = 0; s < local_slots; ++s)
         transports.push_back(makeLocalDaemonTransport(
@@ -279,7 +270,7 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
             const GridState &state = states[next.grid];
 
             AttemptSpec spec;
-            spec.jobPath = state.jobPath(next.cell);
+            spec.jobBlob = state.jobBlobs[next.cell];
             if (!state.grid.checkpointDir.empty()) {
                 spec.checkpointPath = cellCheckpointPath(
                     state.grid.checkpointDir, next.cell);

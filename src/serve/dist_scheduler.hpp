@@ -8,8 +8,9 @@
  * Execution model — the process-boundary analogue of util/TaskPool's
  * claiming discipline:
  *
- *  - Every cell is serialized to a job blob (serve/wire.hpp) under
- *    its grid's work directory before any attempt starts.
+ *  - Every cell is serialized to a job blob (serve/wire.hpp) before
+ *    any attempt starts; the scheduler keeps the blobs in memory and
+ *    sends one with every attempt.
  *  - Each transport is one worker slot holding at most one cell
  *    attempt. A slot that frees up dynamically claims the next
  *    pending cell (grid submission order first, then the retry
@@ -110,9 +111,8 @@ struct ScheduledGrid
     std::string name;
     std::vector<SweepCell> cells;
 
-    /** Scratch directory for job blobs (and, for the first grid, the
-     *  local daemons' scratch); created on demand (required, one per
-     *  grid). */
+    /** Work directory, created on demand (required, one per grid);
+     *  the first grid's holds the local daemons' scratch. */
     std::string workDir;
 
     /** Per-cell campaign checkpoint directory; empty disables

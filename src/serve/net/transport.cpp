@@ -75,8 +75,7 @@ class TcpRunnerTransport final : public RunnerTransport
                 FrameType::Checkpoint,
                 readWholeFile(spec.checkpointPath, "cell checkpoint"));
         }
-        wire += encodeFrame(
-            FrameType::Job, readWholeFile(spec.jobPath, "cell job"));
+        wire += encodeFrame(FrameType::Job, spec.jobBlob);
         if (!sendAll(fd_.fd(), wire.data(), wire.size())) {
             fd_.reset();
             retire("dropped the connection during job upload");

@@ -51,7 +51,7 @@ namespace autocat {
 /** Everything one attempt needs, resolved by the scheduler. */
 struct AttemptSpec
 {
-    std::string jobPath;        ///< staged job blob
+    std::string jobBlob;        ///< serialized cell job (serve/wire.hpp)
     std::string checkpointPath; ///< scheduler-side ckpt; "" = disabled
     int checkpointEvery = 0;    ///< cadence when checkpointing is on
 };

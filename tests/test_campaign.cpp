@@ -122,11 +122,9 @@ TEST(BypassScenarios, DetectorsRejectedOnNonGameScenario)
         std::vector<float> reset() override { return {0.0f}; }
         StepResult step(std::size_t) override { return {}; }
     };
-    registerScenario("test_non_game",
-                     [](const ScenarioContext &,
-                        std::unique_ptr<MemorySystem>) {
-                         return std::make_unique<Dummy>();
-                     });
+    registerScenario("test_non_game", [](const ScenarioContext &) {
+        return std::make_unique<Dummy>();
+    });
     ScenarioContext ctx(tinyBase().env);
     DetectorSpec miss;
     miss.kind = "miss";
@@ -380,17 +378,6 @@ TEST(Campaign, ResumeWithMissingFileStartsFresh)
     EXPECT_FALSE(result.resumed);
     EXPECT_EQ(result.phases.size(), 1u);
     std::remove(campaign.checkpointPath.c_str());
-}
-
-TEST(Campaign, CheckpointingRejectsExternalMemorySystems)
-{
-    CampaignConfig campaign;
-    campaign.base = tinyBase();
-    campaign.checkpointPath = "/tmp/never_written.ckpt";
-    auto memory =
-        std::make_unique<SingleLevelMemory>(campaign.base.env.cache);
-    TrainingSession session(std::move(campaign), std::move(memory));
-    EXPECT_THROW(session.run(), std::invalid_argument);
 }
 
 // --------------------------------------------------- config keys --

@@ -96,31 +96,75 @@ TEST(Explore, VersionStringMentionsLibrary)
               std::string::npos);
 }
 
-TEST(Explore, DetectorDecoratorIsInvoked)
+/**
+ * Bits of a tiny run with a 2-epoch budget. They were captured when
+ * explore() still took an externally-built memory system and a
+ * detector decorator; the registered scenarios that replaced those
+ * hooks reproduce them exactly.
+ */
+struct RunGolden
 {
-    ExplorationConfig cfg = tinyConfig();
-    cfg.maxEpochs = 1;  // just exercise the wiring
-    bool decorated = false;
-    explore(cfg, nullptr, [&](CacheGuessingGame &env) {
-        decorated = true;
-        EXPECT_EQ(env.numActions(), 6u);
-    });
-    EXPECT_TRUE(decorated);
+    int epochsToConverge;
+    long long stepsToDiscovery, envSteps;
+    double acc, len, detectionRate;
+    const char *seq;
+    const char *guess;
+};
+
+void
+expectRunGolden(const ExplorationResult &r, const RunGolden &g)
+{
+    EXPECT_EQ(r.epochsToConverge, g.epochsToConverge);
+    EXPECT_EQ(r.stepsToDiscovery, g.stepsToDiscovery);
+    EXPECT_EQ(r.envSteps, g.envSteps);
+    EXPECT_EQ(r.finalAccuracy, g.acc);
+    EXPECT_EQ(r.finalEpisodeLength, g.len);
+    EXPECT_EQ(r.detectionRate, g.detectionRate);
+    EXPECT_EQ(r.sequence.toString(), g.seq);
+    EXPECT_EQ(r.finalGuess, g.guess);
 }
 
-TEST(Explore, HardwareTargetMemoryPlugsIn)
+/** A 2-way LRU target with both noise processes well above zero. */
+HardwareTargetPreset
+noisyTargetPreset()
 {
-    ExplorationConfig cfg = tinyConfig();
-    cfg.maxEpochs = 1;
     HardwareTargetPreset preset;
     preset.ways = 2;
     preset.policy = ReplPolicy::Lru;
     preset.attackAddrE = 2;
-    preset.obsNoise = 0.0;
-    preset.interference = 0.0;
-    auto target = std::make_unique<SimulatedHardwareTarget>(preset, 3);
-    const ExplorationResult r = explore(cfg, std::move(target));
-    EXPECT_GT(r.envSteps, 0);
+    preset.obsNoise = 0.05;
+    preset.interference = 0.05;
+    return preset;
+}
+
+TEST(Explore, HardwareTargetMemoryPlugsIn)
+{
+    registerScenario("test_noisy_target", [](const ScenarioContext &ctx) {
+        return std::make_unique<CacheGuessingGame>(
+            ctx.env,
+            std::make_unique<SimulatedHardwareTarget>(noisyTargetPreset(),
+                                                      3));
+    });
+    ExplorationConfig cfg = tinyConfig();
+    cfg.scenario = "test_noisy_target";
+    cfg.maxEpochs = 2;
+    cfg.ppo.minibatchSize = 100;
+    cfg.targetAccuracy = 0.45;
+    expectRunGolden(explore(cfg),
+                    {1, 1500, 1500, 0x1.4444444444444p-2,
+                     0x1.4111111111111p+2, 0.0, "v -> 2 -> 2 -> 0 -> g",
+                     "gE"});
+}
+
+TEST(Explore, MissDetectorRunMatchesGolden)
+{
+    ExplorationConfig cfg = tinyConfig();
+    cfg.scenario = "miss_detect_terminate";
+    cfg.maxEpochs = 2;
+    cfg.ppo.minibatchSize = 100;
+    expectRunGolden(explore(cfg),
+                    {-1, -1, 3000, 1.0, 0x1.8888888888889p+0,
+                     0x1.ddddddddddddep-2, "v -> g", ""});
 }
 
 TEST(BenchMode, DefaultsWithoutEnvVars)

@@ -808,6 +808,11 @@ TEST(NetScheduler, LocalDaemonsMatchInProcessBytes)
     // outlives the run.
     EXPECT_TRUE(fs::is_directory(root / "work" / "local_0"));
     EXPECT_TRUE(childPids().empty());
+    // Job blobs go to the daemons from memory; none is staged on disk.
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(root / "work"))
+        EXPECT_NE(entry.path().extension().string(), ".blob")
+            << entry.path();
     fs::remove_all(root);
 }
 

@@ -130,25 +130,47 @@ class ProbeEnv : public Environment
     int steps_ = 0;
 };
 
+/**
+ * Train until the greedy policy reaches @p target accuracy with at
+ * least one guess per episode on average (a campaign phase's stop
+ * rule), or @p max_epochs elapse.
+ *
+ * @return the 1-based converging epoch, or -1
+ */
+int
+trainToAccuracy(PpoTrainer &trainer, double target, int max_epochs,
+                int eval_episodes)
+{
+    for (int e = 1; e <= max_epochs; ++e) {
+        trainer.runEpoch();
+        const EvalStats ev = trainer.evaluate(eval_episodes);
+        if (ev.guesses >= ev.episodes && ev.guessAccuracy >= target)
+            return e;
+    }
+    return -1;
+}
+
 TEST(Ppo, SolvesContextualBandit)
 {
     BanditEnv env;
+    SyncVecEnv vec(env);
     PpoConfig cfg;
     cfg.seed = 3;
     cfg.stepsPerEpoch = 2000;
-    PpoTrainer trainer(env, cfg);
-    const int epoch = trainer.trainUntil(0.99, 10, 200);
+    PpoTrainer trainer(vec, cfg);
+    const int epoch = trainToAccuracy(trainer, 0.99, 10, 200);
     EXPECT_GT(epoch, 0) << "bandit did not converge";
 }
 
 TEST(Ppo, SolvesProbeThenGuess)
 {
     ProbeEnv env;
+    SyncVecEnv vec(env);
     PpoConfig cfg;
     cfg.seed = 5;
     cfg.stepsPerEpoch = 2000;
-    PpoTrainer trainer(env, cfg);
-    const int epoch = trainer.trainUntil(0.99, 20, 200);
+    PpoTrainer trainer(vec, cfg);
+    const int epoch = trainToAccuracy(trainer, 0.99, 20, 200);
     ASSERT_GT(epoch, 0) << "probe env did not converge";
     // The converged policy must actually probe (2-step episodes).
     const EvalStats ev = trainer.evaluate(100);
@@ -159,10 +181,11 @@ TEST(Ppo, SolvesProbeThenGuess)
 TEST(Ppo, EvaluateReportsBitRate)
 {
     BanditEnv env;
+    SyncVecEnv vec(env);
     PpoConfig cfg;
     cfg.seed = 7;
     cfg.stepsPerEpoch = 500;
-    PpoTrainer trainer(env, cfg);
+    PpoTrainer trainer(vec, cfg);
     trainer.runEpoch();
     const EvalStats ev = trainer.evaluate(50);
     // One guess per 1-step episode.
@@ -173,10 +196,11 @@ TEST(Ppo, EvaluateReportsBitRate)
 TEST(Ppo, EpochStatsArePopulated)
 {
     BanditEnv env;
+    SyncVecEnv vec(env);
     PpoConfig cfg;
     cfg.seed = 9;
     cfg.stepsPerEpoch = 500;
-    PpoTrainer trainer(env, cfg);
+    PpoTrainer trainer(vec, cfg);
     const EpochStats stats = trainer.runEpoch();
     EXPECT_EQ(stats.epoch, 1);
     EXPECT_GT(stats.entropy, 0.0);
@@ -187,10 +211,11 @@ TEST(Ppo, EpochStatsArePopulated)
 TEST(Ppo, DeterministicAcrossIdenticalRuns)
 {
     BanditEnv env1, env2;
+    SyncVecEnv vec1(env1), vec2(env2);
     PpoConfig cfg;
     cfg.seed = 11;
     cfg.stepsPerEpoch = 500;
-    PpoTrainer t1(env1, cfg), t2(env2, cfg);
+    PpoTrainer t1(vec1, cfg), t2(vec2, cfg);
     const EpochStats s1 = t1.runEpoch();
     const EpochStats s2 = t2.runEpoch();
     EXPECT_DOUBLE_EQ(s1.meanReturn, s2.meanReturn);
@@ -205,7 +230,7 @@ TEST(Ppo, TrainsThroughFourStreamVecEnv)
     cfg.stepsPerEpoch = 2000;
     PpoTrainer trainer(*vec, cfg);
     EXPECT_EQ(trainer.numStreams(), 4u);
-    const int epoch = trainer.trainUntil(0.99, 10, 200);
+    const int epoch = trainToAccuracy(trainer, 0.99, 10, 200);
     EXPECT_GT(epoch, 0) << "4-stream bandit did not converge";
     // One epoch splits its 2000 steps across the 4 streams.
     EXPECT_EQ(trainer.totalEnvSteps() % 2000, 0);

@@ -628,7 +628,7 @@ TEST(Registry, CustomScenarioPlugsIn)
 
     const bool fresh = registerScenario(
         "test_counting",
-        [](const ScenarioContext &ctx, std::unique_ptr<MemorySystem>) {
+        [](const ScenarioContext &ctx) {
             return std::make_unique<SeedProbe>(ctx.env.seed);
         });
     EXPECT_TRUE(fresh);
