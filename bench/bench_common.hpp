@@ -12,7 +12,6 @@
 #define AUTOCAT_BENCH_BENCH_COMMON_HPP
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -106,74 +105,6 @@ shortChannelStage(std::uint64_t seed = 7)
     return cfg;
 }
 
-/** Episode-wise evaluation with a measurement detector attached. */
-struct DetectorEvalStats
-{
-    double bitRate = 0.0;
-    double guessAccuracy = 0.0;
-    double detectionRate = 0.0;
-    double avgMaxAutocorr = 0.0;  ///< only with an AutocorrDetector
-};
-
-/**
- * Run @p act for @p episodes on @p env, reading @p autocorr (may be
- * null) after every episode for the Table VIII statistics.
- */
-inline DetectorEvalStats
-evaluateWithDetector(
-    CacheGuessingGame &env,
-    const std::function<std::size_t(const std::vector<float> &, int)> &act,
-    int episodes, AutocorrDetector *autocorr,
-    const std::function<void()> &on_episode_start = {})
-{
-    DetectorEvalStats stats;
-    long long steps = 0;
-    std::size_t guesses = 0, correct = 0, detected_eps = 0;
-    double autocorr_sum = 0.0;
-
-    for (int e = 0; e < episodes; ++e) {
-        std::vector<float> obs = env.reset();
-        if (on_episode_start)
-            on_episode_start();
-        int last_lat = LatNa;
-        bool done = false, detected = false;
-        while (!done) {
-            const std::size_t action = act(obs, last_lat);
-            StepResult sr = env.step(action);
-            ++steps;
-            last_lat = sr.info.observedLatency;
-            if (sr.info.guessMade) {
-                ++guesses;
-                if (sr.info.guessCorrect)
-                    ++correct;
-            }
-            if (sr.info.detected)
-                detected = true;
-            done = sr.done;
-            obs = std::move(sr.obs);
-        }
-        if (autocorr)
-            autocorr_sum += autocorr->maxAutocorr();
-        if (detected)
-            ++detected_eps;
-    }
-
-    stats.bitRate = steps ? static_cast<double>(guesses) /
-                                static_cast<double>(steps)
-                          : 0.0;
-    stats.guessAccuracy =
-        guesses ? static_cast<double>(correct) /
-                      static_cast<double>(guesses)
-                : 0.0;
-    stats.detectionRate =
-        episodes ? static_cast<double>(detected_eps) /
-                       static_cast<double>(episodes)
-                 : 0.0;
-    stats.avgMaxAutocorr =
-        episodes ? autocorr_sum / static_cast<double>(episodes) : 0.0;
-    return stats;
-}
-
 /**
  * A multi-secret channel agent (Tables VIII/IX): the trainer and the
  * three curriculum stages it trains on, each a 1-stream SyncVecEnv
@@ -227,25 +158,6 @@ trainChannelAgent(CacheGuessingGame &single, CacheGuessingGame &multi_short,
     for (int e = 0; e < phase3_epochs; ++e)
         trainer.runEpoch();
     return agent;
-}
-
-/** Wrap a trained policy as an act function. */
-inline std::function<std::size_t(const std::vector<float> &, int)>
-policyActFn(ActorCritic &policy)
-{
-    return [&policy](const std::vector<float> &obs, int) {
-        const AcOutput out = policy.forwardOne(obs);
-        return policy.argmax(out.logits, 0);
-    };
-}
-
-/** Wrap a scripted agent as an act function. */
-inline std::function<std::size_t(const std::vector<float> &, int)>
-scriptedActFn(ScriptedAgent &agent)
-{
-    return [&agent](const std::vector<float> &, int lat) {
-        return agent.act(lat);
-    };
 }
 
 } // namespace bench

@@ -27,24 +27,12 @@ struct TrainCapture
     double maxAutocorr = 0.0;
 };
 
+/** Play one episode of @p act on @p env and read @p detector's train. */
 TrainCapture
-capture(CacheGuessingGame &env,
-        const std::function<std::size_t(const std::vector<float> &, int)>
-            &act,
-        AutocorrDetector &detector,
-        const std::function<void()> &on_start)
+capture(VecEnv &env, const EpisodePolicy &act,
+        const AutocorrDetector &detector)
 {
-    std::vector<float> obs = env.reset();
-    if (on_start)
-        on_start();
-    int last_lat = LatNa;
-    bool done = false;
-    while (!done) {
-        StepResult sr = env.step(act(obs, last_lat));
-        last_lat = sr.info.observedLatency;
-        done = sr.done;
-        obs = std::move(sr.obs);
-    }
+    runEpisodes(env, 1, act);
     TrainCapture out;
     out.train = detector.eventTrain();
     out.correlogram = detector.correlogram();
@@ -84,8 +72,8 @@ main()
         auto det = std::make_shared<AutocorrDetector>(kMaxLag, 0.75, 0.0);
         env->attachDetector(det, DetectorMode::Penalize);
         TextbookPrimeProbeAgent agent(*env);
-        textbook = capture(*env, scriptedActFn(agent), *det,
-                           [&] { agent.onEpisodeStart(); });
+        SyncVecEnv vec(*env);
+        textbook = capture(vec, scriptedPolicy(agent), *det);
     }
 
     // RL baseline and RL autocor (curriculum-trained).
@@ -104,8 +92,8 @@ main()
         auto agent = trainChannelAgent(*single, *multi_short, *env, ppo,
                                        byMode(12, 60, 80),
                                        byMode(4, 25, 40), train_epochs);
-        return capture(*env, policyActFn(agent->trainer.policy()), *det,
-                       {});
+        return capture(agent->multiFull,
+                       greedyPolicy(agent->trainer.policy()), *det);
     };
     const TrainCapture baseline = trained(0.0, 57);
     const TrainCapture autocor = trained(-30.0, 58);

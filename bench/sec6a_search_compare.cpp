@@ -48,7 +48,7 @@ main()
         env.victimAddrE = 0;
         env.victimNoAccessEnable = true;
         env.randomInit = false;
-        DistinguishingOracle oracle(env);
+        ScenarioOracle oracle("guessing_game", env);
         Rng rng(13);
         const SearchResult r =
             randomSearch(oracle, 2 * n + 2, 50'000'000 / (2 * n + 2),

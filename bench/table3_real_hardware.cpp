@@ -70,7 +70,7 @@ main()
                       TextTable::fmt(accuracy, 3),
                       r.converged ? TextTable::fmt((long)r.epochsToConverge)
                                   : "(timeout)",
-                      r.sequence.toString(false) + " -> " + r.finalGuess});
+                      attackString(r.sequence, r.finalGuess)});
     }
 
     if (rows < targets.size()) {

@@ -194,7 +194,7 @@ main()
             {TextTable::fmt((long)row.no), row.type, row.expected,
              res.converged ? categoryLabel(res.category) : "(timeout)",
              TextTable::fmt(res.finalAccuracy, 2),
-             res.sequence.toString(false) + " -> " + res.finalGuess});
+             attackString(res.sequence, res.finalGuess)});
     }
 
     table.print(std::cout);

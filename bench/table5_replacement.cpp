@@ -72,8 +72,7 @@ main()
                 const ExplorationResult &r = cell.result;
                 epochs.push(r.epochsToConverge);
                 length.push(r.finalEpisodeLength);
-                example = r.sequence.toString(false) + " -> " +
-                          r.finalGuess;
+                example = attackString(r.sequence, r.finalGuess);
             } else {
                 all_converged = false;
                 if (!cell.completed)

@@ -48,8 +48,7 @@ main()
             if (r.converged) {
                 epochs.push(r.epochsToConverge);
                 length.push(r.finalEpisodeLength);
-                example = r.sequence.toString(false) + " -> " +
-                          r.finalGuess;
+                example = attackString(r.sequence, r.finalGuess);
             } else {
                 all_converged = false;
             }

@@ -22,8 +22,31 @@ namespace {
 constexpr std::size_t kMaxLag = 30;
 constexpr double kThreshold = 0.75;
 
-DetectorEvalStats
-evalTextbook(int episodes)
+/**
+ * Play @p episodes of @p act on @p env and add the agent's row:
+ * bit rate, accuracy, and the mean of each episode's max
+ * autocorrelation as @p detector measured it.
+ */
+void
+addAgentRow(TextTable &table, const std::string &name, VecEnv &env,
+            const EpisodePolicy &act, const AutocorrDetector &detector,
+            int episodes)
+{
+    double autocorr_sum = 0.0;
+    EpisodeHooks hooks;
+    hooks.onEnd = [&](Environment &) {
+        autocorr_sum += detector.maxAutocorr();
+    };
+    const EvalStats stats = runEpisodes(env, episodes, act, hooks);
+    const double avg_max_autocorr =
+        episodes ? autocorr_sum / static_cast<double>(episodes) : 0.0;
+    table.addRow({name, TextTable::fmt(stats.bitRate, 4),
+                  TextTable::fmt(stats.guessAccuracy, 3),
+                  TextTable::fmt(avg_max_autocorr, 3)});
+}
+
+void
+addTextbookRow(TextTable &table, int episodes)
 {
     EnvConfig env_cfg = multiSecretEnv();
     auto env = makeGame(env_cfg);
@@ -31,14 +54,15 @@ evalTextbook(int episodes)
         kMaxLag, kThreshold, 0.0 /* measurement only */);
     env->attachDetector(detector, DetectorMode::Penalize);
     TextbookPrimeProbeAgent agent(*env);
-    return evaluateWithDetector(*env, scriptedActFn(agent), episodes,
-                                detector.get(),
-                                [&] { agent.onEpisodeStart(); });
+    SyncVecEnv vec(*env);
+    addAgentRow(table, "Textbook", vec, scriptedPolicy(agent), *detector,
+                episodes);
 }
 
-DetectorEvalStats
-evalTrained(double penalty_coef, int channel_epochs, int episodes,
-            std::uint64_t seed)
+void
+addTrainedRow(TextTable &table, const std::string &name,
+              double penalty_coef, int channel_epochs, int episodes,
+              std::uint64_t seed)
 {
     // Curriculum: one-shot attack -> short channel -> full channel.
     // The autocorrelation penalty applies in the channel stages.
@@ -60,8 +84,8 @@ evalTrained(double penalty_coef, int channel_epochs, int episodes,
                                    byMode(12, 60, 80), byMode(4, 25, 40),
                                    channel_epochs);
 
-    return evaluateWithDetector(*multi, policyActFn(agent->trainer.policy()),
-                                episodes, detector.get());
+    addAgentRow(table, name, agent->multiFull,
+                greedyPolicy(agent->trainer.policy()), *detector, episodes);
 }
 
 } // namespace
@@ -78,22 +102,11 @@ main()
                     {"Attack", "Bit rate (guess/step)", "Guess accuracy",
                      "Avg max autocorr"});
 
-    const DetectorEvalStats textbook = evalTextbook(eval_episodes);
-    table.addRow({"Textbook", TextTable::fmt(textbook.bitRate, 4),
-                  TextTable::fmt(textbook.guessAccuracy, 3),
-                  TextTable::fmt(textbook.avgMaxAutocorr, 3)});
-
-    const DetectorEvalStats baseline =
-        evalTrained(0.0, train_epochs, eval_episodes, 57);
-    table.addRow({"RL baseline", TextTable::fmt(baseline.bitRate, 4),
-                  TextTable::fmt(baseline.guessAccuracy, 3),
-                  TextTable::fmt(baseline.avgMaxAutocorr, 3)});
-
-    const DetectorEvalStats stealthy =
-        evalTrained(-30.0, train_epochs, eval_episodes, 58);
-    table.addRow({"RL autocor", TextTable::fmt(stealthy.bitRate, 4),
-                  TextTable::fmt(stealthy.guessAccuracy, 3),
-                  TextTable::fmt(stealthy.avgMaxAutocorr, 3)});
+    addTextbookRow(table, eval_episodes);
+    addTrainedRow(table, "RL baseline", 0.0, train_epochs, eval_episodes,
+                  57);
+    addTrainedRow(table, "RL autocor", -30.0, train_epochs, eval_episodes,
+                  58);
 
     table.print(std::cout);
     std::cout << "\nPaper (Table VIII): textbook 0.1625/1.0/0.973, RL"

@@ -71,9 +71,9 @@ main()
                                 4, kIntervalSteps, svm, 0.0),
                             DetectorMode::Penalize);
         TextbookPrimeProbeAgent agent(*env);
-        const DetectorEvalStats stats = evaluateWithDetector(
-            *env, scriptedActFn(agent), eval_episodes, nullptr,
-            [&] { agent.onEpisodeStart(); });
+        SyncVecEnv vec(*env);
+        const EvalStats stats =
+            runEpisodes(vec, eval_episodes, scriptedPolicy(agent));
         table.addRow({"Textbook", TextTable::fmt(stats.bitRate, 4),
                       TextTable::fmt(stats.guessAccuracy, 3),
                       TextTable::fmt(stats.detectionRate, 3)});
@@ -97,17 +97,16 @@ main()
         auto agent = trainChannelAgent(*single, *multi_short, *multi, ppo,
                                        byMode(12, 60, 80),
                                        byMode(4, 25, 40), train_epochs);
-        return evaluateWithDetector(*multi,
-                                    policyActFn(agent->trainer.policy()),
-                                    eval_episodes, nullptr);
+        return runEpisodes(agent->multiFull, eval_episodes,
+                           greedyPolicy(agent->trainer.policy()));
     };
 
-    const DetectorEvalStats baseline = trained(0.0, 61);
+    const EvalStats baseline = trained(0.0, 61);
     table.addRow({"RL baseline", TextTable::fmt(baseline.bitRate, 4),
                   TextTable::fmt(baseline.guessAccuracy, 3),
                   TextTable::fmt(baseline.detectionRate, 3)});
 
-    const DetectorEvalStats evasive = trained(-6.0, 62);
+    const EvalStats evasive = trained(-6.0, 62);
     table.addRow({"RL SVM", TextTable::fmt(evasive.bitRate, 4),
                   TextTable::fmt(evasive.guessAccuracy, 3),
                   TextTable::fmt(evasive.detectionRate, 3)});

@@ -50,16 +50,16 @@ main()
               << ", accuracy " << with_detector.finalAccuracy
               << ", detection rate " << with_detector.detectionRate
               << "\n  attack: "
-              << with_detector.sequence.toString(false) << " -> "
-              << with_detector.finalGuess << "\n";
+              << attackString(with_detector.sequence, with_detector.finalGuess)
+              << "\n";
 
     // Baseline without the detector for contrast.
     cfg.scenario = "guessing_game";
     const ExplorationResult baseline = explore(cfg);
     std::cout << "\nWithout detector (baseline):\n"
               << "  accuracy " << baseline.finalAccuracy
-              << "\n  attack: " << baseline.sequence.toString(false)
-              << " -> " << baseline.finalGuess << "\n\n"
+              << "\n  attack: "
+              << attackString(baseline.sequence, baseline.finalGuess) << "\n\n"
               << "The detector-trained agent must leak through the"
                  " replacement state without ever evicting the"
                  " victim's line.\n";

@@ -135,9 +135,8 @@ main(int argc, char **argv)
                   << "  accuracy=" << fin.finalAccuracy
                   << "  detection-rate=" << fin.detectionRate
                   << "  env-steps=" << fin.envSteps << "\n"
-                  << "attack: " << fin.sequence.toString(false) << " -> "
-                  << fin.finalGuess << "  ["
-                  << categoryLabel(fin.category) << "]\n";
+                  << "attack: " << attackString(fin.sequence, fin.finalGuess)
+                  << "  [" << categoryLabel(fin.category) << "]\n";
         return fin.converged ? 0 : 1;
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";

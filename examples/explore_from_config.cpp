@@ -67,8 +67,7 @@ main(int argc, char **argv)
               << "  epochs=" << r.epochsToConverge
               << "  accuracy=" << r.finalAccuracy
               << "  episode-length=" << r.finalEpisodeLength << "\n"
-              << "attack: " << r.sequence.toString(false) << " -> "
-              << r.finalGuess << "  [" << categoryLabel(r.category)
-              << "]\n";
+              << "attack: " << attackString(r.sequence, r.finalGuess)
+              << "  [" << categoryLabel(r.category) << "]\n";
     return r.converged ? 0 : 1;
 }

@@ -41,8 +41,8 @@ main()
         if (r.converged) {
             std::cout << "  converged in " << r.epochsToConverge
                       << " epochs, accuracy " << r.finalAccuracy
-                      << "\n  attack: " << r.sequence.toString(false)
-                      << " -> " << r.finalGuess << "\n\n";
+                      << "\n  attack: "
+                      << attackString(r.sequence, r.finalGuess) << "\n\n";
         } else {
             std::cout << "  did not converge (accuracy "
                       << r.finalAccuracy << ")\n\n";

@@ -56,8 +56,8 @@ main()
               << " epochs (" << result.envSteps << " env steps).\n"
               << "Guess accuracy : " << result.finalAccuracy << "\n"
               << "Episode length : " << result.finalEpisodeLength << "\n"
-              << "Attack found   : " << result.sequence.toString(false)
-              << " -> " << result.finalGuess << "\n"
+              << "Attack found   : "
+              << attackString(result.sequence, result.finalGuess) << "\n"
               << "Category       : " << categoryLabel(result.category)
               << " (auto-classified)\n";
     return 0;

@@ -1,7 +1,6 @@
 #include "attacks/agents.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace autocat {
 
@@ -20,7 +19,6 @@ TextbookPrimeProbeAgent::onEpisodeStart()
     phase_ = Phase::Prime;
     cursor_ = 0;
     missed_line_ = -1;
-    first_round_ = true;
 }
 
 std::size_t
@@ -48,18 +46,14 @@ TextbookPrimeProbeAgent::act(int last_latency)
             phase_ = Phase::Guess;
             return act(last_latency);
         }
-        const std::size_t a = cursor_++;
-        if (cursor_ >= num_lines_) {
-            // The next act() call scores the final probe, then guesses.
-        }
-        return actions_.accessIndex(config_.attackAddrS + a);
+        // The act() after the final probe scores it, then guesses.
+        return actions_.accessIndex(config_.attackAddrS + cursor_++);
       }
       case Phase::Guess: {
         if (missed_line_ < 0 && last_latency == LatMiss)
             missed_line_ = static_cast<long>(num_lines_ - 1);
         // Probes refilled every set: they are the next round's prime.
         phase_ = Phase::Trigger;
-        first_round_ = false;
         const std::uint64_t guess_addr =
             config_.victimAddrS +
             (missed_line_ >= 0 ? static_cast<std::uint64_t>(missed_line_)
@@ -70,55 +64,15 @@ TextbookPrimeProbeAgent::act(int last_latency)
     return actions_.triggerIndex();
 }
 
-AgentRunStats
-runScriptedAgent(CacheGuessingGame &env, ScriptedAgent &agent,
-                 int episodes)
+EpisodePolicy
+scriptedPolicy(ScriptedAgent &agent)
 {
-    AgentRunStats stats;
-    stats.episodes = static_cast<std::size_t>(episodes);
-
-    long long steps = 0;
-    std::size_t correct = 0, guesses = 0, detected_eps = 0;
-    double return_sum = 0.0;
-
-    for (int e = 0; e < episodes; ++e) {
-        env.reset();
-        agent.onEpisodeStart();
-        int last_lat = LatNa;
-        bool done = false;
-        bool detected = false;
-        while (!done) {
-            const StepResult sr = env.step(agent.act(last_lat));
-            ++steps;
-            return_sum += sr.reward;
-            last_lat = sr.info.observedLatency;
-            if (sr.info.guessMade) {
-                ++guesses;
-                if (sr.info.guessCorrect)
-                    ++correct;
-            }
-            if (sr.info.detected)
-                detected = true;
-            done = sr.done;
-        }
-        if (detected)
-            ++detected_eps;
-    }
-
-    stats.guesses = guesses;
-    stats.bitRate = steps ? static_cast<double>(guesses) /
-                                static_cast<double>(steps)
-                          : 0.0;
-    stats.guessAccuracy =
-        guesses ? static_cast<double>(correct) /
-                      static_cast<double>(guesses)
-                : 0.0;
-    stats.detectionRate =
-        episodes ? static_cast<double>(detected_eps) /
-                       static_cast<double>(episodes)
-                 : 0.0;
-    stats.meanReturn = return_sum / std::max(1, episodes);
-    return stats;
+    return [&agent](Environment &, const std::vector<float> &,
+                    const StepInfo *last) {
+        if (!last)
+            agent.onEpisodeStart();
+        return agent.act(last ? last->observedLatency : LatNa);
+    };
 }
 
 } // namespace autocat

@@ -5,7 +5,8 @@
  * The Table VIII/IX benches compare RL-trained agents against the
  * "textbook" attacker: a hand-written state machine playing the same
  * environment. Scripted agents read the per-step info (latency of
- * their last access) exactly like the RL agent reads its observation.
+ * their last access) exactly like the RL agent reads its observation,
+ * and play episodes through the same runner (scriptedPolicy()).
  */
 
 #ifndef AUTOCAT_ATTACKS_AGENTS_HPP
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "env/guessing_game.hpp"
+#include "rl/episodes.hpp"
 
 namespace autocat {
 
@@ -59,23 +61,14 @@ class TextbookPrimeProbeAgent : public ScriptedAgent
     Phase phase_ = Phase::Prime;
     std::size_t cursor_ = 0;
     long missed_line_ = -1;
-    bool first_round_ = true;
 };
 
-/** Aggregate results of running an agent over many episodes. */
-struct AgentRunStats
-{
-    double bitRate = 0.0;        ///< guesses per step
-    double guessAccuracy = 0.0;  ///< correct / guesses
-    double detectionRate = 0.0;  ///< episodes flagged / episodes
-    double meanReturn = 0.0;
-    std::size_t episodes = 0;
-    std::size_t guesses = 0;
-};
-
-/** Run @p agent for @p episodes on @p env. */
-AgentRunStats runScriptedAgent(CacheGuessingGame &env,
-                               ScriptedAgent &agent, int episodes);
+/**
+ * Play @p agent through runEpisodes(): onEpisodeStart() before each
+ * episode's first action, then act() on the latency of the previous
+ * step. The agent must outlive the policy.
+ */
+EpisodePolicy scriptedPolicy(ScriptedAgent &agent);
 
 } // namespace autocat
 

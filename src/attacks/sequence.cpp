@@ -16,7 +16,7 @@ AttackSequence::countKind(ActionKind kind) const
 }
 
 std::string
-AttackSequence::toString(bool with_guess) const
+AttackSequence::toString() const
 {
     std::string out;
     for (std::size_t i = 0; i < steps_.size(); ++i) {
@@ -43,11 +43,15 @@ AttackSequence::toString(bool with_guess) const
             break;
         }
     }
-    if (with_guess) {
-        if (!out.empty())
-            out += " -> ";
-        out += "g";
-    }
+    return out;
+}
+
+std::string
+attackString(const AttackSequence &seq, const std::string &guess)
+{
+    std::string out = seq.toString();
+    if (!guess.empty())
+        out += (out.empty() ? "" : " ") + ("-> " + guess);
     return out;
 }
 

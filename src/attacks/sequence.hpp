@@ -4,7 +4,7 @@
  *
  * An attack sequence is the paper's "trajectory of actions": memory
  * accesses, flushes, and victim triggers, rendered in the paper's
- * arrow notation (e.g. "3 -> 1 -> 4 -> 2 -> v -> 0 -> g").
+ * arrow notation (e.g. "3 -> 1 -> 4 -> 2 -> v -> 0 -> g0").
  */
 
 #ifndef AUTOCAT_ATTACKS_SEQUENCE_HPP
@@ -63,8 +63,8 @@ class AttackSequence
     /** Number of steps of the given kind. */
     std::size_t countKind(ActionKind kind) const;
 
-    /** Paper-style arrow rendering; appends "-> g" when @p with_guess. */
-    std::string toString(bool with_guess = true) const;
+    /** Paper-style arrow rendering of the primitive steps. */
+    std::string toString() const;
 
     /** Encode into action indices of @p space. */
     std::vector<std::size_t> toIndices(const ActionSpace &space) const;
@@ -76,6 +76,15 @@ class AttackSequence
   private:
     std::vector<AttackStep> steps_;
 };
+
+/**
+ * The one rendering of an attack: @p seq's steps followed by
+ * "-> <guess>" ("0 -> v -> 0 -> g0"; "-> g0" for an empty sequence).
+ * An empty @p guess (the episode ended without one, e.g. a
+ * Terminate-mode detector ended it) renders the steps alone.
+ */
+std::string attackString(const AttackSequence &seq,
+                         const std::string &guess);
 
 } // namespace autocat
 

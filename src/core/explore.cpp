@@ -1,7 +1,6 @@
 #include "core/explore.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <utility>
 
 #include "core/campaign.hpp"
 #include "util/logging.hpp"
@@ -12,39 +11,33 @@ AttackSequence
 extractSequence(CacheGuessingGame &env, ActorCritic &policy,
                 std::string *guess)
 {
-    env.reset();
     // Deterministic replay: fix the secret so the rendered trajectory
     // is reproducible (the paper's tables show one example sequence).
-    const auto secrets = env.secretSpace();
-    env.forceSecret(secrets.front());
+    // The leading reset draws from the env RNG ahead of the replayed
+    // episode's own reset, and the extracted sequence depends on it.
+    env.reset();
+    const auto secret = env.secretSpace().front();
+    env.forceSecret(secret);
 
     AttackSequence seq;
-    std::vector<float> obs = env.reset();
-    env.forceSecret(secrets.front());
-
-    bool done = false;
-    int safety = 4096;
-    while (!done && safety-- > 0) {
-        const AcOutput &out = policy.forwardOne(obs);
-        // Replay under the same mask the policy trained with — a
-        // masked action would be one the trained policy could never
-        // have taken.
-        const std::uint8_t *mask = env.actionMask();
-        const std::size_t action =
-            mask ? policy.argmaxMasked(out.logits, 0, mask)
-                 : policy.argmax(out.logits, 0);
+    EpisodeHooks hooks;
+    hooks.onStart = [&](Environment &) { env.forceSecret(secret); };
+    hooks.onStep = [&](Environment &, std::size_t action,
+                       const StepResult &) {
         const Action decoded = env.actionSpace().decode(action);
-        StepResult sr = env.step(action);
         if (decoded.isGuess()) {
             if (guess)
                 *guess = env.actionSpace().toString(action);
             // In multi-secret mode one symbol round is representative.
-            break;
+            return false;
         }
         seq.push({decoded.kind, decoded.addr});
-        done = sr.done;
-        obs = std::move(sr.obs);
-    }
+        return true;
+    };
+    // Replay under the same mask the policy trained with — a masked
+    // action would be one the trained policy could never have taken.
+    SyncVecEnv one(env);
+    runEpisodes(one, 1, greedyPolicy(policy), hooks);
     return seq;
 }
 

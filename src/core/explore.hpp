@@ -112,7 +112,9 @@ struct ExplorationResult
 ExplorationResult explore(const ExplorationConfig &config);
 
 /**
- * Extract the greedy episode trajectory from a trained policy.
+ * Extract the greedy episode trajectory from a trained policy: one
+ * runEpisodes() episode under greedyPolicy(), recorded up to its first
+ * guess (or to its end when it ends without one).
  *
  * @param env    environment (reset internally; secret forced to the
  *               first value of the secret space for determinism)

@@ -2,97 +2,10 @@
 
 #include <stdexcept>
 
-#include "cache/memory_system.hpp"
 #include "env/env_registry.hpp"
 #include "env/guessing_game.hpp"
 
 namespace autocat {
-
-DistinguishingOracle::DistinguishingOracle(const EnvConfig &config)
-    : config_(config), actions_(config)
-{
-    config_.randomInit = false;
-}
-
-std::size_t
-DistinguishingOracle::numPrimitives() const
-{
-    return actions_.numPrimitives();
-}
-
-std::vector<int>
-DistinguishingOracle::latencyPattern(
-    const std::vector<std::size_t> &seq,
-    std::optional<std::uint64_t> secret) const
-{
-    auto memory = makeMemorySystem(config_);
-    std::vector<int> pattern;
-    pattern.reserve(seq.size());
-
-    for (std::size_t idx : seq) {
-        const Action a = actions_.decode(idx);
-        switch (a.kind) {
-          case ActionKind::Access: {
-            const MemoryAccessResult res =
-                memory->access(a.addr, Domain::Attacker);
-            pattern.push_back(res.hit ? LatHit : LatMiss);
-            break;
-          }
-          case ActionKind::Flush:
-            memory->flush(a.addr, Domain::Attacker);
-            break;
-          case ActionKind::TriggerVictim:
-            if (secret)
-                memory->access(*secret, Domain::Victim);
-            break;
-          default:
-            break;  // guesses carry no observation
-        }
-    }
-    return pattern;
-}
-
-bool
-DistinguishingOracle::isDistinguishing(const std::vector<std::size_t> &seq)
-{
-    // The victim must actually run for the pattern to depend on the
-    // secret; skip pattern evaluation otherwise.
-    bool has_trigger = false;
-    for (std::size_t idx : seq) {
-        if (actions_.decode(idx).kind == ActionKind::TriggerVictim) {
-            has_trigger = true;
-            break;
-        }
-    }
-    if (!has_trigger)
-        return false;
-
-    CacheGuessingGame probe(config_);
-    const auto secrets = probe.secretSpace();
-
-    std::vector<std::vector<int>> patterns;
-    patterns.reserve(secrets.size());
-    for (const auto &secret : secrets) {
-        std::vector<int> p = latencyPattern(seq, secret);
-        for (const auto &prev : patterns) {
-            if (prev == p)
-                return false;
-        }
-        patterns.push_back(std::move(p));
-    }
-    return true;
-}
-
-long long
-DistinguishingOracle::stepsPerTrial(
-    const std::vector<std::size_t> &seq) const
-{
-    // Each candidate is replayed once per secret value.
-    return static_cast<long long>(seq.size()) *
-           static_cast<long long>(config_.numSecrets());
-}
-
-// --------------------------------------------------------- ScenarioOracle
 
 ScenarioOracle::ScenarioOracle(const std::string &scenario,
                                const EnvConfig &config)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Distinguishing-sequence oracle over an EnvConfig.
+ * Distinguishing-sequence oracle over a registered scenario.
  *
  * A fixed primitive-action sequence (accesses, flushes, victim
  * triggers) is a working attack exactly when the latency pattern it
@@ -27,46 +27,13 @@ namespace autocat {
 
 class CacheGuessingGame;
 
-/** Oracle that replays sequences against every secret. */
-class DistinguishingOracle : public SequenceOracle
-{
-  public:
-    /**
-     * @param config environment description (randomInit is ignored:
-     *               candidates run from a deterministic empty cache so
-     *               distinguishability is well defined)
-     */
-    explicit DistinguishingOracle(const EnvConfig &config);
-
-    std::size_t numPrimitives() const override;
-    bool isDistinguishing(const std::vector<std::size_t> &seq) override;
-    long long
-    stepsPerTrial(const std::vector<std::size_t> &seq) const override;
-
-    /**
-     * Latency pattern of @p seq under @p secret (one entry per access
-     * action; flushes and triggers contribute no observation).
-     */
-    std::vector<int>
-    latencyPattern(const std::vector<std::size_t> &seq,
-                   std::optional<std::uint64_t> secret) const;
-
-    /** The action space used for index decoding. */
-    const ActionSpace &actionSpace() const { return actions_; }
-
-  private:
-    EnvConfig config_;
-    ActionSpace actions_;
-};
-
 /**
  * Registry-aware oracle: candidates are replayed through the actual
- * scenario environment (env/env_registry.hpp) instead of a bare memory
- * system, so search baselines score sequences against exactly the
- * channel the RL agent trains on — hierarchy scenarios, the TLB, the
- * prefetcher side channel, detector-in-the-loop variants — which
- * DistinguishingOracle's flat-cache replay cannot represent. The
- * latency pattern is the per-access StepInfo::observedLatency stream.
+ * scenario environment (env/env_registry.hpp), so search baselines
+ * score sequences against exactly the channel the RL agent trains on
+ * — the plain guessing game, hierarchy scenarios, the TLB, the
+ * prefetcher side channel, detector-in-the-loop variants. The latency
+ * pattern is the per-access StepInfo::observedLatency stream.
  *
  * Replays force randomInit off (candidates run from the deterministic
  * empty channel, so distinguishability is well defined) and pin the

@@ -70,10 +70,7 @@ sequenceString(const SweepCellResult &cell)
 {
     if (!cell.completed)
         return "";
-    std::string seq = cell.result.sequence.toString(false);
-    if (!cell.result.finalGuess.empty())
-        seq += (seq.empty() ? "" : " ") + ("-> " + cell.result.finalGuess);
-    return seq;
+    return attackString(cell.result.sequence, cell.result.finalGuess);
 }
 
 } // namespace

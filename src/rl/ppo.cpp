@@ -273,70 +273,20 @@ PpoTrainer::runEpoch()
 EvalStats
 PpoTrainer::evaluate(int episodes, bool greedy)
 {
-    EvalStats stats;
-    stats.episodes = static_cast<std::size_t>(episodes);
-
-    std::size_t correct = 0, guesses = 0;
-    long long steps = 0;
-    double return_sum = 0.0;
-    std::size_t detected_episodes = 0;
-    const std::size_t n = envs_->numEnvs();
-
-    for (int e = 0; e < episodes; ++e) {
-        Environment &env = envs_->env(static_cast<std::size_t>(e) % n);
-        std::vector<float> obs = env.reset();
-        bool done = false;
-        bool detected = false;
-        double ep_return = 0.0;
-        long ep_steps = 0;
-        while (!done) {
-            const AcOutput &out = net_->forwardOne(obs);
-            // The greedy policy honors the mask too: a masked action is
-            // never played, and ties break to the lowest valid index in
-            // both variants, so evaluation is deterministic.
-            const std::uint8_t *m = masking_ ? env.actionMask() : nullptr;
-            const std::size_t action =
-                greedy ? (m ? net_->argmaxMasked(out.logits, 0, m)
-                            : net_->argmax(out.logits, 0))
-                       : (m ? net_->sampleMasked(out.logits, 0, m, rng_)
-                            : net_->sample(out.logits, 0, rng_));
-            StepResult sr = env.step(action);
-            ep_return += sr.reward;
-            ++ep_steps;
-            if (sr.info.guessMade) {
-                ++guesses;
-                if (sr.info.guessCorrect)
-                    ++correct;
-            }
-            if (sr.info.detected)
-                detected = true;
-            done = sr.done;
-            obs = std::move(sr.obs);
-        }
-        return_sum += ep_return;
-        steps += ep_steps;
-        if (detected)
-            ++detected_episodes;
-    }
+    const EvalStats stats = runEpisodes(
+        *envs_, episodes,
+        greedy ? greedyPolicy(*net_)
+               : [this](Environment &env, const std::vector<float> &obs,
+                        const StepInfo *) {
+                     const AcOutput &out = net_->forwardOne(obs);
+                     const std::uint8_t *m =
+                         masking_ ? env.actionMask() : nullptr;
+                     return m ? net_->sampleMasked(out.logits, 0, m, rng_)
+                              : net_->sample(out.logits, 0, rng_);
+                 });
 
     // The trainer's persistent episode state is stale after evaluation.
     collection_active_ = false;
-
-    stats.meanReturn = return_sum / std::max(1, episodes);
-    stats.meanEpisodeLength =
-        static_cast<double>(steps) / std::max(1, episodes);
-    stats.guessAccuracy =
-        guesses ? static_cast<double>(correct) /
-                      static_cast<double>(guesses)
-                : 0.0;
-    stats.bitRate = steps ? static_cast<double>(guesses) /
-                                static_cast<double>(steps)
-                          : 0.0;
-    stats.detectionRate =
-        episodes ? static_cast<double>(detected_episodes) /
-                       static_cast<double>(episodes)
-                 : 0.0;
-    stats.guesses = guesses;
     return stats;
 }
 

@@ -33,6 +33,7 @@
 #include "rl/actor_critic.hpp"
 #include "rl/adam.hpp"
 #include "rl/env_interface.hpp"
+#include "rl/episodes.hpp"
 #include "rl/rollout.hpp"
 #include "rl/vec_env.hpp"
 #include "util/rng.hpp"
@@ -66,18 +67,6 @@ struct PpoConfig
     std::uint64_t seed = 1;
 };
 
-/** Aggregate metrics from a batch of evaluation episodes. */
-struct EvalStats
-{
-    double meanReturn = 0.0;
-    double meanEpisodeLength = 0.0;
-    double guessAccuracy = 0.0;  ///< correct guesses / guesses
-    double bitRate = 0.0;        ///< guesses / steps
-    double detectionRate = 0.0;  ///< episodes flagged / episodes
-    std::size_t episodes = 0;
-    std::size_t guesses = 0;
-};
-
 /** Per-epoch training telemetry. */
 struct EpochStats
 {
@@ -108,7 +97,8 @@ class PpoTrainer
 
     /**
      * Evaluate the current policy over @p episodes fresh episodes,
-     * distributed round-robin across the streams.
+     * distributed round-robin across the streams (runEpisodes(), with
+     * greedyPolicy() or a sampler drawing from the trainer's RNG).
      */
     EvalStats evaluate(int episodes, bool greedy = true);
 

@@ -78,8 +78,18 @@ TEST(Sequence, ToStringUsesPaperNotation)
 {
     AttackSequence seq({AttackStep::access(3), AttackStep::flush(1),
                         AttackStep::trigger(), AttackStep::access(0)});
-    EXPECT_EQ(seq.toString(), "3 -> f1 -> v -> 0 -> g");
-    EXPECT_EQ(seq.toString(false), "3 -> f1 -> v -> 0");
+    EXPECT_EQ(seq.toString(), "3 -> f1 -> v -> 0");
+    EXPECT_EQ(attackString(seq, "g0"), "3 -> f1 -> v -> 0 -> g0");
+}
+
+TEST(Sequence, AttackStringOmitsWhatIsMissing)
+{
+    const AttackSequence seq({AttackStep::trigger()});
+    // No guess (a terminating detector ended the episode): no arrow.
+    EXPECT_EQ(attackString(seq, ""), "v");
+    // A guess with no primitive steps before it.
+    EXPECT_EQ(attackString(AttackSequence(), "gE"), "-> gE");
+    EXPECT_EQ(attackString(AttackSequence(), ""), "");
 }
 
 TEST(Sequence, CountKind)
@@ -116,7 +126,7 @@ TEST(Sequence, FromIndicesRejectsGuesses)
 TEST(Textbook, PrimeProbeDistinguishes)
 {
     const EnvConfig cfg = ppConfig();
-    DistinguishingOracle oracle(cfg);
+    ScenarioOracle oracle("guessing_game", cfg);
     const AttackSequence seq = textbookPrimeProbe(cfg);
     EXPECT_TRUE(
         oracle.isDistinguishing(seq.toIndices(oracle.actionSpace())));
@@ -125,7 +135,7 @@ TEST(Textbook, PrimeProbeDistinguishes)
 TEST(Textbook, FlushReloadDistinguishes)
 {
     const EnvConfig cfg = frConfig();
-    DistinguishingOracle oracle(cfg);
+    ScenarioOracle oracle("guessing_game", cfg);
     const AttackSequence seq = textbookFlushReload(cfg);
     EXPECT_TRUE(
         oracle.isDistinguishing(seq.toIndices(oracle.actionSpace())));
@@ -134,7 +144,7 @@ TEST(Textbook, FlushReloadDistinguishes)
 TEST(Textbook, EvictReloadDistinguishes)
 {
     const EnvConfig cfg = erConfig();
-    DistinguishingOracle oracle(cfg);
+    ScenarioOracle oracle("guessing_game", cfg);
     const AttackSequence seq = textbookEvictReload(cfg);
     EXPECT_TRUE(
         oracle.isDistinguishing(seq.toIndices(oracle.actionSpace())));
@@ -155,7 +165,7 @@ TEST(Textbook, LruSetBasedDistinguishesVictimActivity)
     cfg.victimNoAccessEnable = true;
     cfg.windowSize = 32;
     cfg.randomInit = false;
-    DistinguishingOracle oracle(cfg);
+    ScenarioOracle oracle("guessing_game", cfg);
     const AttackSequence seq = textbookLruSetBased(cfg);
     EXPECT_TRUE(
         oracle.isDistinguishing(seq.toIndices(oracle.actionSpace())));
@@ -269,7 +279,8 @@ TEST(Agents, TextbookPrimeProbeAgentIsAccurate)
     cfg.randomInit = true;
     CacheGuessingGame env(cfg);
     TextbookPrimeProbeAgent agent(env);
-    const AgentRunStats stats = runScriptedAgent(env, agent, 20);
+    SyncVecEnv vec(env);
+    const EvalStats stats = runEpisodes(vec, 20, scriptedPolicy(agent));
     EXPECT_GT(stats.guessAccuracy, 0.97);
     EXPECT_GT(stats.guesses, 20u * 10u);
     // Prime(4) once, then rounds of trigger+probe(4)+guess: the bit

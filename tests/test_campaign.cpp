@@ -204,8 +204,8 @@ TEST(Campaign, LegacySinglePhaseMatchesExploreBitForBit)
                      via_campaign.final.finalAccuracy);
     EXPECT_DOUBLE_EQ(via_explore.finalEpisodeLength,
                      via_campaign.final.finalEpisodeLength);
-    EXPECT_EQ(via_explore.sequence.toString(false),
-              via_campaign.final.sequence.toString(false));
+    EXPECT_EQ(via_explore.sequence.toString(),
+              via_campaign.final.sequence.toString());
     EXPECT_EQ(via_explore.finalGuess, via_campaign.final.finalGuess);
 }
 
@@ -273,8 +273,8 @@ TEST(Campaign, ResumeFromMidCampaignCheckpointIsBitIdentical)
                      result_b.final.finalAccuracy);
     EXPECT_DOUBLE_EQ(result_a.final.detectionRate,
                      result_b.final.detectionRate);
-    EXPECT_EQ(result_a.final.sequence.toString(false),
-              result_b.final.sequence.toString(false));
+    EXPECT_EQ(result_a.final.sequence.toString(),
+              result_b.final.sequence.toString());
     ASSERT_EQ(result_a.phases.size(), result_b.phases.size());
     for (std::size_t i = 0; i < result_a.phases.size(); ++i) {
         EXPECT_EQ(result_a.phases[i].epochsRun,
@@ -356,8 +356,8 @@ TEST(Campaign, ResumeFromPhaseEndCheckpointIsBitIdentical)
                      result_b.final.finalAccuracy);
     EXPECT_DOUBLE_EQ(result_a.final.detectionRate,
                      result_b.final.detectionRate);
-    EXPECT_EQ(result_a.final.sequence.toString(false),
-              result_b.final.sequence.toString(false));
+    EXPECT_EQ(result_a.final.sequence.toString(),
+              result_b.final.sequence.toString());
 
     std::remove(path_a.c_str());
     std::remove(path_b.c_str());

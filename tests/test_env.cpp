@@ -523,7 +523,7 @@ TEST(Detectors, AutocorrPenaltyAppliedAtEpisodeEnd)
 
 TEST(Oracle, TextbookPrimeProbeIsDistinguishing)
 {
-    DistinguishingOracle oracle(ppConfig());
+    ScenarioOracle oracle("guessing_game", ppConfig());
     const auto &as = oracle.actionSpace();
     std::vector<std::size_t> seq;
     for (std::uint64_t a = 4; a <= 7; ++a)
@@ -536,7 +536,7 @@ TEST(Oracle, TextbookPrimeProbeIsDistinguishing)
 
 TEST(Oracle, SequenceWithoutTriggerNeverDistinguishes)
 {
-    DistinguishingOracle oracle(ppConfig());
+    ScenarioOracle oracle("guessing_game", ppConfig());
     const auto &as = oracle.actionSpace();
     std::vector<std::size_t> seq{as.accessIndex(4), as.accessIndex(5),
                                  as.accessIndex(4)};
@@ -545,7 +545,7 @@ TEST(Oracle, SequenceWithoutTriggerNeverDistinguishes)
 
 TEST(Oracle, PrimeWithoutProbeDoesNotDistinguish)
 {
-    DistinguishingOracle oracle(ppConfig());
+    ScenarioOracle oracle("guessing_game", ppConfig());
     const auto &as = oracle.actionSpace();
     std::vector<std::size_t> seq;
     for (std::uint64_t a = 4; a <= 7; ++a)
@@ -556,7 +556,7 @@ TEST(Oracle, PrimeWithoutProbeDoesNotDistinguish)
 
 TEST(Oracle, StepsPerTrialCountsSecrets)
 {
-    DistinguishingOracle oracle(ppConfig());
+    ScenarioOracle oracle("guessing_game", ppConfig());
     const std::vector<std::size_t> seq{0, 1, 2};
     EXPECT_EQ(oracle.stepsPerTrial(seq), 3 * 4);
 }
@@ -570,7 +570,7 @@ TEST(Oracle, RandomSearchFindsPrimeProbe)
     cfg.attackAddrE = 3;
     cfg.victimAddrS = 0;
     cfg.victimAddrE = 1;
-    DistinguishingOracle oracle(cfg);
+    ScenarioOracle oracle("guessing_game", cfg);
     Rng rng(3);
     const SearchResult r = randomSearch(oracle, 6, 200000, rng);
     ASSERT_TRUE(r.found);

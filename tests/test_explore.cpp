@@ -152,7 +152,7 @@ TEST(Explore, HardwareTargetMemoryPlugsIn)
     cfg.targetAccuracy = 0.45;
     expectRunGolden(explore(cfg),
                     {1, 1500, 1500, 0x1.4444444444444p-2,
-                     0x1.4111111111111p+2, 0.0, "v -> 2 -> 2 -> 0 -> g",
+                     0x1.4111111111111p+2, 0.0, "v -> 2 -> 2 -> 0",
                      "gE"});
 }
 
@@ -164,7 +164,7 @@ TEST(Explore, MissDetectorRunMatchesGolden)
     cfg.ppo.minibatchSize = 100;
     expectRunGolden(explore(cfg),
                     {-1, -1, 3000, 1.0, 0x1.8888888888889p+0,
-                     0x1.ddddddddddddep-2, "v -> g", ""});
+                     0x1.ddddddddddddep-2, "v", ""});
 }
 
 TEST(BenchMode, DefaultsWithoutEnvVars)

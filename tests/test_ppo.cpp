@@ -2,15 +2,18 @@
  * @file
  * PPO trainer tests on closed-form environments: a contextual bandit
  * (immediate observation-conditioned reward) and a probe-then-guess
- * memory task that mirrors the structure of the guessing game.
+ * memory task that mirrors the structure of the guessing game. Also
+ * covers the episode runner every evaluation plays through.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 
 #include "env/batch_env_pool.hpp"
+#include "rl/episodes.hpp"
 #include "rl/ppo.hpp"
 #include "rl/vec_env.hpp"
 #include "util/rng.hpp"
@@ -308,6 +311,153 @@ TEST(Ppo, CurriculumAcrossVecEnvs)
     ProbeEnv probe;
     SyncVecEnv probe_vec(probe);
     EXPECT_THROW(trainer.setVecEnv(probe_vec), std::invalid_argument);
+}
+
+// ---------------------------------------------------- episode runner --
+
+/**
+ * Fixed-length episodes with a constant observation; action 1 is a
+ * correct guess. Records what the runner did to it.
+ */
+class CountingEnv : public Environment
+{
+  public:
+    explicit CountingEnv(int length = 3) : length_(length) {}
+
+    std::size_t observationSize() const override { return 2; }
+    std::size_t numActions() const override { return 4; }
+
+    std::vector<float>
+    reset() override
+    {
+        ++resets;
+        steps = 0;
+        return obs();
+    }
+
+    StepResult
+    step(std::size_t action) override
+    {
+        actions.push_back(action);
+        StepResult r;
+        ++steps;
+        r.reward = 0.5;
+        r.info.guessMade = action == 1;
+        r.info.guessCorrect = action == 1;
+        r.done = steps >= length_;
+        r.obs = obs();
+        return r;
+    }
+
+    const std::uint8_t *
+    actionMask() const override
+    {
+        return mask.empty() ? nullptr : mask.data();
+    }
+
+    int resets = 0;
+    int steps = 0;
+    std::vector<std::size_t> actions;
+    std::vector<std::uint8_t> mask;  ///< empty: no masking
+
+  private:
+    static std::vector<float> obs() { return {0.25f, -0.75f}; }
+
+    int length_;
+};
+
+TEST(RunEpisodes, HooksRunAroundEachEpisodeRoundRobin)
+{
+    CountingEnv a, b, c;
+    SyncVecEnv vec(std::vector<Environment *>{&a, &b, &c});
+    std::vector<Environment *> started, ended;
+    int first_steps = 0;
+    EpisodeHooks hooks;
+    hooks.onStart = [&](Environment &env) {
+        // After reset(): the episode is fresh and was just reset.
+        auto &counting = static_cast<CountingEnv &>(env);
+        EXPECT_EQ(counting.steps, 0);
+        EXPECT_EQ(counting.resets,
+                  std::count(started.begin(), started.end(), &env) + 1);
+        started.push_back(&env);
+    };
+    hooks.onEnd = [&](Environment &env) {
+        EXPECT_EQ(static_cast<CountingEnv &>(env).steps, 3);
+        ended.push_back(&env);
+    };
+    const EpisodePolicy act = [&](Environment &, const std::vector<float> &,
+                                  const StepInfo *last) {
+        first_steps += last ? 0 : 1;
+        return std::size_t{0};
+    };
+
+    const EvalStats stats = runEpisodes(vec, 7, act, hooks);
+    const std::vector<Environment *> order{&a, &b, &c, &a, &b, &c, &a};
+    EXPECT_EQ(started, order);
+    EXPECT_EQ(ended, order);
+    EXPECT_EQ(first_steps, 7);
+    EXPECT_EQ(a.resets, 3);
+    EXPECT_EQ(c.resets, 2);
+    EXPECT_EQ(stats.episodes, 7u);
+    EXPECT_EQ(stats.guesses, 0u);
+    EXPECT_DOUBLE_EQ(stats.meanEpisodeLength, 3.0);
+    EXPECT_DOUBLE_EQ(stats.meanReturn, 1.5);
+}
+
+TEST(RunEpisodes, OnStepFalseEndsTheEpisodeEarly)
+{
+    CountingEnv env(10);
+    SyncVecEnv vec(env);
+    int ends = 0;
+    EpisodeHooks hooks;
+    hooks.onStep = [](Environment &, std::size_t action,
+                      const StepResult &sr) {
+        EXPECT_FALSE(sr.done);
+        return action != 1;  // stop at the first guess
+    };
+    hooks.onEnd = [&](Environment &) { ++ends; };
+    // Probe twice, then guess.
+    const EpisodePolicy act = [](Environment &e, const std::vector<float> &,
+                                 const StepInfo *) {
+        return static_cast<CountingEnv &>(e).steps == 2 ? std::size_t{1}
+                                                        : std::size_t{0};
+    };
+
+    const EvalStats stats = runEpisodes(vec, 4, act, hooks);
+    EXPECT_EQ(ends, 4);
+    EXPECT_EQ(env.actions.size(), 12u);
+    EXPECT_DOUBLE_EQ(stats.meanEpisodeLength, 3.0);
+    EXPECT_EQ(stats.guesses, 4u);
+    EXPECT_DOUBLE_EQ(stats.guessAccuracy, 1.0);
+    EXPECT_DOUBLE_EQ(stats.bitRate, 1.0 / 3.0);
+}
+
+TEST(RunEpisodes, GreedyPolicyNeverPlaysAMaskedArgmax)
+{
+    Rng rng(21);
+    ActorCritic net(2, 4, 16, 1, rng);
+    CountingEnv env;
+    SyncVecEnv vec(env);
+
+    // Unmasked, greedy plays the raw-logit argmax every step.
+    runEpisodes(vec, 2, greedyPolicy(net));
+    const std::size_t best = env.actions.front();
+    for (std::size_t action : env.actions)
+        EXPECT_EQ(action, best);
+    const Matrix logits = net.forwardOne({0.25f, -0.75f}).logits;
+    for (std::size_t k = 0; k < 4; ++k)
+        EXPECT_LE(logits(0, k), logits(0, best));
+
+    // Mask the argmax out: greedy falls back to the best valid action.
+    env.mask.assign(4, 1);
+    env.mask[best] = 0;
+    env.actions.clear();
+    runEpisodes(vec, 2, greedyPolicy(net));
+    const std::size_t fallback = net.argmaxMasked(logits, 0, env.mask.data());
+    EXPECT_NE(fallback, best);
+    ASSERT_EQ(env.actions.size(), 6u);
+    for (std::size_t action : env.actions)
+        EXPECT_EQ(action, fallback);
 }
 
 } // namespace

@@ -172,7 +172,7 @@ TEST_P(PrimeProbeAcrossGeometries, TextbookPrimeProbeDistinguishes)
     if (sets < 2)
         GTEST_SKIP() << "needs at least two victim addresses";
 
-    DistinguishingOracle oracle(cfg);
+    ScenarioOracle oracle("guessing_game", cfg);
     const AttackSequence seq = textbookPrimeProbe(cfg);
     EXPECT_TRUE(
         oracle.isDistinguishing(seq.toIndices(oracle.actionSpace())));
