@@ -149,10 +149,11 @@ BENCHMARK(BM_EnvStep);
 /**
  * Wall env-steps/sec through a VecEnv at 1 to 256 streams, sync vs
  * threaded. Arg0 = stream count, Arg1 = 1 for ThreadedVecEnv. The
- * rate is taken on the wall clock: the pool's workers step while the
- * calling thread waits, so a CPU-time rate would overstate the
- * threaded adapter. On 4 cores the threaded adapter loses to sync at
- * every stream count, because a step costs less than its dispatch.
+ * rate is taken on the wall clock: the calling thread's CPU time
+ * leaves out the pool's workers, so a CPU-time rate would overstate
+ * the threaded adapter. On 4 vCPUs the threaded adapter loses to sync
+ * up to 64 streams and about ties at 256: a step costs little more
+ * than its hand-off.
  */
 void
 BM_VecEnvThroughput(benchmark::State &state)
@@ -306,8 +307,8 @@ BENCHMARK(BM_PolicyInferenceBatch)->Arg(1)->Arg(4)->Arg(8);
 /**
  * Full PPO epoch (collect + update) at 1/4/8 streams and 1/2/4 kernel
  * threads (Arg1, the update's matmul/Adam budget; the bits are the
- * same at every count). Timed on the wall clock: the kernel threads
- * work while the main thread waits, so its CPU time would overstate a
+ * same at every count). Timed on the wall clock: the main thread's CPU
+ * time leaves out the pool's workers, so it would overstate a
  * multi-threaded win.
  */
 void
@@ -386,6 +387,43 @@ BENCHMARK(BM_UpdateMinibatch)
     ->ArgName("threads")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/**
+ * Wall-clock round trip of one fork-join: a parallelBlocks call that
+ * the partition rule splits into min(budget, 4) empty blocks, at
+ * kernel budgets 1, 2 and 4 (Arg0). Arg1 busy-waits that many
+ * microseconds on the calling thread between calls, outside the
+ * timing: 200 us is the serial gather, softmax and dlogits work
+ * between two of a PPO minibatch's fork-joins, the gap the pool's
+ * spin window has to bridge. A fixed iteration count: sized by the
+ * timed round trip alone, the untimed gaps would run for minutes.
+ */
+void
+BM_ForkJoin(benchmark::State &state)
+{
+    using Clock = std::chrono::steady_clock;
+    const MatThreadScope budget(static_cast<std::size_t>(state.range(0)));
+    const std::chrono::microseconds gap(state.range(1));
+    constexpr std::size_t kAlign = 8, kRows = 4 * kAlign;
+    for (auto _ : state) {
+        const Clock::time_point busy_until = Clock::now() + gap;
+        while (Clock::now() < busy_until) {
+        }
+        const Clock::time_point t0 = Clock::now();
+        parallelBlocks(kRows, kAlign, 4 * kMatSplitMinWork,
+                       [](std::size_t i0, std::size_t i1) {
+                           benchmark::DoNotOptimize(i0 + i1);
+                       });
+        state.SetIterationTime(
+            std::chrono::duration<double>(Clock::now() - t0).count());
+    }
+}
+BENCHMARK(BM_ForkJoin)
+    ->ArgsProduct({{1, 2, 4}, {0, 200}})
+    ->ArgNames({"threads", "gap_us"})
+    ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseManualTime();
 
 void
 BM_Autocorrelation(benchmark::State &state)

@@ -50,9 +50,9 @@ TextbookPrimeProbeAgent::act(int last_latency)
         return actions_.accessIndex(config_.attackAddrS + cursor_++);
       }
       case Phase::Guess: {
-        if (missed_line_ < 0 && last_latency == LatMiss)
-            missed_line_ = static_cast<long>(num_lines_ - 1);
-        // Probes refilled every set: they are the next round's prime.
+        // Entered only from Probe, which has already scored the final
+        // probe. Probes refilled every set: they are the next round's
+        // prime.
         phase_ = Phase::Trigger;
         const std::uint64_t guess_addr =
             config_.victimAddrS +

@@ -816,9 +816,9 @@ runBlocks(std::size_t n, std::size_t align, std::size_t work, BlockFn fn,
         fn(ctx, 0, n);
         return;
     }
-    // Sized by the budget, not by this call's block count, so calls of
-    // different shapes share one pool; rebuilt only when the budget
-    // changes.
+    // Sized by the budget (this thread plus budget - 1 workers), not by
+    // this call's block count, so calls of different shapes share one
+    // pool; rebuilt only when the budget changes.
     if (!t_mat_pool || t_mat_pool->numThreads() != budget) {
         t_mat_pool.reset();
         t_mat_pool = std::make_unique<TaskPool>(budget);

@@ -57,13 +57,15 @@
  * is split over its *output rows* — batch rows for matmulInto,
  * matmulTransBInto and linearForwardInto, rows of the A^T * B product
  * for matmulTransAInto — into contiguous blocks whose boundaries are
- * multiples of 4 rows, at most one block per thread of the calling
+ * multiples of 4 rows, at most one block per executor of the calling
  * thread's budget (matThreads()) and per kMatSplitMinWork
- * multiply-adds, run on a util/TaskPool. Each block takes the call's
- * tier. Since per-element arithmetic is independent of the tile path,
- * the bits are those of the serial call at every thread count. Smaller
- * calls — per-step collection inference, forwardOne(), the tiny head
- * GEMMs — run inline and never dispatch.
+ * multiply-adds. The blocks run on the calling thread's util/TaskPool:
+ * the calling thread runs blocks itself, next to budget - 1 workers.
+ * Each block takes the call's tier. Since per-element arithmetic is
+ * independent of the tile path, the bits are those of the serial call
+ * at every thread count. Smaller calls — per-step collection
+ * inference, forwardOne(), the tiny head GEMMs — run inline and never
+ * dispatch.
  */
 
 #ifndef AUTOCAT_RL_MAT_HPP
@@ -164,20 +166,22 @@ constexpr std::size_t kMatSplitMinWork = std::size_t{1} << 18;
 constexpr std::size_t kMatSplitMinRows = 8;
 
 /**
- * Thread budget of the calling thread's training kernels: how many pool
- * workers a matmul (or Adam step) big enough to split may use. Defaults
- * to every CPU in the process's affinity mask; MatThreadScope overrides
- * it. Results are bitwise identical at every budget, so the budget is
- * an execution resource only — no config key, blob, checkpoint or
- * report carries it.
+ * Thread budget of the calling thread's training kernels: how many
+ * threads, the calling one included, a matmul (or Adam step) big
+ * enough to split may run on. Defaults to every CPU in the process's
+ * affinity mask; MatThreadScope overrides it. Results are bitwise
+ * identical at every budget, so the budget is an execution resource
+ * only — no config key, blob, checkpoint or report carries it.
  */
 std::size_t matThreads();
 
 /**
  * Sets the calling thread's budget for the scope's lifetime (0 selects
  * the default) and restores the previous budget on destruction. The
- * worker pool is per thread and created lazily, on the first call big
- * enough to split — a budget of 1 never spawns a thread.
+ * pool is per thread and created lazily, at the budget, on the first
+ * call big enough to split: the calling thread plus budget - 1 workers,
+ * so a budget of 1 never spawns a thread. A budget change rebuilds it
+ * at that call.
  */
 class MatThreadScope
 {

@@ -196,9 +196,10 @@ class SyncVecEnv : public VecEnv
 };
 
 /**
- * Worker-pool adapter: stepAll()/resetAll() dispatch each stream to a
- * persistent TaskPool (util/task_pool.hpp) and block until the batch
- * is complete. Trajectories are bitwise-identical to SyncVecEnv over
+ * Worker-pool adapter: stepAll()/resetAll() step the streams on a
+ * persistent TaskPool (util/task_pool.hpp) — the calling thread and
+ * the pool's workers — and return once every stream has stepped.
+ * Trajectories are bitwise-identical to SyncVecEnv over
  * the same environments: each stream owns its state and writes only
  * its own output row, so the pool's claiming order is unobservable.
  */
@@ -208,8 +209,8 @@ class ThreadedVecEnv : public VecEnv
     /**
      * @param envs        owned streams (all non-null, same dimensions,
      *                    all masking or none)
-     * @param num_threads worker count; 0 selects
-     *                    min(numEnvs, hardware_concurrency)
+     * @param num_threads executor count, the calling thread included;
+     *                    0 selects min(numEnvs, hardware_concurrency)
      */
     explicit ThreadedVecEnv(std::vector<std::unique_ptr<Environment>> envs,
                             std::size_t num_threads = 0);
@@ -228,7 +229,7 @@ class ThreadedVecEnv : public VecEnv
                    VecStepResult &out) override;
     Environment &env(std::size_t i) override { return *envs_[i]; }
 
-    /** Worker threads actually running. */
+    /** Threads stepping streams, the calling thread included. */
     std::size_t numThreads() const { return pool_.numThreads(); }
 
   private:

@@ -1,10 +1,56 @@
 #include "util/task_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include <sched.h>
 
 namespace autocat {
+
+namespace {
+
+/** How long an idle executor polls before it blocks (see the header's
+ *  file comment). A constant, not a setting: it has to outlast the
+ *  gaps between one minibatch's fork-joins, not fit a host. */
+constexpr std::chrono::microseconds kSpinWindow{500};
+
+/** Tell the core this is a spin-wait (saves power, frees the sibling
+ *  hyperthread). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
+
+/**
+ * Poll @p ready until it holds or kSpinWindow has passed;
+ * returns its last value. The clock is read, and the CPU yielded to
+ * any other runnable thread, once per kPollsPerCheck polls.
+ */
+template <typename Ready>
+bool
+spinUntil(Ready ready)
+{
+    constexpr int kPollsPerCheck = 64;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + kSpinWindow;
+    for (;;) {
+        for (int i = 0; i < kPollsPerCheck; ++i) {
+            if (ready())
+                return true;
+            cpuRelax();
+        }
+        if (Clock::now() >= deadline)
+            return ready();
+        std::this_thread::yield();
+    }
+}
+
+} // namespace
 
 std::size_t
 affinityCpuCount()
@@ -31,75 +77,74 @@ TaskPool::TaskPool(std::size_t num_threads, std::size_t max_useful)
         threads = std::min(threads, max_useful);
     threads = std::max<std::size_t>(threads, 1);
 
-    workers_.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w)
+    workers_.reserve(threads - 1);
+    for (std::size_t w = 1; w < threads; ++w)
         workers_.emplace_back([this] { workerLoop(); });
 }
 
 TaskPool::~TaskPool()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        quit_ = true;
-        ++generation_;
-    }
-    work_cv_.notify_all();
+    quit_.store(true);
+    wake(work_cv_);
     for (auto &t : workers_)
         t.join();
 }
 
 void
+TaskPool::drain()
+{
+    std::size_t left = unclaimed_.load(std::memory_order_relaxed);
+    while (left != 0) {
+        // A stale chunk_ (from an earlier batch) only sizes the claim;
+        // the CAS decides what is claimed. Claims count down, so the
+        // first one takes the batch's first indices.
+        const std::size_t take =
+            std::min(chunk_.load(std::memory_order_relaxed), left);
+        if (!unclaimed_.compare_exchange_weak(left, left - take,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed))
+            continue;
+        const std::size_t lo = begin_ + (count_ - left);
+        for (std::size_t i = lo; i < lo + take; ++i) {
+            try {
+                fn_(ctx_, i);
+            } catch (...) {
+                if (!failed_.exchange(true))
+                    error_ = std::current_exception();
+            }
+        }
+        // The batch's fields may change as soon as this settles.
+        if (unsettled_.fetch_sub(take) == take)
+            wake(done_cv_);
+        left = unclaimed_.load(std::memory_order_relaxed);
+    }
+}
+
+void
+TaskPool::wake(std::condition_variable &cv)
+{
+    // The counters a waiter's predicate reads change outside mutex_,
+    // before this call. A waiter holds mutex_ from its predicate check
+    // until it blocks, so taking mutex_ here keeps the notify from
+    // falling in between.
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv.notify_all();
+}
+
+void
 TaskPool::workerLoop()
 {
-    std::uint64_t seen = 0;
+    const auto has_work = [this] {
+        return unclaimed_.load() != 0 || quit_.load();
+    };
     for (;;) {
-        BatchFn fn;
-        void *ctx;
-        std::size_t end;
-        std::size_t chunk;
-        {
+        drain();
+        if (!spinUntil(has_work)) {
             std::unique_lock<std::mutex> lock(mutex_);
-            work_cv_.wait(lock,
-                          [&] { return quit_ || generation_ != seen; });
-            if (quit_)
-                return;
-            seen = generation_;
-            fn = fn_;
-            ctx = ctx_;
-            end = end_;
-            chunk = chunk_;
+            work_cv_.wait(lock, has_work);
         }
-
-        try {
-            // Claim contiguous chunks until the batch is exhausted —
-            // one atomic RMW per chunk instead of per index, and
-            // neighboring indices (whose outputs often share cache
-            // lines, e.g. VecEnv reward/done arrays) stay on one
-            // worker. A throwing task stops only this worker's
-            // claiming; the others drain the rest so the caller is
-            // never left waiting.
-            for (;;) {
-                const std::size_t lo =
-                    cursor_.fetch_add(chunk, std::memory_order_relaxed);
-                if (lo >= end)
-                    break;
-                const std::size_t hi = std::min(lo + chunk, end);
-                for (std::size_t i = lo; i < hi; ++i)
-                    fn(ctx, i);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!error_)
-                error_ = std::current_exception();
-        }
-
-        bool last = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            last = --remaining_ == 0;
-        }
-        if (last)
-            done_cv_.notify_one();
+        if (quit_.load())
+            return;
     }
 }
 
@@ -108,29 +153,33 @@ TaskPool::run(std::size_t begin, std::size_t end, BatchFn fn, void *ctx)
 {
     if (begin >= end)
         return;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        fn_ = fn;
-        ctx_ = ctx;
-        end_ = end;
-        // ~4 chunks per worker balances load without shredding
-        // contiguity.
-        chunk_ = std::max<std::size_t>(
-            (end - begin) / (4 * workers_.size()), 1);
-        cursor_.store(begin, std::memory_order_relaxed);
-        error_ = nullptr;
-        remaining_ = workers_.size();
-        ++generation_;
+    const std::size_t count = end - begin;
+    fn_ = fn;
+    ctx_ = ctx;
+    begin_ = begin;
+    count_ = count;
+    error_ = nullptr;
+    failed_.store(false, std::memory_order_relaxed);
+    // ~4 chunks per executor balances load without shredding
+    // contiguity (neighboring indices often share output cache lines,
+    // e.g. VecEnv reward/done arrays).
+    chunk_.store(std::max<std::size_t>(count / (4 * numThreads()), 1),
+                 std::memory_order_relaxed);
+    unsettled_.store(count, std::memory_order_relaxed);
+    unclaimed_.store(count);  // publishes the batch
+    wake(work_cv_);
+
+    drain();
+    const auto settled = [this] { return unsettled_.load() == 0; };
+    if (!spinUntil(settled)) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_cv_.wait(lock, settled);
     }
-    work_cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return remaining_ == 0; });
-    if (error_) {
+    if (failed_.load(std::memory_order_relaxed)) {
         // Task exceptions reach the caller instead of terminating a
         // worker thread.
         std::exception_ptr e = std::move(error_);
         error_ = nullptr;
-        lock.unlock();
         std::rethrow_exception(e);
     }
 }

@@ -1,20 +1,27 @@
 /**
  * @file
  * Unit tests for the util substrate: RNG, statistics, bit helpers,
- * and table rendering.
+ * table rendering and the fork-join TaskPool.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/task_pool.hpp"
 
 namespace autocat {
 namespace {
@@ -312,6 +319,173 @@ TEST(TextTable, NumberFormatting)
 {
     EXPECT_EQ(TextTable::fmt(1.23456, 2), "1.23");
     EXPECT_EQ(TextTable::fmt(42L), "42");
+}
+
+// --------------------------------------------------------- task pool --
+
+/** Yield until @p done holds; false after 30 s, so a broken pool fails
+ *  the test instead of hanging it. */
+template <typename Done>
+bool
+waitFor(Done done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+TEST(TaskPool, NumThreadsCountsTheCaller)
+{
+    EXPECT_EQ(TaskPool(1).numThreads(), 1u);
+    EXPECT_EQ(TaskPool(4).numThreads(), 4u);
+    EXPECT_EQ(TaskPool(8, /*max_useful=*/3).numThreads(), 3u);
+
+    // A pool of 1 starts no thread.
+    TaskPool solo(1);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    solo.parallelFor(0, 16, [&](std::size_t) {
+        if (std::this_thread::get_id() != caller)
+            elsewhere.fetch_add(1);
+    });
+    EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(TaskPool, ExecutorsAreTheCallerAndItsWorkers)
+{
+    for (std::size_t n : {2u, 4u}) {
+        TaskPool pool(n);
+        std::mutex mutex;
+        std::set<std::thread::id> ids;
+        const auto joined = [&] {
+            std::lock_guard<std::mutex> lock(mutex);
+            return ids.size();
+        };
+        // Each index holds its executor until n threads have joined
+        // the batch, so each of the n executors runs one index.
+        pool.parallelFor(0, n, [&](std::size_t) {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                ids.insert(std::this_thread::get_id());
+            }
+            EXPECT_TRUE(waitFor([&] { return joined() == n; }));
+        });
+        EXPECT_EQ(ids.size(), n);
+        EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
+    }
+}
+
+TEST(TaskPool, EveryIndexRunsOnceAcrossBackToBackBatches)
+{
+    // 8 executors oversubscribe a 4-CPU host.
+    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+        TaskPool pool(threads);
+        std::array<std::atomic<int>, 16> hits{};
+        std::array<std::atomic<int>, 16> batch_of{};
+        long ran = 0, expected = 0;
+        for (int b = 0; b < 10000; ++b) {
+            const std::size_t begin = static_cast<std::size_t>(b % 5);
+            const std::size_t end =
+                begin + 1 + static_cast<std::size_t>(b % 9);
+            for (auto &h : hits)
+                h.store(0);
+            // A task run twice, skipped, or run through an earlier
+            // batch's function shows up in hits or batch_of.
+            pool.parallelFor(begin, end, [&, b](std::size_t i) {
+                hits[i].fetch_add(1);
+                batch_of[i].store(b);
+            });
+            expected += static_cast<long>(end - begin);
+            for (std::size_t i = 0; i < hits.size(); ++i) {
+                const bool in = i >= begin && i < end;
+                ASSERT_EQ(hits[i].load(), in ? 1 : 0)
+                    << threads << " executors, batch " << b << ", index "
+                    << i;
+                if (in) {
+                    ASSERT_EQ(batch_of[i].load(), b);
+                }
+                ran += hits[i].load();
+            }
+        }
+        EXPECT_EQ(ran, expected) << threads << " executors";
+    }
+}
+
+TEST(TaskPool, ExceptionsReachTheCallerAndTheNextBatchRuns)
+{
+    TaskPool pool(2);
+    const auto caller = std::this_thread::get_id();
+    for (bool on_caller : {true, false}) {
+        std::atomic<bool> thrown{false};
+        std::atomic<int> ran{0};
+        // Two indices: one throws on the chosen side, the other waits
+        // for that throw, so each executor runs one index (or the
+        // thrower runs both).
+        const auto task = [&](std::size_t) {
+            ran.fetch_add(1);
+            if ((std::this_thread::get_id() == caller) == on_caller) {
+                thrown.store(true);
+                throw std::runtime_error(on_caller ? "caller" : "worker");
+            }
+            EXPECT_TRUE(waitFor([&] { return thrown.load(); }));
+        };
+        try {
+            pool.parallelFor(0, 2, task);
+            ADD_FAILURE() << "no exception reached the caller";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), on_caller ? "caller" : "worker");
+        }
+        EXPECT_EQ(ran.load(), 2);
+
+        std::atomic<int> next{0};
+        pool.parallelFor(0, 100, [&](std::size_t) { next.fetch_add(1); });
+        EXPECT_EQ(next.load(), 100);
+    }
+}
+
+TEST(TaskPool, ThrowingIndexDoesNotSkipTheRest)
+{
+    for (std::size_t threads : {1u, 4u}) {
+        TaskPool pool(threads);
+        std::array<std::atomic<int>, 64> hits{};
+        EXPECT_THROW(pool.parallelFor(0, hits.size(),
+                                      [&](std::size_t i) {
+                                          hits[i].fetch_add(1);
+                                          if (i % 16 == 3)
+                                              throw std::runtime_error("x");
+                                      }),
+                     std::runtime_error);
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1) << threads << " executors";
+    }
+}
+
+TEST(TaskPool, EmptyRangeReturnsWithoutDispatching)
+{
+    TaskPool pool(4);
+    bool called = false;  // a plain bool: a worker writing it would race
+    pool.parallelFor(3, 3, [&](std::size_t) { called = true; });
+    pool.parallelFor(5, 2, [&](std::size_t) { called = true; });
+    EXPECT_FALSE(called);
+}
+
+TEST(TaskPool, DestroyedInsideTheSpinWindowJoinsCleanly)
+{
+    // Each pool dies right after its batch, while its idle workers are
+    // still polling for the next one.
+    for (int round = 0; round < 200; ++round) {
+        std::atomic<int> ran{0};
+        {
+            TaskPool pool(4);
+            pool.parallelFor(0, 8, [&](std::size_t) { ran.fetch_add(1); });
+        }
+        ASSERT_EQ(ran.load(), 8) << "round " << round;
+    }
 }
 
 } // namespace
