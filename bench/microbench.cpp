@@ -334,13 +334,46 @@ BENCHMARK(BM_PpoEpoch)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/** A minibatch whose loss writes fixed gradients: BM_UpdateMinibatch
+ *  times the training step, not a PPO loss. */
+struct FixedLossRows final : ActorCritic::Minibatch
+{
+    const Matrix &obs;
+    const Matrix &dlogits;
+    const std::vector<float> &dvalues;
+
+    FixedLossRows(const Matrix &o, const Matrix &dl,
+                  const std::vector<float> &dv)
+        : obs(o), dlogits(dl), dvalues(dv)
+    {
+    }
+
+    void
+    gather(Matrix &input, std::size_t r0, std::size_t r1) override
+    {
+        std::copy(obs.rowPtr(r0), obs.rowPtr(r1), input.rowPtr(r0));
+    }
+
+    void
+    loss(const AcOutput &, Matrix &dl, std::vector<float> &dv,
+         std::size_t r0, std::size_t r1) override
+    {
+        std::copy(dlogits.rowPtr(r0), dlogits.rowPtr(r1), dl.rowPtr(r0));
+        std::copy(dvalues.begin() + static_cast<std::ptrdiff_t>(r0),
+                  dvalues.begin() + static_cast<std::ptrdiff_t>(r1),
+                  dv.begin() + static_cast<std::ptrdiff_t>(r0));
+    }
+};
+
 /**
  * One PPO minibatch update at the Table V shape — 500 rows of 251
- * observation features, hidden 128 x 2, 8 actions: forward, backward,
- * clipGradNorm and Adam::step, at 1 and 4 kernel threads (Arg0). Wall
- * clock, like BM_PpoEpoch. GFLOP/s counts two flops per multiply-add
- * of the GEMMs: the forward, every layer's weight gradient, and the
- * input gradients of all layers but the first.
+ * observation features, hidden 128 x 2, 8 actions: the training step
+ * (ActorCritic::trainStep, with a loss that writes fixed logit and
+ * value gradients), clipGradNorm and Adam::step, at 1 and 4 kernel
+ * threads (Arg0). Wall clock, like BM_PpoEpoch. GFLOP/s counts two
+ * flops per multiply-add of the GEMMs: the forward, every layer's
+ * weight gradient, and the input gradients of all layers but the
+ * first.
  */
 void
 BM_UpdateMinibatch(benchmark::State &state)
@@ -360,11 +393,12 @@ BM_UpdateMinibatch(benchmark::State &state)
     std::vector<float> dvalues(kRows);
     for (float &v : dvalues)
         v = static_cast<float>(1e-3 * rng.gaussian());
+    FixedLossRows rows(obs, dlogits, dvalues);
     AcOutput out;
+    Matrix dlogits_ws;
+    std::vector<float> dvalues_ws;
     for (auto _ : state) {
-        net.forward(obs, out);
-        net.zeroGrad();
-        net.backward(dlogits, dvalues);
+        net.trainStep(kRows, rows, out, dlogits_ws, dvalues_ws);
         auto blocks = net.paramBlocks();
         clipGradNorm(blocks, 0.5);
         adam.step(blocks);
@@ -393,10 +427,11 @@ BENCHMARK(BM_UpdateMinibatch)
  * the partition rule splits into min(budget, 4) empty blocks, at
  * kernel budgets 1, 2 and 4 (Arg0). Arg1 busy-waits that many
  * microseconds on the calling thread between calls, outside the
- * timing: 200 us is the serial gather, softmax and dlogits work
- * between two of a PPO minibatch's fork-joins, the gap the pool's
- * spin window has to bridge. A fixed iteration count: sized by the
- * timed round trip alone, the untimed gaps would run for minutes.
+ * timing: 200 us is a serial gap well inside the pool's 0.5 ms spin
+ * window, which idle executors have to bridge (a Table V PPO
+ * minibatch's longest, the clip before Adam, is about 44 us). A fixed
+ * iteration count: sized by the timed round trip alone, the untimed
+ * gaps would run for minutes.
  */
 void
 BM_ForkJoin(benchmark::State &state)

@@ -271,24 +271,24 @@ runSweepCells(const std::string &name, std::vector<SweepCell> cells,
         }
     };
 
-    if (workers <= 1 || report.cells.size() <= 1) {
-        report.workersUsed = 1;
-        for (std::size_t i = 0; i < report.cells.size(); ++i)
-            run_cell(i);
-    } else {
-        TaskPool pool(static_cast<std::size_t>(workers),
-                      /*max_useful=*/report.cells.size());
-        report.workersUsed = static_cast<int>(pool.numThreads());
-        // Concurrent cells share the caller's kernel-thread budget so
-        // workers x GEMM threads stays within the cores (results do
-        // not depend on the split; see rl/mat.hpp).
-        const std::size_t cell_threads =
-            std::max<std::size_t>(1, matThreads() / pool.numThreads());
-        pool.parallelFor(0, report.cells.size(), [&](std::size_t i) {
-            const MatThreadScope budget(cell_threads);
-            run_cell(i);
-        });
-    }
+    // One executor (workers <= 1, or a single cell) runs every cell on
+    // this thread, in order, at this thread's kernel budget. As with
+    // any pool batch, a cell or progress callback that throws does not
+    // stop the others: the remaining cells run, then the first
+    // exception is rethrown (util/task_pool.hpp).
+    TaskPool pool(static_cast<std::size_t>(std::max(workers, 1)),
+                  /*max_useful=*/std::max<std::size_t>(report.cells.size(),
+                                                       1));
+    report.workersUsed = static_cast<int>(pool.numThreads());
+    // Concurrent cells share the caller's kernel-thread budget so
+    // workers x GEMM threads stays within the cores (results do not
+    // depend on the split; see rl/mat.hpp).
+    const std::size_t cell_threads =
+        std::max<std::size_t>(1, matThreads() / pool.numThreads());
+    pool.parallelFor(0, report.cells.size(), [&](std::size_t i) {
+        const MatThreadScope budget(cell_threads);
+        run_cell(i);
+    });
 
     report.wallSeconds =
         std::chrono::duration<double>(Clock::now() - t0).count();

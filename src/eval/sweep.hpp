@@ -296,7 +296,9 @@ using SweepProgress = std::function<void(const SweepCellResult &)>;
  * per cell — index, scenario, and error text land in the cell's
  * report row — and never abort the rest of the grid. Deterministic
  * for fixed cell configs: the report content is independent of worker
- * count and scheduling.
+ * count and scheduling. A @p progress callback that throws does not
+ * abort it either: the remaining cells run, then the first exception
+ * is rethrown here.
  *
  * A non-empty @p checkpoint_dir runs every cell as a checkpointing
  * campaign (per-cell file `cell_<index>.ckpt`, cadence

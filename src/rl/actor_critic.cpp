@@ -6,19 +6,19 @@
 
 namespace autocat {
 
-namespace {
-
-/** backward() scratch, per thread like Mlp's (rl/nn.cpp). */
-struct BackwardScratch
+/**
+ * Backward scratch of the heads, per thread like Mlp's (rl/nn.cpp): the
+ * thread that drives a step owns it, and the step's row blocks and
+ * weight-gradient tasks use that thread's copy.
+ */
+struct ActorCritic::Scratch
 {
+    std::vector<Matrix> *torso = nullptr;  ///< Mlp::beginBackward(); its
+                                           ///< last entry is dTorso
     Matrix dv;       ///< B x 1 value-loss gradient
-    Matrix dTorso;   ///< torso-output gradient: policy head + value
     Matrix dTorsoV;  ///< the value head's share of dTorso
+    std::vector<LayerGrad> jobs;  ///< the weight-gradient region's layers
 };
-
-thread_local BackwardScratch t_backward;
-
-} // namespace
 
 ActorCritic::ActorCritic(std::size_t obs_dim, std::size_t num_actions,
                          std::size_t hidden, std::size_t layers, Rng &rng)
@@ -49,13 +49,15 @@ void
 ActorCritic::forward(const Matrix &obs, AcOutput &out)
 {
     assert(obs.cols() == obs_dim_);
-    const Matrix &torso = torso_.forwardCached(obs);
-    torso_out_ = &torso;
-    pi_head_.forwardInto(out.logits, torso, /*fuse_relu=*/false);
-    v_head_.forwardInto(values_col_, torso, /*fuse_relu=*/false);
-    out.values.resize(obs.rows());
-    for (std::size_t r = 0; r < obs.rows(); ++r)
-        out.values[r] = values_col_(r, 0);
+    const std::size_t rows = obs.rows();
+    Matrix &input = beginForward(rows, out);
+    const detail::MatTier tier = detail::matTier();
+    parallelBlocks(rows, kMatTileRows, rows * maddsPerRow(),
+                   [&](std::size_t r0, std::size_t r1) {
+                       std::copy(obs.rowPtr(r0), obs.rowPtr(r1),
+                                 input.rowPtr(r0));
+                       forwardRows(tier, out, r0, r1);
+                   });
 }
 
 void
@@ -75,20 +77,107 @@ ActorCritic::backward(const Matrix &dlogits,
                       const std::vector<float> &dvalues)
 {
     assert(torso_out_ != nullptr);
-    assert(dlogits.rows() == torso_out_->rows());
-    assert(dvalues.size() == torso_out_->rows());
+    const std::size_t rows = torso_out_->rows();
+    assert(dlogits.rows() == rows && dvalues.size() == rows);
+    Scratch &ws = beginBackward(rows);
+    const detail::MatTier tier = detail::matTier();
+    parallelBlocks(rows, kMatTileRows, rows * maddsPerRow(),
+                   [&](std::size_t r0, std::size_t r1) {
+                       backwardRows(tier, ws, dlogits, dvalues, r0, r1);
+                   });
+    weightGrads(ws, dlogits, /*accumulate=*/true);
+}
 
-    BackwardScratch &ws = t_backward;
-    pi_head_.backward(dlogits, *torso_out_, &ws.dTorso);
+void
+ActorCritic::trainStep(std::size_t rows, Minibatch &batch, AcOutput &out,
+                       Matrix &dlogits, std::vector<float> &dvalues)
+{
+    Matrix &input = beginForward(rows, out);
+    Scratch &ws = beginBackward(rows);
+    dlogits.resizeUninit(rows, num_actions_);
+    dvalues.resize(rows);
+    const detail::MatTier tier = detail::matTier();
+    parallelBlocks(rows, kMatTileRows, 2 * rows * maddsPerRow(),
+                   [&](std::size_t r0, std::size_t r1) {
+                       batch.gather(input, r0, r1);
+                       forwardRows(tier, out, r0, r1);
+                       batch.loss(out, dlogits, dvalues, r0, r1);
+                       backwardRows(tier, ws, dlogits, dvalues, r0, r1);
+                   });
+    weightGrads(ws, dlogits, /*accumulate=*/false);
+}
 
-    ws.dv.resizeUninit(dvalues.size(), 1);
-    std::copy(dvalues.begin(), dvalues.end(), ws.dv.data());
-    v_head_.backward(ws.dv, *torso_out_, &ws.dTorsoV);
+Matrix &
+ActorCritic::beginForward(std::size_t rows, AcOutput &out)
+{
+    Matrix &input = torso_.beginBatch(rows);
+    torso_out_ = &torso_.output();
+    out.logits.resizeUninit(rows, num_actions_);
+    values_col_.resizeUninit(rows, 1);
+    out.values.resize(rows);
+    return input;
+}
 
-    for (std::size_t i = 0; i < ws.dTorso.size(); ++i)
-        ws.dTorso.data()[i] += ws.dTorsoV.data()[i];
+ActorCritic::Scratch &
+ActorCritic::beginBackward(std::size_t rows)
+{
+    thread_local Scratch ws;
+    ws.torso = &torso_.beginBackward();
+    ws.dv.resizeUninit(rows, 1);
+    ws.dTorsoV.resizeUninit(rows, torso_.outFeatures());
+    return ws;
+}
 
-    torso_.backward(ws.dTorso);
+std::size_t
+ActorCritic::maddsPerRow() const
+{
+    return torso_.maddsPerRow() + torso_.outFeatures() * (num_actions_ + 1);
+}
+
+void
+ActorCritic::forwardRows(detail::MatTier tier, AcOutput &out,
+                         std::size_t r0, std::size_t r1)
+{
+    torso_.forwardRows(tier, r0, r1);
+    pi_head_.forwardRows(tier, out.logits, *torso_out_, false, r0, r1);
+    v_head_.forwardRows(tier, values_col_, *torso_out_, false, r0, r1);
+    for (std::size_t r = r0; r < r1; ++r)
+        out.values[r] = values_col_(r, 0);
+}
+
+void
+ActorCritic::backwardRows(detail::MatTier tier, Scratch &ws,
+                          const Matrix &dlogits,
+                          const std::vector<float> &dvalues, std::size_t r0,
+                          std::size_t r1)
+{
+    // dTorso = dlogits * W_pi + dv * W_v, written into the torso's
+    // output gradient; then the torso's ReLU masks. The add and the
+    // masks are two plain loops: fused into one over raw pointers they
+    // do not vectorize.
+    Matrix &dtorso = ws.torso->back();
+    pi_head_.inputGradRows(tier, dtorso, dlogits, r0, r1);
+    std::copy(dvalues.begin() + static_cast<std::ptrdiff_t>(r0),
+              dvalues.begin() + static_cast<std::ptrdiff_t>(r1),
+              ws.dv.rowPtr(r0));
+    v_head_.inputGradRows(tier, ws.dTorsoV, ws.dv, r0, r1);
+    float *t = dtorso.data();
+    const float *v = ws.dTorsoV.data();
+    for (std::size_t i = r0 * dtorso.cols(); i < r1 * dtorso.cols(); ++i)
+        t[i] += v[i];
+    torso_.backwardRows(tier, *ws.torso, r0, r1);
+}
+
+void
+ActorCritic::weightGrads(Scratch &ws, const Matrix &dlogits,
+                         bool accumulate)
+{
+    const std::size_t n = torso_.numLayers();
+    ws.jobs.resize(n + 2);
+    torso_.layerGrads(*ws.torso, ws.jobs.data());
+    ws.jobs[n] = {&pi_head_, &dlogits, torso_out_};
+    ws.jobs[n + 1] = {&v_head_, &ws.dv, torso_out_};
+    Linear::weightGrads(ws.jobs.data(), ws.jobs.size(), accumulate);
 }
 
 const AcOutput &
@@ -137,58 +226,74 @@ ActorCritic::softmaxRow(const Matrix &logits, std::size_t r)
     return p;
 }
 
-std::size_t
-ActorCritic::sample(const Matrix &logits, std::size_t r, Rng &rng) const
-{
-    const std::vector<double> p = softmaxRow(logits, r);
-    double x = rng.uniformDouble();
-    for (std::size_t c = 0; c < p.size(); ++c) {
-        x -= p[c];
-        if (x < 0.0)
-            return c;
-    }
-    return p.size() - 1;
-}
+namespace {
 
+/**
+ * Draw from softmax(logits row @p r), restricted to the entries whose
+ * mask byte is 1 when @p mask is not null, in the sequential order of
+ * softmaxRow(): max, exp-sum, then the walk. A masked entry's 0.0 added
+ * to the exp-sum is the identity, so an all-1 mask reproduces the
+ * unmasked draw, and the log-probability taken from the same max and
+ * exp-sum is logProb()'s (logProbMasked()'s) bit for bit.
+ */
 std::size_t
-ActorCritic::sampleMasked(const Matrix &logits, std::size_t r,
-                          const std::uint8_t *mask, Rng &rng) const
+sampleRow(const Matrix &logits, std::size_t r, const std::uint8_t *mask,
+          Rng &rng, double *log_prob)
 {
-    assert(mask != nullptr);
+    // The exps, per thread: a draw allocates nothing once it has run.
+    thread_local std::vector<double> t_exps;
     const std::size_t n = logits.cols();
-    // Masked softmax in the exact sequential order of softmaxRow(), so
-    // an all-1 mask reproduces sample() bit for bit (adding the masked
-    // entries' 0.0 to the running sum is the identity).
+    const float *in = logits.rowPtr(r);
     double maxv = -1e30;
     std::size_t valid = 0;
     for (std::size_t c = 0; c < n; ++c) {
-        if (mask[c]) {
-            maxv = std::max(maxv, static_cast<double>(logits(r, c)));
+        if (!mask || mask[c]) {
+            maxv = std::max(maxv, static_cast<double>(in[c]));
             ++valid;
         }
     }
     assert(valid > 0 && "sampleMasked: row masks out every action");
-    std::vector<double> p(n);
+    std::vector<double> &e = t_exps;
+    e.resize(n);
     double sum = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
-        p[c] = mask[c]
-                   ? std::exp(static_cast<double>(logits(r, c)) - maxv)
-                   : 0.0;
-        sum += p[c];
+        e[c] = !mask || mask[c] ? std::exp(static_cast<double>(in[c]) - maxv)
+                                : 0.0;
+        sum += e[c];
     }
     double x = rng.uniformDouble();
-    std::size_t last_valid = 0;
+    // Rounding can leave a sliver of probability unassigned: the draw
+    // then falls back to the last valid index.
+    std::size_t action = 0;
     for (std::size_t c = 0; c < n; ++c) {
-        if (!mask[c])
+        if (mask && !mask[c])
             continue;
-        last_valid = c;
-        x -= p[c] / sum;
+        action = c;
+        x -= e[c] / sum;
         if (x < 0.0)
-            return c;
+            break;
     }
-    // Rounding left a sliver of probability unassigned: fall back to
-    // the last *valid* index, mirroring sample()'s final-index return.
-    return last_valid;
+    if (log_prob)
+        *log_prob = static_cast<double>(in[action]) - maxv - std::log(sum);
+    return action;
+}
+
+} // namespace
+
+std::size_t
+ActorCritic::sample(const Matrix &logits, std::size_t r, Rng &rng,
+                    double *log_prob) const
+{
+    return sampleRow(logits, r, nullptr, rng, log_prob);
+}
+
+std::size_t
+ActorCritic::sampleMasked(const Matrix &logits, std::size_t r,
+                          const std::uint8_t *mask, Rng &rng,
+                          double *log_prob) const
+{
+    assert(mask != nullptr);
+    return sampleRow(logits, r, mask, rng, log_prob);
 }
 
 std::size_t

@@ -5,8 +5,9 @@
  * needs (sampling, log-probabilities, entropy) computed from logits.
  *
  * Two forward paths:
- *  - forward(): the training path — caches torso activations so
- *    backward() can accumulate gradients.
+ *  - trainStep(): the training path — one minibatch forward, loss and
+ *    backward as two regions on the calling thread's pool; forward()
+ *    and backward() are its two halves for callers with their own loss.
  *  - forwardNoGrad() / forwardOne(): allocation-free inference through
  *    a reusable internal workspace (fused bias+ReLU GEMM, no caching).
  *    This is what rollout collection and evaluation run, and the
@@ -48,11 +49,65 @@ class ActorCritic
     ActorCritic(std::size_t obs_dim, std::size_t num_actions,
                 std::size_t hidden, std::size_t layers, Rng &rng);
 
+    /**
+     * What trainStep() asks of its caller for each block of rows. Both
+     * calls run on pool executors, concurrently for disjoint blocks, so
+     * each must write only its block's rows of what it is handed and
+     * state that block owns.
+     */
+    class Minibatch
+    {
+      public:
+        /** Write observation rows [r0, r1) into the same rows of
+         *  @p input (rows x obsDim()). */
+        virtual void gather(Matrix &input, std::size_t r0,
+                            std::size_t r1) = 0;
+
+        /** The loss gradient of rows [r0, r1): read those rows of
+         *  @p out, write the same rows of @p dlogits (rows x
+         *  numActions()) and @p dvalues. */
+        virtual void loss(const AcOutput &out, Matrix &dlogits,
+                          std::vector<float> &dvalues, std::size_t r0,
+                          std::size_t r1) = 0;
+    };
+
+    /**
+     * One training step over a minibatch of @p rows rows, as two
+     * regions on the calling thread's pool (rl/mat.hpp):
+     *
+     *  1. a row region, one 4-row-aligned block per executor: each block
+     *     gathers its observation rows straight into the torso's input
+     *     activation, runs the torso and both heads forward, calls the
+     *     loss, then computes the head input gradient (dlogits * W_pi +
+     *     dvalues * W_v), the ReLU masks and the torso's input gradients
+     *     of its rows;
+     *  2. a weight-gradient region (Linear::weightGrads()) over every
+     *     layer's dW and bias.
+     *
+     * The parameter gradients become the minibatch's, added into zeroed
+     * gradients; @p out, @p dlogits and @p dvalues (resized here) hold
+     * the forward output and the loss gradients. The bits are those of
+     * forward(), the loss, zeroGrad() and backward() in sequence, at
+     * every budget and on either SIMD tier.
+     *
+     * Exceptions: a block that throws — from gather() or loss(), such
+     * as the masked softmax's std::domain_error for a row that masks
+     * out every action (rl/mat.hpp), which now leaves from a pool
+     * block — does not stop the other blocks. The first exception is
+     * rethrown here once every block has settled (util/TaskPool); the
+     * weight-gradient region does not run and the gradients are
+     * unspecified. The network stays usable: the next step overwrites
+     * everything it reads.
+     */
+    void trainStep(std::size_t rows, Minibatch &batch, AcOutput &out,
+                   Matrix &dlogits, std::vector<float> &dvalues);
+
     /** Batch forward; caches intermediates for backward(). */
     AcOutput forward(const Matrix &obs);
 
     /** forward() into caller-owned output storage (reused across
-     *  calls, so a steady-state update loop does not allocate). */
+     *  calls, so a steady-state update loop does not allocate): the row
+     *  region of trainStep() without the loss and the backward. */
     void forward(const Matrix &obs, AcOutput &out);
 
     /**
@@ -69,7 +124,8 @@ class ActorCritic
 
     /**
      * Backward from loss gradients w.r.t. logits and values of the last
-     * forward() batch. Accumulates parameter gradients.
+     * forward() batch: the backward part of trainStep()'s row region,
+     * then its weight-gradient region. Accumulates parameter gradients.
      */
     void backward(const Matrix &dlogits, const std::vector<float> &dvalues);
 
@@ -86,8 +142,14 @@ class ActorCritic
     std::size_t obsDim() const { return obs_dim_; }
     std::size_t numActions() const { return num_actions_; }
 
-    /** Sample an action index from softmax(logits row @p r). */
-    std::size_t sample(const Matrix &logits, std::size_t r, Rng &rng) const;
+    /**
+     * Sample an action index from softmax(logits row @p r). When
+     * @p log_prob is not null it receives the action's log-probability,
+     * computed from the same max and exp-sum: bitwise logProb()'s. No
+     * allocation.
+     */
+    std::size_t sample(const Matrix &logits, std::size_t r, Rng &rng,
+                       double *log_prob = nullptr) const;
 
     /**
      * Sample from softmax(logits row @p r) restricted to the valid
@@ -96,10 +158,13 @@ class ActorCritic
      * row (1 = selectable, at least one entry must be 1 — asserted).
      * Consumes one rng draw like sample(); on an all-1 mask the
      * arithmetic — and therefore the returned index — matches sample()
-     * exactly.
+     * exactly. @p log_prob, when not null, receives bitwise
+     * logProbMasked() of the action: masked entries add exactly 0.0 to
+     * the shared exp-sum.
      */
     std::size_t sampleMasked(const Matrix &logits, std::size_t r,
-                             const std::uint8_t *mask, Rng &rng) const;
+                             const std::uint8_t *mask, Rng &rng,
+                             double *log_prob = nullptr) const;
 
     /** Greedy action (argmax of logits row @p r). Ties break toward
      *  the lowest index. */
@@ -139,6 +204,24 @@ class ActorCritic
                                           std::size_t r);
 
   private:
+    /** The heads' backward scratch, per thread (actor_critic.cpp). */
+    struct Scratch;
+
+    /** Sizes the training activations and @p out for @p rows rows;
+     *  returns the torso's input activation. */
+    Matrix &beginForward(std::size_t rows, AcOutput &out);
+    /** The calling thread's backward scratch, sized for the batch. */
+    Scratch &beginBackward(std::size_t rows);
+    /** Multiply-adds per row of the training forward. */
+    std::size_t maddsPerRow() const;
+    void forwardRows(detail::MatTier tier, AcOutput &out, std::size_t r0,
+                     std::size_t r1);
+    void backwardRows(detail::MatTier tier, Scratch &ws,
+                      const Matrix &dlogits,
+                      const std::vector<float> &dvalues, std::size_t r0,
+                      std::size_t r1);
+    void weightGrads(Scratch &ws, const Matrix &dlogits, bool accumulate);
+
     std::size_t obs_dim_;
     std::size_t num_actions_;
     Mlp torso_;

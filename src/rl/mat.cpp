@@ -648,10 +648,6 @@ using detail::MatTier;
 
 thread_local MatTier t_mat_tier_cap = MatTier::Avx512;
 
-/** Row-tile height of the matmul kernels: partition boundaries are
- *  multiples of it (see rl/mat.hpp). */
-constexpr std::size_t kMatTileRows = 4;
-
 /*
  * Backend dispatch over a row range. The row-independent kernels take
  * a block as offset pointers and a row count; matmulTransA takes the
@@ -731,6 +727,22 @@ dotGemm(Matrix &c, const Matrix &a, const Matrix &b, const float *bias,
 
 thread_local std::size_t t_mat_threads = 0;  ///< 0 = affinityCpuCount()
 thread_local std::unique_ptr<TaskPool> t_mat_pool;
+
+/**
+ * The calling thread's pool at @p budget executors: this thread plus
+ * budget - 1 workers. Sized by the budget, not by a call's block count,
+ * so calls of different shapes share one pool; rebuilt only when the
+ * budget changes.
+ */
+TaskPool &
+matPool(std::size_t budget)
+{
+    if (!t_mat_pool || t_mat_pool->numThreads() != budget) {
+        t_mat_pool.reset();
+        t_mat_pool = std::make_unique<TaskPool>(budget);
+    }
+    return *t_mat_pool;
+}
 
 } // namespace
 
@@ -816,18 +828,24 @@ runBlocks(std::size_t n, std::size_t align, std::size_t work, BlockFn fn,
         fn(ctx, 0, n);
         return;
     }
-    // Sized by the budget (this thread plus budget - 1 workers), not by
-    // this call's block count, so calls of different shapes share one
-    // pool; rebuilt only when the budget changes.
-    if (!t_mat_pool || t_mat_pool->numThreads() != budget) {
-        t_mat_pool.reset();
-        t_mat_pool = std::make_unique<TaskPool>(budget);
-    }
     const std::size_t per = (tiles + blocks - 1) / blocks * align;
     const std::size_t count = (n + per - 1) / per;
-    t_mat_pool->parallelFor(0, count, [&](std::size_t b) {
+    matPool(budget).parallelFor(0, count, [&](std::size_t b) {
         fn(ctx, b * per, std::min(n, (b + 1) * per));
     });
+}
+
+void
+runTasks(std::size_t count, std::size_t work, TaskFn fn, void *ctx)
+{
+    const std::size_t budget = matThreads();
+    if (budget < 2 || count < 2 || work < 2 * kMatSplitMinWork) {
+        for (std::size_t t = 0; t < count; ++t)
+            fn(ctx, t);
+        return;
+    }
+    matPool(budget).parallelFor(0, count,
+                                [&](std::size_t t) { fn(ctx, t); });
 }
 
 } // namespace detail
@@ -885,6 +903,46 @@ linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
     dotGemm(y, x, w, bias.data(), relu);
 }
 
+void
+linearForwardRowsInto(MatTier tier, Matrix &y, const Matrix &x,
+                      const Matrix &w, const std::vector<float> &bias,
+                      bool relu, std::size_t r0, std::size_t r1)
+{
+    const std::size_t n = w.rows(), k = x.cols();
+    assert(k == w.cols() && bias.size() == n);
+    assert(y.rows() == x.rows() && y.cols() == n && r1 <= x.rows());
+    assert(&y != &x && &y != &w);
+    if (r0 < r1)
+        dotGemmRows(tier, y.rowPtr(r0), x.rowPtr(r0), w.data(), r1 - r0, n,
+                    k, bias.data(), relu);
+}
+
+void
+matmulRowsInto(MatTier tier, Matrix &c, const Matrix &a, const Matrix &b,
+               std::size_t r0, std::size_t r1)
+{
+    const std::size_t k = a.cols(), n = b.cols();
+    assert(k == b.rows());
+    assert(c.rows() == a.rows() && c.cols() == n && r1 <= a.rows());
+    assert(&c != &a && &c != &b);
+    if (r0 < r1)
+        matmulRows(tier, c.rowPtr(r0), a.rowPtr(r0), b.data(), r1 - r0, k,
+                   n);
+}
+
+void
+matmulTransARowsInto(MatTier tier, Matrix &c, const Matrix &a,
+                     const Matrix &b, std::size_t r0, std::size_t r1)
+{
+    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+    assert(k == b.rows());
+    assert(c.rows() == m && c.cols() == n && r1 <= m);
+    assert(&c != &a && &c != &b);
+    if (r0 < r1)
+        matmulTransARows(tier, c.data(), a.data(), b.data(), k, m, n, r0,
+                         r1);
+}
+
 Matrix
 matmul(const Matrix &a, const Matrix &b)
 {
@@ -909,40 +967,96 @@ matmulTransA(const Matrix &a, const Matrix &b)
     return c;
 }
 
+namespace {
+
+/**
+ * One row of the softmax kernels: max, exp-sum and normalization in
+ * sequential order, restricted to the entries whose mask byte is 1 when
+ * @p m is not null. Adding a masked entry's 0.0 to the exp-sum is the
+ * identity, so an all-1 mask reproduces the unmasked arithmetic bit for
+ * bit. Returns false, touching nothing, when the mask has no valid
+ * entry.
+ */
+bool
+softmaxEntropyRow(double *p, double *lp, double &entropy, const float *in,
+                  const std::uint8_t *m, std::size_t cols)
+{
+    // The max over the valid entries keeps every exp argument
+    // <= max(0, in[c] + 1e30), so nothing overflows.
+    double maxv = -1e30;
+    std::size_t valid = 0;
+    for (std::size_t c = 0; c < cols; ++c) {
+        if (!m || m[c]) {
+            maxv = std::max(maxv, static_cast<double>(in[c]));
+            ++valid;
+        }
+    }
+    if (valid == 0)
+        return false;
+    double sum = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) {
+        p[c] = !m || m[c] ? std::exp(static_cast<double>(in[c]) - maxv)
+                          : 0.0;
+        sum += p[c];
+    }
+    double ent = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) {
+        p[c] /= sum;
+        // log(max(p, 1e-12)) is log(p) wherever the entropy takes it.
+        // Masked entries are exactly 0 / sum == 0.0 here, so they fail
+        // the guard and never reach a 0 * log(0).
+        const double l = std::log(std::max(p[c], 1e-12));
+        if (lp)
+            lp[c] = l;
+        if (p[c] > 1e-12)
+            ent -= p[c] * l;
+    }
+    entropy = ent;
+    return true;
+}
+
+} // namespace
+
+void
+softmaxEntropyRowsInto(double *probs, double *logps, double *entropies,
+                       const Matrix &logits, std::size_t r0, std::size_t r1)
+{
+    const std::size_t cols = logits.cols();
+    assert(cols >= 1 && r1 <= logits.rows());
+    for (std::size_t r = r0; r < r1; ++r)
+        softmaxEntropyRow(probs + r * cols, logps ? logps + r * cols : nullptr,
+                          entropies[r], logits.rowPtr(r), nullptr, cols);
+}
+
+void
+softmaxEntropyRowsMaskedInto(double *probs, double *logps,
+                             double *entropies, const Matrix &logits,
+                             const std::uint8_t *masks, std::size_t r0,
+                             std::size_t r1)
+{
+    assert(masks != nullptr);
+    const std::size_t cols = logits.cols();
+    assert(cols >= 1 && r1 <= logits.rows());
+    for (std::size_t r = r0; r < r1; ++r) {
+        if (!softmaxEntropyRow(probs + r * cols,
+                               logps ? logps + r * cols : nullptr,
+                               entropies[r], logits.rowPtr(r),
+                               masks + r * cols, cols)) {
+            throw std::domain_error(
+                "softmaxEntropyRowsMaskedInto: row " + std::to_string(r) +
+                " masks out every action");
+        }
+    }
+}
+
 void
 softmaxEntropyRowsInto(std::vector<double> &probs,
-                       std::vector<double> &entropies,
-                       const Matrix &logits)
+                       std::vector<double> &entropies, const Matrix &logits)
 {
-    const std::size_t rows = logits.rows();
-    const std::size_t cols = logits.cols();
-    assert(cols >= 1);
-    probs.resize(rows * cols);
-    entropies.resize(rows);
-
-    for (std::size_t r = 0; r < rows; ++r) {
-        const float *in = logits.rowPtr(r);
-        double *p = probs.data() + r * cols;
-
-        // Identical per-row math (and order) to
-        // ActorCritic::softmaxRow: sequential max, sequential exp-sum,
-        // then normalization — bitwise-equal results, zero allocations.
-        double maxv = -1e30;
-        for (std::size_t c = 0; c < cols; ++c)
-            maxv = std::max(maxv, static_cast<double>(in[c]));
-        double sum = 0.0;
-        for (std::size_t c = 0; c < cols; ++c) {
-            p[c] = std::exp(static_cast<double>(in[c]) - maxv);
-            sum += p[c];
-        }
-        double ent = 0.0;
-        for (std::size_t c = 0; c < cols; ++c) {
-            p[c] /= sum;
-            if (p[c] > 1e-12)
-                ent -= p[c] * std::log(p[c]);
-        }
-        entropies[r] = ent;
-    }
+    probs.resize(logits.rows() * logits.cols());
+    entropies.resize(logits.rows());
+    softmaxEntropyRowsInto(probs.data(), nullptr, entropies.data(), logits,
+                           0, logits.rows());
 }
 
 void
@@ -951,52 +1065,10 @@ softmaxEntropyRowsMaskedInto(std::vector<double> &probs,
                              const Matrix &logits,
                              const std::uint8_t *masks)
 {
-    assert(masks != nullptr);
-    const std::size_t rows = logits.rows();
-    const std::size_t cols = logits.cols();
-    assert(cols >= 1);
-    probs.resize(rows * cols);
-    entropies.resize(rows);
-
-    for (std::size_t r = 0; r < rows; ++r) {
-        const float *in = logits.rowPtr(r);
-        const std::uint8_t *m = masks + r * cols;
-        double *p = probs.data() + r * cols;
-
-        // Same sequential max / exp-sum / normalize order as the
-        // unmasked kernel, restricted to the valid support; an all-1
-        // mask row reproduces the unmasked arithmetic bit for bit.
-        // The max over the valid entries keeps every exp argument
-        // <= max(0, in[c] + 1e30), so nothing overflows.
-        double maxv = -1e30;
-        std::size_t valid = 0;
-        for (std::size_t c = 0; c < cols; ++c) {
-            if (m[c]) {
-                maxv = std::max(maxv, static_cast<double>(in[c]));
-                ++valid;
-            }
-        }
-        if (valid == 0) {
-            throw std::domain_error(
-                "softmaxEntropyRowsMaskedInto: row " +
-                std::to_string(r) + " masks out every action");
-        }
-        double sum = 0.0;
-        for (std::size_t c = 0; c < cols; ++c) {
-            p[c] = m[c] ? std::exp(static_cast<double>(in[c]) - maxv)
-                        : 0.0;
-            sum += p[c];
-        }
-        double ent = 0.0;
-        for (std::size_t c = 0; c < cols; ++c) {
-            p[c] /= sum;
-            // Masked entries are exactly 0 / sum == 0.0 here, so they
-            // fail this guard and never reach a 0 * log(0).
-            if (p[c] > 1e-12)
-                ent -= p[c] * std::log(p[c]);
-        }
-        entropies[r] = ent;
-    }
+    probs.resize(logits.rows() * logits.cols());
+    entropies.resize(logits.rows());
+    softmaxEntropyRowsMaskedInto(probs.data(), nullptr, entropies.data(),
+                                 logits, masks, 0, logits.rows());
 }
 
 void
@@ -1013,20 +1085,27 @@ addRowVector(Matrix &m, const std::vector<float> &bias)
 void
 addColSums(std::vector<float> &acc, const Matrix &m)
 {
-    assert(acc.size() == m.cols());
+    addColSums(acc, m, 0, m.cols());
+}
+
+void
+addColSums(std::vector<float> &acc, const Matrix &m, std::size_t c0,
+           std::size_t c1)
+{
+    assert(acc.size() == m.cols() && c1 <= m.cols());
     // Column blocks held on the stack: each column is summed over the
     // rows in order from 0 and only then added, with no temporary.
     constexpr std::size_t kBlock = 64;
-    for (std::size_t c0 = 0; c0 < m.cols(); c0 += kBlock) {
-        const std::size_t width = std::min(kBlock, m.cols() - c0);
+    for (std::size_t b0 = c0; b0 < c1; b0 += kBlock) {
+        const std::size_t width = std::min(kBlock, c1 - b0);
         float sums[kBlock] = {};
         for (std::size_t r = 0; r < m.rows(); ++r) {
-            const float *row = m.rowPtr(r) + c0;
+            const float *row = m.rowPtr(r) + b0;
             for (std::size_t j = 0; j < width; ++j)
                 sums[j] += row[j];
         }
         for (std::size_t j = 0; j < width; ++j)
-            acc[c0 + j] += sums[j];
+            acc[b0 + j] += sums[j];
     }
 }
 

@@ -64,8 +64,15 @@
  * Each block takes the call's tier. Since per-element arithmetic is
  * independent of the tile path, the bits are those of the serial call
  * at every thread count. Smaller calls — per-step collection
- * inference, forwardOne(), the tiny head GEMMs — run inline and never
- * dispatch.
+ * inference, forwardOne() — run inline and never dispatch.
+ *
+ * The PPO update does not reach the kernels through these calls: its
+ * training step (ActorCritic::trainStep) partitions a minibatch itself,
+ * into one row region and one weight-gradient region per minibatch,
+ * and runs the row-range entry points (linearForwardRowsInto,
+ * matmulRowsInto, matmulTransARowsInto) inside them — the same
+ * kernels, so the same bits, including the head GEMMs that a
+ * whole-matrix call runs inline.
  */
 
 #ifndef AUTOCAT_RL_MAT_HPP
@@ -165,6 +172,10 @@ constexpr std::size_t kMatSplitMinWork = std::size_t{1} << 18;
 /** Calls with fewer output rows than this run inline. */
 constexpr std::size_t kMatSplitMinRows = 8;
 
+/** Row-tile height of the matmul kernels: the split calls' block
+ *  boundaries are multiples of it, and so are the training step's. */
+constexpr std::size_t kMatTileRows = 4;
+
 /**
  * Thread budget of the calling thread's training kernels: how many
  * threads, the calling one included, a matmul (or Adam step) big
@@ -200,6 +211,8 @@ namespace detail {
 using BlockFn = void (*)(void *ctx, std::size_t begin, std::size_t end);
 void runBlocks(std::size_t n, std::size_t align, std::size_t work,
                BlockFn fn, void *ctx);
+using TaskFn = void (*)(void *ctx, std::size_t task);
+void runTasks(std::size_t count, std::size_t work, TaskFn fn, void *ctx);
 
 /** Kernel instruction tiers, lowest first. */
 enum class MatTier
@@ -261,6 +274,26 @@ parallelBlocks(std::size_t n, std::size_t align, std::size_t work,
         const_cast<void *>(static_cast<const void *>(&body)));
 }
 
+/**
+ * Run @p body(t) for every t in [0, count) on the calling thread's pool,
+ * tasks claimed dynamically (util/TaskPool), so tasks of unequal cost
+ * balance across the executors. @p work is the estimated multiply-adds
+ * of all tasks together. Tasks run concurrently, so @p body must write
+ * only state its task owns. Runs every task inline, in order, instead
+ * when the budget is 1, @p count is below 2 or @p work is below
+ * 2 * kMatSplitMinWork.
+ */
+template <typename F>
+void
+parallelTasks(std::size_t count, std::size_t work, F &&body)
+{
+    using Fn = std::remove_reference_t<F>;
+    detail::runTasks(
+        count, work,
+        [](void *ctx, std::size_t task) { (*static_cast<Fn *>(ctx))(task); },
+        const_cast<void *>(static_cast<const void *>(&body)));
+}
+
 /*
  * Destination-passing matmuls. Shared pre/postconditions:
  *
@@ -298,6 +331,30 @@ void matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b);
 void linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
                        const std::vector<float> &bias, bool relu);
 
+/*
+ * Row-range entry points, for callers that partition a batch
+ * themselves. Each writes rows [r0, r1) of the whole-matrix call's
+ * product through the same kernel, so its elements have the same bits,
+ * and runs inline on the calling thread with the given @p tier — never
+ * dispatching, so it may run on a pool executor, whose own thread-local
+ * tier cap is not the caller's. The destination must already have the
+ * product's shape (nothing is resized) and must alias no operand.
+ */
+
+/** Rows [r0, r1) of linearForwardInto(y, x, w, bias, relu). */
+void linearForwardRowsInto(detail::MatTier tier, Matrix &y, const Matrix &x,
+                           const Matrix &w, const std::vector<float> &bias,
+                           bool relu, std::size_t r0, std::size_t r1);
+
+/** Rows [r0, r1) of matmulInto(c, a, b). */
+void matmulRowsInto(detail::MatTier tier, Matrix &c, const Matrix &a,
+                    const Matrix &b, std::size_t r0, std::size_t r1);
+
+/** Rows [r0, r1) of matmulTransAInto(c, a, b): rows of A^T * B, which
+ *  read columns r0 .. r1 - 1 of A. */
+void matmulTransARowsInto(detail::MatTier tier, Matrix &c, const Matrix &a,
+                          const Matrix &b, std::size_t r0, std::size_t r1);
+
 /** C = A * B. A: m x k, B: k x n. */
 Matrix matmul(const Matrix &a, const Matrix &b);
 
@@ -308,43 +365,58 @@ Matrix matmulTransB(const Matrix &a, const Matrix &b);
 Matrix matmulTransA(const Matrix &a, const Matrix &b);
 
 /**
- * Fused row-wise softmax + entropy over a logits matrix: for each row
- * r, probs[r * cols + c] receives softmax(row r)[c] (double precision,
- * max-subtracted) and entropies[r] receives -sum p log p, in one pass
- * over reusable flat buffers — no per-row allocations, no second
- * traversal. The per-row arithmetic and accumulation order are exactly
+ * Fused row-wise softmax, log-probability and entropy over rows
+ * [r0, r1) of a logits matrix with A columns: for each row r,
+ * probs[r * A + c] receives softmax(row r)[c] (double precision,
+ * max-subtracted), logps[r * A + c] receives log(max(p, 1e-12)) of it
+ * and entropies[r] receives -sum p log p over the entries with
+ * p > 1e-12, whose log is that same logps value — one log per entry, no
+ * allocation. The per-row arithmetic and accumulation order are exactly
  * those of ActorCritic::softmaxRow()/entropy(), so results are bitwise
- * identical to the per-row helpers; this is the PPO minibatch update's
- * batch kernel (rl/ppo.cpp).
+ * identical to the per-row helpers; this is the PPO loss's kernel
+ * (rl/ppo.cpp), which runs it on the rows of one block of the training
+ * step's row region. Rows outside [r0, r1) are not touched.
  *
- *  Pre:  logits is B x A with A >= 1.
- *  Post: probs.size() == B * A, entropies.size() == B, fully
- *        overwritten.
+ *  Pre:  logits has A >= 1 columns and at least r1 rows; the outputs
+ *        have room for row r1 - 1. @p logps may be null (not written).
+ */
+void softmaxEntropyRowsInto(double *probs, double *logps, double *entropies,
+                            const Matrix &logits, std::size_t r0,
+                            std::size_t r1);
+
+/**
+ * Masked variant of the row-range softmaxEntropyRowsInto: entries whose
+ * mask byte is 0 are treated as logit -inf — they receive probability
+ * exactly 0.0 (and logps entry log(1e-12)) and contribute nothing to the
+ * max, the exp-sum, or the entropy, so the distribution and its entropy
+ * live on the valid support only. NaN-free by construction: the max is
+ * taken over the valid entries (every exp argument is <= 0, so nothing
+ * overflows) and masked entries never enter a 0 * log(0).
+ *
+ *  Pre:  as the unmasked kernel; @p masks is row-major with A bytes per
+ *        row (1 = valid), row r at masks + r * A. Must not be null —
+ *        callers with no mask use the unmasked kernel, whose output
+ *        this matches bitwise on all-1 masks.
+ *
+ * @throws std::domain_error when a row masks out every action — a
+ *         rollout buffer fed from such a row would train on NaN, so an
+ *         all-invalid row fails loudly at the kernel boundary. Inside
+ *         the training step it leaves from a pool block and reaches
+ *         the step's caller (ActorCritic::trainStep).
+ */
+void softmaxEntropyRowsMaskedInto(double *probs, double *logps,
+                                  double *entropies, const Matrix &logits,
+                                  const std::uint8_t *masks, std::size_t r0,
+                                  std::size_t r1);
+
+/**
+ * Whole-matrix forms of the two kernels above: @p probs is resized to
+ * B * A and @p entropies to B, every row is written, and no log p is
+ * kept.
  */
 void softmaxEntropyRowsInto(std::vector<double> &probs,
                             std::vector<double> &entropies,
                             const Matrix &logits);
-
-/**
- * Masked variant of softmaxEntropyRowsInto: entries whose mask byte is
- * 0 are treated as logit -inf — they receive probability exactly 0.0
- * and contribute nothing to the max, the exp-sum, or the entropy, so
- * the distribution and its entropy live on the valid support only.
- * NaN-free by construction: the max is taken over the valid entries
- * (every exp argument is <= 0, so nothing overflows) and masked
- * entries never enter a 0 * log(0).
- *
- *  Pre:  logits is B x A with A >= 1; @p masks is row-major B x A
- *        (1 = valid). Must not be null — callers with no mask use the
- *        unmasked kernel, whose output this matches bitwise on all-1
- *        masks.
- *  Post: probs.size() == B * A, entropies.size() == B, fully
- *        overwritten.
- *
- * @throws std::domain_error when a row masks out every action — a
- *         rollout buffer fed from such a row would train on NaN, so an
- *         all-invalid row fails loudly at the kernel boundary.
- */
 void softmaxEntropyRowsMaskedInto(std::vector<double> &probs,
                                   std::vector<double> &entropies,
                                   const Matrix &logits,
@@ -360,6 +432,10 @@ void addRowVector(Matrix &m, const std::vector<float> &bias);
  *  Pre: acc.size() == m.cols().
  */
 void addColSums(std::vector<float> &acc, const Matrix &m);
+
+/** addColSums() of columns [c0, c1) only: the same sum per column. */
+void addColSums(std::vector<float> &acc, const Matrix &m, std::size_t c0,
+                std::size_t c1);
 
 } // namespace autocat
 

@@ -11,11 +11,17 @@ namespace {
 /**
  * Backward scratch of Mlp: t_mlp_grads[i] is the gradient w.r.t. the
  * layer-i input (entry 0 unused: nothing reads the input gradient), the
- * last entry stages the incoming gradient. Per thread, not per network:
- * a backward runs on one thread and keeps nothing between calls, so
- * every network a thread trains shares one set of B x width buffers.
+ * last entry is the output gradient. Per thread, not per network: a
+ * backward is driven from one thread, whose row blocks and
+ * weight-gradient tasks all use that thread's buffers, and keeps
+ * nothing between calls, so every network a thread trains shares one
+ * set of B x width buffers.
  */
 thread_local std::vector<Matrix> t_mlp_grads;
+
+/** dW rows per task of Linear::weightGrads(): one register tile of the
+ *  A^T * B kernel. */
+constexpr std::size_t kGradRows = kMatTileRows;
 
 } // namespace
 
@@ -51,18 +57,77 @@ void
 Linear::backward(const Matrix &grad_out, const Matrix &input,
                  Matrix *grad_in)
 {
-    assert(grad_out.cols() == out_);
-    assert(grad_out.rows() == input.rows());
-    assert(input.cols() == in_);
-
     // dW += grad_out^T * x ; db += colsum(grad_out) ; dx = grad_out * W
-    matmulTransAInto(gw_scratch_, grad_out, input);
-    for (std::size_t i = 0; i < gw_.size(); ++i)
-        gw_.data()[i] += gw_scratch_.data()[i];
-    addColSums(gb_, grad_out);
-
+    const LayerGrad job{this, &grad_out, &input};
+    weightGrads(&job, 1, /*accumulate=*/true);
     if (grad_in)
         matmulInto(*grad_in, grad_out, w_);
+}
+
+void
+Linear::forwardRows(detail::MatTier tier, Matrix &y, const Matrix &x,
+                    bool fuse_relu, std::size_t r0, std::size_t r1) const
+{
+    assert(x.cols() == in_);
+    linearForwardRowsInto(tier, y, x, w_, b_, fuse_relu, r0, r1);
+}
+
+void
+Linear::inputGradRows(detail::MatTier tier, Matrix &grad_in,
+                      const Matrix &grad_out, std::size_t r0,
+                      std::size_t r1) const
+{
+    assert(grad_out.cols() == out_);
+    matmulRowsInto(tier, grad_in, grad_out, w_, r0, r1);
+}
+
+void
+Linear::weightGrads(const LayerGrad *jobs, std::size_t count,
+                    bool accumulate)
+{
+    // Tasks: every job's dW row ranges, in job order, then one bias
+    // task per job.
+    std::size_t row_tasks = 0, work = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+        Linear &l = *jobs[j].layer;
+        assert(jobs[j].gradOut->cols() == l.out_);
+        assert(jobs[j].input->cols() == l.in_);
+        assert(jobs[j].gradOut->rows() == jobs[j].input->rows());
+        l.gw_scratch_.resizeUninit(l.out_, l.in_);
+        row_tasks += (l.out_ + kGradRows - 1) / kGradRows;
+        work += l.out_ * l.in_ * jobs[j].input->rows();
+    }
+    const detail::MatTier tier = detail::matTier();
+    parallelTasks(row_tasks + count, work, [&](std::size_t t) {
+        if (t >= row_tasks) {
+            const LayerGrad &job = jobs[t - row_tasks];
+            std::vector<float> &gb = job.layer->gb_;
+            if (!accumulate)
+                std::fill(gb.begin(), gb.end(), 0.0f);
+            addColSums(gb, *job.gradOut);
+            return;
+        }
+        std::size_t j = 0;
+        for (;; ++j) {
+            const std::size_t tasks =
+                (jobs[j].layer->out_ + kGradRows - 1) / kGradRows;
+            if (t < tasks)
+                break;
+            t -= tasks;
+        }
+        Linear &l = *jobs[j].layer;
+        const std::size_t i0 = t * kGradRows;
+        const std::size_t i1 = std::min(l.out_, i0 + kGradRows);
+        matmulTransARowsInto(tier, l.gw_scratch_, *jobs[j].gradOut,
+                             *jobs[j].input, i0, i1);
+        float *gw = l.gw_.rowPtr(i0);
+        const float *dw = l.gw_scratch_.rowPtr(i0);
+        const std::size_t n = (i1 - i0) * l.in_;
+        if (!accumulate)
+            std::fill(gw, gw + n, 0.0f);
+        for (std::size_t e = 0; e < n; ++e)
+            gw[e] += dw[e];
+    });
 }
 
 void
@@ -91,21 +156,39 @@ Mlp::Mlp(const std::vector<std::size_t> &sizes, Rng &rng, bool activate_last)
     acts_.resize(layers_.size() + 1);
 }
 
-const Matrix &
-Mlp::forwardCached(const Matrix &x)
-{
-    acts_[0] = x;
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        const bool activate = i + 1 < layers_.size() || activate_last_;
-        layers_[i].forwardInto(acts_[i + 1], acts_[i], activate);
-    }
-    return acts_.back();
-}
-
 Matrix
 Mlp::forward(const Matrix &x)
 {
-    return forwardCached(x);
+    assert(x.cols() == inFeatures());
+    const std::size_t rows = x.rows();
+    Matrix &input = beginBatch(rows);
+    const detail::MatTier tier = detail::matTier();
+    parallelBlocks(rows, kMatTileRows, rows * maddsPerRow(),
+                   [&](std::size_t r0, std::size_t r1) {
+                       std::copy(x.rowPtr(r0), x.rowPtr(r1),
+                                 input.rowPtr(r0));
+                       forwardRows(tier, r0, r1);
+                   });
+    return acts_.back();
+}
+
+Matrix &
+Mlp::beginBatch(std::size_t rows)
+{
+    acts_[0].resizeUninit(rows, inFeatures());
+    for (std::size_t i = 0; i < layers_.size(); ++i)
+        acts_[i + 1].resizeUninit(rows, layers_[i].outFeatures());
+    return acts_[0];
+}
+
+void
+Mlp::forwardRows(detail::MatTier tier, std::size_t r0, std::size_t r1)
+{
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+        const bool activate = i + 1 < layers_.size() || activate_last_;
+        layers_[i].forwardRows(tier, acts_[i + 1], acts_[i], activate, r0,
+                               r1);
+    }
 }
 
 const Matrix &
@@ -124,21 +207,61 @@ Mlp::forwardInto(const Matrix &x, std::vector<Matrix> &scratch) const
 void
 Mlp::backward(const Matrix &grad_out)
 {
+    std::vector<Matrix> &grads = beginBackward();
+    Matrix &top = grads.back();
+    assert(grad_out.rows() == top.rows() && grad_out.cols() == top.cols());
+    const std::size_t rows = top.rows();
+    const detail::MatTier tier = detail::matTier();
+    parallelBlocks(rows, kMatTileRows, rows * maddsPerRow(),
+                   [&](std::size_t r0, std::size_t r1) {
+                       std::copy(grad_out.rowPtr(r0), grad_out.rowPtr(r1),
+                                 top.rowPtr(r0));
+                       backwardRows(tier, grads, r0, r1);
+                   });
+    std::vector<LayerGrad> jobs(layers_.size());
+    layerGrads(grads, jobs.data());
+    Linear::weightGrads(jobs.data(), jobs.size(), /*accumulate=*/true);
+}
+
+std::vector<Matrix> &
+Mlp::beginBackward() const
+{
     std::vector<Matrix> &grads = t_mlp_grads;
     grads.resize(layers_.size() + 1);
-    Matrix &top = grads.back();
-    top.resizeUninit(grad_out.rows(), grad_out.cols());
-    std::copy(grad_out.data(), grad_out.data() + grad_out.size(),
-              top.data());
+    for (std::size_t i = 0; i < layers_.size(); ++i)
+        grads[i + 1].resizeUninit(acts_[0].rows(), layers_[i].outFeatures());
+    return grads;
+}
+
+void
+Mlp::backwardRows(detail::MatTier tier, std::vector<Matrix> &grads,
+                  std::size_t r0, std::size_t r1) const
+{
     for (std::size_t i = layers_.size(); i-- > 0;) {
         const bool activated = i + 1 < layers_.size() || activate_last_;
         // Post-activation mask: ReLU output is 0 exactly where the
         // pre-activation was <= 0, so acts_ doubles as the mask.
         if (activated)
-            reluBackwardInPlace(grads[i + 1], acts_[i + 1]);
-        layers_[i].backward(grads[i + 1], acts_[i],
-                            i > 0 ? &grads[i] : nullptr);
+            reluBackwardRows(grads[i + 1], acts_[i + 1], r0, r1);
+        if (i > 0)
+            layers_[i].inputGradRows(tier, grads[i], grads[i + 1], r0, r1);
     }
+}
+
+void
+Mlp::layerGrads(const std::vector<Matrix> &grads, LayerGrad *jobs)
+{
+    for (std::size_t i = 0; i < layers_.size(); ++i)
+        jobs[i] = {&layers_[i], &grads[i + 1], &acts_[i]};
+}
+
+std::size_t
+Mlp::maddsPerRow() const
+{
+    std::size_t madds = 0;
+    for (const Linear &layer : layers_)
+        madds += layer.inFeatures() * layer.outFeatures();
+    return madds;
 }
 
 void
@@ -183,12 +306,19 @@ reluInPlace(Matrix &m)
 void
 reluBackwardInPlace(Matrix &grad, const Matrix &preact)
 {
-    assert(grad.size() == preact.size());
+    reluBackwardRows(grad, preact, 0, grad.rows());
+}
+
+void
+reluBackwardRows(Matrix &grad, const Matrix &preact, std::size_t r0,
+                 std::size_t r1)
+{
+    assert(grad.rows() == preact.rows() && grad.cols() == preact.cols());
     float *g = grad.data();
     const float *a = preact.data();
     // A select, not a conditional store, so it vectorizes; a NaN
     // pre-activation compares false and keeps its gradient.
-    for (std::size_t i = 0; i < grad.size(); ++i)
+    for (std::size_t i = r0 * grad.cols(); i < r1 * grad.cols(); ++i)
         g[i] = a[i] <= 0.0f ? 0.0f : g[i];
 }
 

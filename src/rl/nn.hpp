@@ -30,6 +30,8 @@ struct ParamBlock
     std::size_t size = 0;
 };
 
+struct LayerGrad;
+
 /** Fully-connected layer y = x W^T + b with explicit-input backward. */
 class Linear
 {
@@ -70,6 +72,38 @@ class Linear
     void backward(const Matrix &grad_out, const Matrix &input,
                   Matrix *grad_in);
 
+    /**
+     * Rows [r0, r1) of forwardInto(y, x, fuse_relu), inline with
+     * @p tier (rl/mat.hpp, row-range entry points); @p y already has
+     * the output shape.
+     */
+    void forwardRows(detail::MatTier tier, Matrix &y, const Matrix &x,
+                     bool fuse_relu, std::size_t r0, std::size_t r1) const;
+
+    /**
+     * Rows [r0, r1) of backward()'s input gradient grad_out * W into
+     * @p grad_in, which already has its B x in shape; inline with
+     * @p tier.
+     */
+    void inputGradRows(detail::MatTier tier, Matrix &grad_in,
+                       const Matrix &grad_out, std::size_t r0,
+                       std::size_t r1) const;
+
+    /**
+     * Weight and bias gradients of every layer in @p jobs, in one
+     * fork-join on the calling thread's pool (parallelTasks(),
+     * rl/mat.hpp): a task per 4-row range of a layer's dW = grad_out^T *
+     * input, in job order, then a task per layer for its bias, the
+     * column sums of grad_out. Each dW element is one FMA chain over the
+     * batch rows in order and each bias entry one sum over them, added
+     * into the accumulated gradients — or, when @p accumulate is false,
+     * into zeroed ones, exactly as zeroGrad() and then backward() — so
+     * the bits do not depend on the budget. List the largest layers
+     * first: tasks are claimed in order. Each layer must appear once.
+     */
+    static void weightGrads(const LayerGrad *jobs, std::size_t count,
+                            bool accumulate);
+
     /** Zero accumulated gradients. */
     void zeroGrad();
 
@@ -93,6 +127,15 @@ class Linear
     Matrix gw_scratch_;  ///< reusable dW workspace
 };
 
+/** One layer's part of Linear::weightGrads(): the layer, the gradient
+ *  of its output (B x out) and the forward input it consumed (B x in). */
+struct LayerGrad
+{
+    Linear *layer = nullptr;
+    const Matrix *gradOut = nullptr;
+    const Matrix *input = nullptr;
+};
+
 /** Multi-layer perceptron with ReLU between hidden layers. */
 class Mlp
 {
@@ -105,15 +148,9 @@ class Mlp
     Mlp(const std::vector<std::size_t> &sizes, Rng &rng,
         bool activate_last = true);
 
-    /** Batch forward with activation caching (training path). */
+    /** Batch forward with activation caching (training path): the
+     *  row-block steps below, over the whole batch. */
     Matrix forward(const Matrix &x);
-
-    /**
-     * Training forward returning a reference to the internally stored
-     * output activation (valid until the next forward). Same caching
-     * semantics as forward() without the final copy.
-     */
-    const Matrix &forwardCached(const Matrix &x);
 
     /**
      * Allocation-free inference forward: activations are written into
@@ -131,6 +168,57 @@ class Mlp
      * observation batch, so the first layer skips that GEMM.
      */
     void backward(const Matrix &grad_out);
+
+    /*
+     * A training batch in row blocks. forward() and backward() are
+     * built from these, and so is ActorCritic's training step,
+     * which interleaves its heads and its loss with them:
+     *
+     *  1. beginBatch() sizes the activations and returns the input
+     *     activation, whose rows the caller writes;
+     *  2. forwardRows() runs every layer over a block of rows;
+     *  3. beginBackward() sizes the calling thread's backward scratch
+     *     and returns it; its last matrix is the output gradient, whose
+     *     rows the caller writes;
+     *  4. backwardRows() applies the ReLU masks and computes the input
+     *     gradients of a block of rows;
+     *  5. layerGrads() lists the layers' Linear::weightGrads() jobs.
+     *
+     * Steps 2 and 4 read and write only their block's rows, so blocks
+     * run concurrently on pool executors (with the caller's tier and
+     * the caller's scratch); the rest runs on the calling thread.
+     */
+
+    /** Step 1: activations for @p rows rows; returns the input one. */
+    Matrix &beginBatch(std::size_t rows);
+
+    /** Step 2: every layer over rows [r0, r1) of the batch. */
+    void forwardRows(detail::MatTier tier, std::size_t r0, std::size_t r1);
+
+    /** The batch's output activation (after forwardRows()). */
+    const Matrix &output() const { return acts_.back(); }
+
+    /**
+     * Step 3: the calling thread's gradient buffers, sized for the
+     * batch: entry i + 1 is the gradient w.r.t. layer i's output (entry
+     * 0 is unused), so the last entry is the output gradient. Shared by
+     * every network the thread trains; valid until its next batch.
+     */
+    std::vector<Matrix> &beginBackward() const;
+
+    /** Step 4: ReLU masks and input gradients over rows [r0, r1). */
+    void backwardRows(detail::MatTier tier, std::vector<Matrix> &grads,
+                      std::size_t r0, std::size_t r1) const;
+
+    /** Step 5: writes one job per layer to @p jobs (numLayers()
+     *  entries) against @p grads from beginBackward(). */
+    void layerGrads(const std::vector<Matrix> &grads, LayerGrad *jobs);
+
+    std::size_t numLayers() const { return layers_.size(); }
+
+    /** Multiply-adds per batch row of the forward (that of the input
+     *  gradients is this less the first layer's). */
+    std::size_t maddsPerRow() const;
 
     void zeroGrad();
     std::vector<ParamBlock> paramBlocks();
@@ -155,6 +243,10 @@ void reluInPlace(Matrix &m);
 
 /** Zero grad entries where the cached pre-activation was <= 0. */
 void reluBackwardInPlace(Matrix &grad, const Matrix &preact);
+
+/** reluBackwardInPlace() over rows [r0, r1) only. */
+void reluBackwardRows(Matrix &grad, const Matrix &preact, std::size_t r0,
+                      std::size_t r1);
 
 /** Global L2 norm over blocks; used for gradient clipping. */
 double gradNorm(const std::vector<ParamBlock> &blocks);

@@ -105,17 +105,11 @@ PpoTrainer::collect()
         if (masks)
             buffer_->stageMasks(masks);
         for (std::size_t s = 0; s < n; ++s) {
-            if (masks) {
-                const std::uint8_t *m = masks + s * na;
-                actions[s] =
-                    net_->sampleMasked(fwd_out_.logits, s, m, rng_);
-                log_probs[s] = ActorCritic::logProbMasked(
-                    fwd_out_.logits, s, actions[s], m);
-            } else {
-                actions[s] = net_->sample(fwd_out_.logits, s, rng_);
-                log_probs[s] =
-                    ActorCritic::logProb(fwd_out_.logits, s, actions[s]);
-            }
+            actions[s] = masks ? net_->sampleMasked(fwd_out_.logits, s,
+                                                    masks + s * na, rng_,
+                                                    &log_probs[s])
+                               : net_->sample(fwd_out_.logits, s, rng_,
+                                              &log_probs[s]);
             values[s] = fwd_out_.values[s];
         }
 
@@ -141,16 +135,107 @@ PpoTrainer::collect()
     buffer_->normalizeAdvantages();
 }
 
+/*
+ * The PPO loss of rows [r0, r1) of the minibatch in idx_ws_: one block of
+ * the training step's row region (ActorCritic::trainStep), so it writes
+ * only those rows of the workspaces, which update() has sized.
+ */
+void
+PpoTrainer::lossRows(const AcOutput &out, Matrix &dlogits,
+                     std::vector<float> &dvalues, double inv_b,
+                     std::size_t r0, std::size_t r1)
+{
+    const std::vector<std::size_t> &idx = idx_ws_;
+    const std::size_t na = dlogits.cols();
+    if (masking_) {
+        // Replay the acting masks: the surrogate ratio and the entropy
+        // bonus are computed on the same restricted support the policy
+        // sampled from. Masked entries get probability exactly 0, which
+        // zeroes their gradient terms below without any extra
+        // branching.
+        buffer_->gatherMasksInto(mask_mb_ws_, idx, r0, r1);
+        softmaxEntropyRowsMaskedInto(probs_ws_.data(), logp_ws_.data(),
+                                     entropy_ws_.data(), out.logits,
+                                     mask_mb_ws_.data(), r0, r1);
+    } else {
+        softmaxEntropyRowsInto(probs_ws_.data(), logp_ws_.data(),
+                               entropy_ws_.data(), out.logits, r0, r1);
+    }
+
+    for (std::size_t r = r0; r < r1; ++r) {
+        const std::size_t i = idx[r];
+        const std::size_t act = buffer_->actions()[i];
+        const double adv = buffer_->advantages()[i];
+        const double old_logp = buffer_->logProbs()[i];
+        const double ret = buffer_->returns()[i];
+
+        // p and log(max(p, 1e-12)), the latter computed once per entry
+        // by the softmax kernel.
+        const double *p = probs_ws_.data() + r * na;
+        const double *logp = logp_ws_.data() + r * na;
+        const double ent = entropy_ws_[r];
+        const double ratio = std::exp(logp[act] - old_logp);
+
+        // Clipped surrogate: gradient flows only through the unclipped
+        // branch when it is the active minimum.
+        const bool clipped = (adv >= 0.0 && ratio > 1.0 + config_.clip) ||
+                             (adv < 0.0 && ratio < 1.0 - config_.clip);
+        const double dl_dlogp = clipped ? 0.0 : -adv * ratio;
+
+        // Entropy bonus gradient: d(-H)/dlogit_k = p_k * (log p_k + H).
+        for (std::size_t k = 0; k < na; ++k) {
+            const double ind = (k == act) ? 1.0 : 0.0;
+            double g = dl_dlogp * (ind - p[k]);
+            g += config_.entropyCoef * p[k] * (logp[k] + ent);
+            dlogits(r, k) = static_cast<float>(g * inv_b);
+        }
+
+        const double verr = static_cast<double>(out.values[r]) - ret;
+        dvalues[r] =
+            static_cast<float>(2.0 * config_.valueCoef * verr * inv_b);
+
+        double *terms = loss_terms_ws_.data() + 3 * r;
+        terms[0] = -std::min(ratio * adv,
+                             std::clamp(ratio, 1.0 - config_.clip,
+                                        1.0 + config_.clip) *
+                                 adv);
+        terms[1] = verr * verr;
+        terms[2] = ent;
+    }
+}
+
 void
 PpoTrainer::update(EpochStats &stats)
 {
     const std::size_t n = buffer_->size();
+    const std::size_t na = net_->numActions();
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
 
-    double pi_loss_sum = 0.0, v_loss_sum = 0.0, ent_sum = 0.0;
-    long batches = 0;
+    /** The minibatch as the training step sees it. */
+    struct Rows final : ActorCritic::Minibatch
+    {
+        PpoTrainer &trainer;
+        double inv_b = 0.0;
 
+        explicit Rows(PpoTrainer &t) : trainer(t) {}
+
+        void
+        gather(Matrix &input, std::size_t r0, std::size_t r1) override
+        {
+            trainer.buffer_->gatherObsInto(input, trainer.idx_ws_, r0, r1);
+        }
+
+        void
+        loss(const AcOutput &out, Matrix &dlogits,
+             std::vector<float> &dvalues, std::size_t r0,
+             std::size_t r1) override
+        {
+            trainer.lossRows(out, dlogits, dvalues, inv_b, r0, r1);
+        }
+    } rows(*this);
+
+    double pi_loss_sum = 0.0, v_loss_sum = 0.0, ent_sum = 0.0;
     for (int pass = 0; pass < config_.updatePasses; ++pass) {
         rng_.shuffle(order);
         for (std::size_t start = 0; start < n;
@@ -158,89 +243,31 @@ PpoTrainer::update(EpochStats &stats)
             const std::size_t end = std::min(
                 n, start + static_cast<std::size_t>(config_.minibatchSize));
             idx_ws_.assign(order.begin() + start, order.begin() + end);
-            const std::vector<std::size_t> &idx = idx_ws_;
-            const std::size_t bsz = idx.size();
+            const std::size_t bsz = idx_ws_.size();
 
-            buffer_->gatherObsInto(obs_ws_, idx);
-            net_->forward(obs_ws_, train_out_);
-            const AcOutput &out = train_out_;
+            // Every element the row blocks write is sized here, on the
+            // calling thread.
+            probs_ws_.resize(bsz * na);
+            logp_ws_.resize(bsz * na);
+            entropy_ws_.resize(bsz);
+            loss_terms_ws_.resize(3 * bsz);
+            if (masking_)
+                mask_mb_ws_.resize(bsz * na);
+            rows.inv_b = 1.0 / static_cast<double>(bsz);
+            net_->trainStep(bsz, rows, train_out_, dlogits_ws_,
+                            dvalues_ws_);
 
-            // Batch softmax + entropy in one fused pass over reusable
-            // workspaces (rl/mat.hpp): bitwise-identical per-row math
-            // to the old softmaxRow()/inline-entropy loops, without
-            // the per-row vector allocations and second traversal.
-            const std::size_t na = net_->numActions();
-            if (masking_) {
-                // Replay the acting masks: the surrogate ratio and the
-                // entropy bonus are computed on the same restricted
-                // support the policy sampled from. Masked entries get
-                // probability exactly 0, which zeroes their gradient
-                // terms below without any extra branching.
-                buffer_->gatherMasksInto(mask_mb_ws_, idx);
-                softmaxEntropyRowsMaskedInto(probs_ws_, entropy_ws_,
-                                             out.logits,
-                                             mask_mb_ws_.data());
-            } else {
-                softmaxEntropyRowsInto(probs_ws_, entropy_ws_,
-                                       out.logits);
-            }
-
-            // Every element of both is written in the loop below.
-            Matrix &dlogits = dlogits_ws_;
-            std::vector<float> &dvalues = dvalues_ws_;
-            dlogits.resizeUninit(bsz, na);
-            dvalues.resize(bsz);
-            const double inv_b = 1.0 / static_cast<double>(bsz);
-
+            // The loss terms are summed in row order, as one serial
+            // loop would.
             for (std::size_t r = 0; r < bsz; ++r) {
-                const std::size_t i = idx[r];
-                const std::size_t act = buffer_->actions()[i];
-                const double adv = buffer_->advantages()[i];
-                const double old_logp = buffer_->logProbs()[i];
-                const double ret = buffer_->returns()[i];
-
-                const double *p = probs_ws_.data() + r * na;
-                const double ent = entropy_ws_[r];
-                const double logp =
-                    std::log(std::max(p[act], 1e-12));
-                const double ratio = std::exp(logp - old_logp);
-
-                // Clipped surrogate: gradient flows only through the
-                // unclipped branch when it is the active minimum.
-                const bool clipped =
-                    (adv >= 0.0 && ratio > 1.0 + config_.clip) ||
-                    (adv < 0.0 && ratio < 1.0 - config_.clip);
-                const double dl_dlogp = clipped ? 0.0 : -adv * ratio;
-
-                // Entropy bonus gradient: d(-H)/dlogit_k =
-                // p_k * (log p_k + H).
-                for (std::size_t k = 0; k < na; ++k) {
-                    const double ind = (k == act) ? 1.0 : 0.0;
-                    double g = dl_dlogp * (ind - p[k]);
-                    g += config_.entropyCoef * p[k] *
-                         (std::log(std::max(p[k], 1e-12)) + ent);
-                    dlogits(r, k) = static_cast<float>(g * inv_b);
-                }
-
-                const double verr =
-                    static_cast<double>(out.values[r]) - ret;
-                dvalues[r] = static_cast<float>(
-                    2.0 * config_.valueCoef * verr * inv_b);
-
-                pi_loss_sum += -std::min(
-                    ratio * adv,
-                    std::clamp(ratio, 1.0 - config_.clip,
-                               1.0 + config_.clip) * adv);
-                v_loss_sum += verr * verr;
-                ent_sum += ent;
+                pi_loss_sum += loss_terms_ws_[3 * r];
+                v_loss_sum += loss_terms_ws_[3 * r + 1];
+                ent_sum += loss_terms_ws_[3 * r + 2];
             }
 
-            net_->zeroGrad();
-            net_->backward(dlogits, dvalues);
             auto blocks = net_->paramBlocks();
             clipGradNorm(blocks, config_.maxGradNorm);
             adam_->step(blocks);
-            ++batches;
         }
     }
 

@@ -142,6 +142,9 @@ class PpoTrainer
     void recordEpisodeStats(const std::vector<double> &rewards,
                             const std::vector<std::uint8_t> &dones);
     void update(EpochStats &stats);
+    void lossRows(const AcOutput &out, Matrix &dlogits,
+                  std::vector<float> &dvalues, double inv_b,
+                  std::size_t r0, std::size_t r1);
     void init();
     void rebuildBuffer();
 
@@ -157,12 +160,15 @@ class PpoTrainer
     AcOutput fwd_out_;  ///< reusable inference output
 
     // Minibatch-update workspaces, reused across minibatches so the
-    // update's batch-sized buffers are allocated once.
+    // update's batch-sized buffers are allocated once. The observations
+    // are gathered straight into the network's input activation.
     std::vector<std::size_t> idx_ws_;  ///< minibatch buffer indices
-    Matrix obs_ws_;                    ///< gathered observations
     AcOutput train_out_;               ///< training forward output
     std::vector<double> probs_ws_;     ///< softmaxEntropyRowsInto
+    std::vector<double> logp_ws_;      ///< log(max(p, 1e-12)) per entry
     std::vector<double> entropy_ws_;
+    std::vector<double> loss_terms_ws_;  ///< per row: policy, value and
+                                         ///< entropy terms
     Matrix dlogits_ws_;
     std::vector<float> dvalues_ws_;
 

@@ -59,9 +59,19 @@ void
 RolloutBuffer::gatherMasksInto(std::vector<std::uint8_t> &out,
                                const std::vector<std::size_t> &indices) const
 {
-    assert(num_actions_ > 0);
     out.resize(indices.size() * num_actions_);
-    for (std::size_t r = 0; r < indices.size(); ++r) {
+    gatherMasksInto(out, indices, 0, indices.size());
+}
+
+void
+RolloutBuffer::gatherMasksInto(std::vector<std::uint8_t> &out,
+                               const std::vector<std::size_t> &indices,
+                               std::size_t r0, std::size_t r1) const
+{
+    assert(num_actions_ > 0);
+    assert(out.size() == indices.size() * num_actions_);
+    assert(r1 <= indices.size());
+    for (std::size_t r = r0; r < r1; ++r) {
         assert(indices[r] < size());
         std::memcpy(out.data() + r * num_actions_,
                     masks_.data() + indices[r] * num_actions_,
@@ -168,7 +178,17 @@ RolloutBuffer::gatherObsInto(Matrix &out,
                              const std::vector<std::size_t> &indices) const
 {
     out.resizeUninit(indices.size(), obs_dim_);
-    for (std::size_t r = 0; r < indices.size(); ++r) {
+    gatherObsInto(out, indices, 0, indices.size());
+}
+
+void
+RolloutBuffer::gatherObsInto(Matrix &out,
+                             const std::vector<std::size_t> &indices,
+                             std::size_t r0, std::size_t r1) const
+{
+    assert(out.rows() == indices.size() && out.cols() == obs_dim_);
+    assert(r1 <= indices.size());
+    for (std::size_t r = r0; r < r1; ++r) {
         assert(indices[r] < size());
         std::memcpy(out.rowPtr(r), obs_.rowPtr(indices[r]),
                     obs_dim_ * sizeof(float));

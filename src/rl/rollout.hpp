@@ -80,6 +80,13 @@ class RolloutBuffer
     void gatherMasksInto(std::vector<std::uint8_t> &out,
                          const std::vector<std::size_t> &indices) const;
 
+    /** Rows [r0, r1) of gatherMasksInto(): mask rows indices[r0 ..
+     *  r1 - 1] into the same rows of @p out, which already holds
+     *  indices.size() rows; other rows are not touched. */
+    void gatherMasksInto(std::vector<std::uint8_t> &out,
+                         const std::vector<std::size_t> &indices,
+                         std::size_t r0, std::size_t r1) const;
+
     /** Flat time-major mask bytes (size() x numActions). */
     const std::vector<std::uint8_t> &masks() const { return masks_; }
 
@@ -123,6 +130,16 @@ class RolloutBuffer
      */
     void gatherObsInto(Matrix &out,
                        const std::vector<std::size_t> &indices) const;
+
+    /**
+     * Rows [r0, r1) of gatherObsInto(): observation rows indices[r0 ..
+     * r1 - 1] into the same rows of @p out, which already has the
+     * indices.size() x obs dim shape; other rows are not touched, so
+     * disjoint ranges may be gathered concurrently (the training
+     * step's row blocks gather straight into the torso's input).
+     */
+    void gatherObsInto(Matrix &out, const std::vector<std::size_t> &indices,
+                       std::size_t r0, std::size_t r1) const;
 
     const std::vector<std::size_t> &actions() const { return actions_; }
     const std::vector<double> &rewards() const { return rewards_; }

@@ -1,21 +1,31 @@
 /**
  * @file
- * Thread-count invariance of the PPO update. The training GEMMs and the
- * Adam step split over the calling thread's worker pool (rl/mat.hpp),
- * and the split must not move a bit: three Table V epochs at 1, 2, 3
- * and 4 threads leave identical weights, Adam moments and epoch
- * statistics. ctest runs this suite once per matmul backend; on an
- * AVX-512 host it also checks that the AVX2 tier leaves the same bits.
+ * Thread-count invariance of the PPO update. The training step's row
+ * and weight-gradient regions and the Adam step split over the calling
+ * thread's worker pool (rl/mat.hpp, ActorCritic::trainStep), and the
+ * split must not move a bit: three Table V epochs at 1, 2, 3 and 4
+ * threads leave identical weights, Adam moments and epoch statistics,
+ * and four epochs match golden bits at budgets 1 and 4. ctest runs this
+ * suite once per matmul backend; on an AVX-512 host it also checks that
+ * the AVX2 tier leaves the same bits. The step's two halves and its
+ * exception path are checked here too.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config_parser.hpp"
 #include "env/env_registry.hpp"
+#include "rl/actor_critic.hpp"
 #include "rl/checkpoint.hpp"
 #include "rl/mat.hpp"
 #include "rl/ppo.hpp"
@@ -105,6 +115,297 @@ TEST(UpdateThreads, TableVEpochsAreBitIdenticalAcrossSimdTiers)
             << "AVX2 at " << threads
             << " threads: weights or Adam moments differ";
     }
+}
+
+/** Table V with the action masks on: the masked softmax, its entropy
+ *  and the masked samplers. */
+const char *const kTableVMasked = R"(mask_actions = true
+mask_useless_actions = true
+)";
+
+/** FNV-1a 64 of a checkpoint payload. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Four Table V epochs at the calling thread's budget and tier. */
+Trained
+trainFourEpochs(bool masked)
+{
+    std::string text = kTableV;
+    if (masked)
+        text += kTableVMasked;
+    const ExplorationConfig cfg = parseExplorationConfig(text);
+    auto envs = makeVecEnv(cfg.scenario, cfg.env, 1);
+    PpoTrainer trainer(*envs, cfg.ppo);
+    Trained run;
+    for (int e = 0; e < 4; ++e)
+        run.epochs.push_back(hexStats(trainer.runEpoch()));
+    std::ostringstream os(std::ios::binary);
+    writePpoCheckpoint(os, trainer);
+    run.state = os.str();
+    return run;
+}
+
+struct UpdateGolden
+{
+    std::vector<std::string> epochs;  ///< hexStats() of epochs 1-4
+    std::uint64_t checkpoint;         ///< fnv1a() of the checkpoint
+};
+
+/*
+ * The update's bits, captured before the minibatch moved onto
+ * row-parallel regions: collection, the training forward, the PPO loss,
+ * the backward, clipping and Adam all feed them, at any budget. The
+ * SIMD tiers share one set, the portable backend has its own. A change
+ * that moves them changes every training trajectory: fix the change, do
+ * not re-capture them.
+ */
+const UpdateGolden kSimdGolden[2] = {
+    // unmasked
+    {{
+         "epoch 1 return -0x1.5cc0c7e5bf63dp-1 length 0x1.ee0b33ba26e0bp+1"
+         " pi -0x1.375e41364988cp-6 v 0x1.184b8b7d77e48p-1"
+         " entropy 0x1.098f55648a395p+1",
+         "epoch 2 return -0x1.2fdfc60bf311p-1 length 0x1.3c9d68840513ep+2"
+         " pi -0x1.29843bd9b32p-6 v 0x1.07b8b34ccd308p-1"
+         " entropy 0x1.071d745572dadp+1",
+         "epoch 3 return -0x1.07739bf5cc4dep-1 length 0x1.6578dcc9c1309p+2"
+         " pi -0x1.4003a7c2652acp-6 v 0x1.1a52918973048p-1"
+         " entropy 0x1.01cad45f530cp+1",
+         "epoch 4 return -0x1.48a7442d02603p-2 length 0x1.6ca76c0bae3c6p+2"
+         " pi -0x1.2ec0a16f2a492p-6 v 0x1.4a55959fb981dp-1"
+         " entropy 0x1.f88be157cb8bcp+0"},
+     0xbc0f064ee736c690ull},
+    // mask_actions + mask_useless_actions
+    {{
+         "epoch 1 return -0x1.54ecdb0c05577p-4 length 0x1.04c8590b21643p+3"
+         " pi -0x1.63427b139814cp-8 v 0x1.2e9a2249e6a0ep-1"
+         " entropy 0x1.c45a9921892e5p+0",
+         "epoch 2 return -0x1.579ebec6d9023p-4 length 0x1.d7f5e94ced157p+2"
+         " pi -0x1.63719336887a9p-8 v 0x1.3fbd92ccb3dbep-1"
+         " entropy 0x1.bff3f301c139fp+0",
+         "epoch 3 return -0x1.a5f638a493f96p-4 length 0x1.b127350b88127p+2"
+         " pi -0x1.93a78fcd7094ap-8 v 0x1.5181c992a7242p-1"
+         " entropy 0x1.bf132a51ea003p+0",
+         "epoch 4 return -0x1.eef3ed32897p-5 length 0x1.6d3a06d3a06d4p+2"
+         " pi -0x1.f3196f0185c61p-8 v 0x1.67b5c92a94b84p-1"
+         " entropy 0x1.ba406f8535624p+0"},
+     0x96c8d90cd7cd528bull},
+};
+
+const UpdateGolden kPortableGolden[2] = {
+    // unmasked
+    {{
+         "epoch 1 return -0x1.5cc0c7e5bf63dp-1 length 0x1.ee0b33ba26e0bp+1"
+         " pi -0x1.375e41203ff76p-6 v 0x1.184b8b6d9b781p-1"
+         " entropy 0x1.098f5564c359bp+1",
+         "epoch 2 return -0x1.2fdfc60bf311p-1 length 0x1.3c9d68840513ep+2"
+         " pi -0x1.29843ade02e3bp-6 v 0x1.07b8b361a81dep-1"
+         " entropy 0x1.071d745873a7bp+1",
+         "epoch 3 return -0x1.07739bf5cc4dep-1 length 0x1.6578dcc9c1309p+2"
+         " pi -0x1.4003a87ff5ff3p-6 v 0x1.1a5291938a4a7p-1"
+         " entropy 0x1.01cad4667760bp+1",
+         "epoch 4 return -0x1.48a7442d02603p-2 length 0x1.6ca76c0bae3c6p+2"
+         " pi -0x1.2ec081db6d8dfp-6 v 0x1.4a5594f4a38dfp-1"
+         " entropy 0x1.f88be25e03c8dp+0"},
+     0xbfd8afce206ea13bull},
+    // mask_actions + mask_useless_actions
+    {{
+         "epoch 1 return -0x1.54ecdb0c05577p-4 length 0x1.04c8590b21643p+3"
+         " pi -0x1.63427c1ddff0bp-8 v 0x1.2e9a2248a1fc9p-1"
+         " entropy 0x1.c45a9920a66e7p+0",
+         "epoch 2 return -0x1.579ebec6d9023p-4 length 0x1.d7f5e94ced157p+2"
+         " pi -0x1.63719288ae799p-8 v 0x1.3fbd92c8ff6fap-1"
+         " entropy 0x1.bff3f2fa1f1e9p+0",
+         "epoch 3 return -0x1.a5f638a493f96p-4 length 0x1.b127350b88127p+2"
+         " pi -0x1.93a79270fabe8p-8 v 0x1.5181c9928a142p-1"
+         " entropy 0x1.bf132a477bb2p+0",
+         "epoch 4 return -0x1.eef3ed32897p-5 length 0x1.6d3a06d3a06d4p+2"
+         " pi -0x1.f3196cff57c2ep-8 v 0x1.67b5c9278c7cbp-1"
+         " entropy 0x1.ba406f683df04p+0"},
+     0xba646a586f584714ull},
+};
+
+/** The goldens above: four Table V epochs, unmasked and masked, at
+ *  budgets 1 and 4 and on the AVX2 tier. Catches a change that moves
+ *  the bits the same way at every budget and tier, which the
+ *  comparisons above cannot. */
+TEST(UpdateThreads, TableVEpochsMatchGoldenBits)
+{
+    const bool portable =
+        detail::hostMatTier() == detail::MatTier::Portable;
+    for (const bool masked : {false, true}) {
+        const UpdateGolden &golden =
+            (portable ? kPortableGolden : kSimdGolden)[masked ? 1 : 0];
+        const auto check = [&](const Trained &run, const char *where) {
+            EXPECT_EQ(run.epochs, golden.epochs)
+                << where << (masked ? ", masked" : ", unmasked");
+            EXPECT_EQ(fnv1a(run.state), golden.checkpoint)
+                << where << (masked ? ", masked" : ", unmasked")
+                << ": weights, Adam moments or RNG differ";
+        };
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            const MatThreadScope budget(threads);
+            check(trainFourEpochs(masked),
+                  threads == 1 ? "budget 1" : "budget 4");
+        }
+        const detail::MatTierScope cap(detail::MatTier::Avx2);
+        const MatThreadScope budget(4);
+        check(trainFourEpochs(masked), "AVX2 tier, budget 4");
+    }
+}
+
+/** The Table V minibatch shape: 500 rows, 251 features, 8 actions. */
+constexpr std::size_t kRows = 500, kObs = 251, kActions = 8;
+
+/** A seeded Table V-shaped network, the same for the same seed. */
+ActorCritic
+tableVNet(std::uint64_t seed)
+{
+    Rng rng(seed);
+    return ActorCritic(kObs, kActions, 128, 2, rng);
+}
+
+/**
+ * A minibatch of fixed observations whose loss writes fixed gradients.
+ * With throw_row < kRows, the block holding that row throws instead,
+ * and every other block sleeps before it writes its rows, so a step
+ * that rethrew before they settled would find rows unwritten.
+ */
+struct FixedRows final : ActorCritic::Minibatch
+{
+    Matrix obs{kRows, kObs};
+    Matrix dlogits{kRows, kActions};
+    std::vector<float> dvalues = std::vector<float>(kRows);
+    std::size_t throw_row = kRows;
+    std::atomic<std::size_t> rows_written{0};
+    std::atomic<std::size_t> rows_thrown{0};
+    std::atomic<int> blocks{0};
+
+    explicit FixedRows(std::uint64_t seed)
+    {
+        Rng rng(seed);
+        for (std::size_t i = 0; i < obs.size(); ++i)
+            obs.data()[i] = static_cast<float>(rng.gaussian());
+        for (std::size_t i = 0; i < dlogits.size(); ++i)
+            dlogits.data()[i] = static_cast<float>(1e-3 * rng.gaussian());
+        for (float &v : dvalues)
+            v = static_cast<float>(1e-3 * rng.gaussian());
+    }
+
+    void
+    gather(Matrix &input, std::size_t r0, std::size_t r1) override
+    {
+        std::copy(obs.rowPtr(r0), obs.rowPtr(r1), input.rowPtr(r0));
+    }
+
+    void
+    loss(const AcOutput &, Matrix &dl, std::vector<float> &dv,
+         std::size_t r0, std::size_t r1) override
+    {
+        ++blocks;
+        if (throw_row < kRows) {
+            if (throw_row >= r0 && throw_row < r1) {
+                rows_thrown += r1 - r0;
+                throw std::runtime_error("row loss failed");
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        std::copy(dlogits.rowPtr(r0), dlogits.rowPtr(r1), dl.rowPtr(r0));
+        std::copy(dvalues.begin() + static_cast<std::ptrdiff_t>(r0),
+                  dvalues.begin() + static_cast<std::ptrdiff_t>(r1),
+                  dv.begin() + static_cast<std::ptrdiff_t>(r0));
+        rows_written += r1 - r0;
+    }
+};
+
+/** Every parameter gradient of @p net, flattened. */
+std::vector<float>
+gradients(ActorCritic &net)
+{
+    std::vector<float> g;
+    for (const ParamBlock &b : net.paramBlocks())
+        g.insert(g.end(), b.grads, b.grads + b.size);
+    return g;
+}
+
+/** trainStep() is forward(), the loss, zeroGrad() and backward() in one:
+ *  the same outputs and gradients, bit for bit, at budgets 1 and 4,
+ *  over gradients a previous step left behind. */
+TEST(UpdateThreads, TrainStepMatchesForwardThenBackward)
+{
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const MatThreadScope budget(threads);
+        FixedRows rows(7);
+        ActorCritic stepped = tableVNet(3);
+        ActorCritic halves = tableVNet(3);
+
+        AcOutput step_out;
+        Matrix dlogits;
+        std::vector<float> dvalues;
+        for (int i = 0; i < 2; ++i)
+            stepped.trainStep(kRows, rows, step_out, dlogits, dvalues);
+        if (threads > 1) {
+            EXPECT_GT(rows.blocks.load(), 2)
+                << "the row region did not split";
+        }
+
+        AcOutput out;
+        for (int i = 0; i < 2; ++i) {
+            halves.forward(rows.obs, out);
+            halves.zeroGrad();
+            halves.backward(rows.dlogits, rows.dvalues);
+        }
+        EXPECT_TRUE(step_out.logits.size() == out.logits.size() &&
+                    std::equal(out.logits.data(),
+                               out.logits.data() + out.logits.size(),
+                               step_out.logits.data()))
+            << threads << " threads: logits differ";
+        EXPECT_TRUE(step_out.values == out.values)
+            << threads << " threads: values differ";
+        EXPECT_TRUE(gradients(stepped) == gradients(halves))
+            << threads << " threads: gradients differ";
+    }
+}
+
+/** A row loss that throws in one block at budget 4: the step rethrows
+ *  it on the caller once every other block has written its rows, and
+ *  the next step on the same network runs and gives the gradients of
+ *  a network that never failed. */
+TEST(UpdateThreads, ThrowingRowLossReachesTheCallerAfterEveryBlock)
+{
+    const MatThreadScope budget(4);
+    ActorCritic net = tableVNet(3);
+    ActorCritic twin = tableVNet(3);
+    AcOutput out;
+    Matrix dlogits;
+    std::vector<float> dvalues;
+
+    FixedRows failing(7);
+    failing.throw_row = kRows - 1;
+    EXPECT_THROW(net.trainStep(kRows, failing, out, dlogits, dvalues),
+                 std::runtime_error);
+    EXPECT_GT(failing.blocks.load(), 1) << "the row region did not split";
+    EXPECT_GT(failing.rows_thrown.load(), 0u);
+    EXPECT_EQ(failing.rows_written.load() + failing.rows_thrown.load(),
+              kRows)
+        << "the step returned before every block settled";
+
+    FixedRows rows(7);
+    net.trainStep(kRows, rows, out, dlogits, dvalues);
+    AcOutput twin_out;
+    twin.trainStep(kRows, rows, twin_out, dlogits, dvalues);
+    EXPECT_TRUE(out.values == twin_out.values);
+    EXPECT_TRUE(gradients(net) == gradients(twin))
+        << "the step after a failed one left other gradients";
 }
 
 } // namespace
