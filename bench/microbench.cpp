@@ -280,29 +280,66 @@ BM_PolicyForwardBatch(benchmark::State &state)
 BENCHMARK(BM_PolicyForwardBatch)->Arg(1)->Arg(4)->Arg(8);
 
 /**
+ * @p rows observation rows played from the Table V guessing_game
+ * scenario (benchEnvConfig(), one stream, uniformly random actions):
+ * the one-hot history rows the first layer sees, 251 features of which
+ * about 8% are nonzero.
+ */
+Matrix
+playedRows(std::size_t rows)
+{
+    auto vec = makeVecEnv("guessing_game", benchEnvConfig(), 1);
+    const std::size_t k = vec->observationSize();
+    Rng rng(4);
+    Matrix obs(rows, k);
+    Matrix cur = vec->resetAll();
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::copy(cur.rowPtr(0), cur.rowPtr(0) + k, obs.rowPtr(r));
+        cur = vec->stepAll({static_cast<std::size_t>(
+                               rng.uniformInt(vec->numActions()))})
+                  .obs;
+    }
+    return obs;
+}
+
+/**
  * Inference through the reusable forward workspace (forwardNoGrad):
  * the fused GEMM path rollout collection and evaluation run, with no
- * per-step allocations or activation caching.
+ * per-step allocations or activation caching. Arg1 picks the input:
+ * 0 is 256 features all 0.1 (the dense kernels), 1 is rows played from
+ * Table V (playedRows(), the zero-skipping first layer), the next
+ * window of a 1,024-row pool each call, as collection sees a new row
+ * each step; the copy of streams x 1 KB is timed with the forward.
  */
 void
 BM_PolicyInferenceBatch(benchmark::State &state)
 {
     Rng rng(2);
     const auto streams = static_cast<std::size_t>(state.range(0));
-    const std::size_t obs_dim = 256;
+    const bool played = state.range(1) != 0;
+    const Matrix pool = played ? playedRows(1024) : Matrix();
+    const std::size_t obs_dim = played ? pool.cols() : 256;
     ActorCritic net(obs_dim, 8, 128, 2, rng);
     Matrix obs(streams, obs_dim);
     for (std::size_t i = 0; i < obs.size(); ++i)
         obs.data()[i] = 0.1f;
     AcOutput out;
+    std::size_t next = 0;
     for (auto _ : state) {
+        if (played) {
+            std::copy(pool.rowPtr(next), pool.rowPtr(next + streams),
+                      obs.data());
+            next = (next + streams) % (pool.rows() - streams);
+        }
         net.forwardNoGrad(obs, out);
         benchmark::DoNotOptimize(out.values.data());
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(streams));
 }
-BENCHMARK(BM_PolicyInferenceBatch)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_PolicyInferenceBatch)
+    ->ArgsProduct({{1, 4, 8}, {0, 1}})
+    ->ArgNames({"streams", "played"});
 
 /**
  * Full PPO epoch (collect + update) at 1/4/8 streams and 1/2/4 kernel
@@ -370,10 +407,13 @@ struct FixedLossRows final : ActorCritic::Minibatch
  * observation features, hidden 128 x 2, 8 actions: the training step
  * (ActorCritic::trainStep, with a loss that writes fixed logit and
  * value gradients), clipGradNorm and Adam::step, at 1 and 4 kernel
- * threads (Arg0). Wall clock, like BM_PpoEpoch. GFLOP/s counts two
- * flops per multiply-add of the GEMMs: the forward, every layer's
- * weight gradient, and the input gradients of all layers but the
- * first.
+ * threads (Arg0). Arg1 picks the rows: 0 is Gaussian, every feature
+ * nonzero, which runs the first layer's dense kernels; 1 is rows
+ * played from Table V (playedRows()), which run its zero-skipping
+ * ones. Wall clock, like BM_PpoEpoch. GFLOP/s counts two flops per
+ * multiply-add of the dense GEMMs: the forward, every layer's weight
+ * gradient, and the input gradients of all layers but the first — the
+ * same count for either input, so it compares the two.
  */
 void
 BM_UpdateMinibatch(benchmark::State &state)
@@ -387,6 +427,8 @@ BM_UpdateMinibatch(benchmark::State &state)
     Matrix obs(kRows, kObs);
     for (std::size_t i = 0; i < obs.size(); ++i)
         obs.data()[i] = static_cast<float>(rng.gaussian());
+    if (state.range(1) != 0)
+        obs = playedRows(kRows);
     Matrix dlogits(kRows, kActions);
     for (std::size_t i = 0; i < dlogits.size(); ++i)
         dlogits.data()[i] = static_cast<float>(1e-3 * rng.gaussian());
@@ -416,9 +458,8 @@ BM_UpdateMinibatch(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_UpdateMinibatch)
-    ->Arg(1)
-    ->Arg(4)
-    ->ArgName("threads")
+    ->ArgsProduct({{1, 4}, {0, 1}})
+    ->ArgNames({"threads", "played"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -9,7 +9,8 @@
  *    backward as two regions on the calling thread's pool; forward()
  *    and backward() are its two halves for callers with their own loss.
  *  - forwardNoGrad() / forwardOne(): allocation-free inference through
- *    a reusable internal workspace (fused bias+ReLU GEMM, no caching).
+ *    a reusable internal workspace (fused bias+ReLU GEMM, zero
+ *    observation features skipped, no activations cached).
  *    This is what rollout collection and evaluation run, and the
  *    kernel's row purity (rl/mat.hpp) makes its outputs bitwise
  *    independent of how a batch is split across calls.

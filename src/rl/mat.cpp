@@ -1,6 +1,7 @@
 #include "rl/mat.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -642,6 +643,309 @@ matmulAvx512(float *c, const float *a, const float *b, std::size_t m,
         matmulAvx2(c + m8 * n, a + m8 * k, b, m - m8, k, n);
 }
 
+/*
+ * Zero-skipping kernels, one AVX2 implementation for both SIMD tiers
+ * (a zmm copy of the row kernel measured only 20% faster: it waits on
+ * the rows of W^T, not on arithmetic). They vectorize over outputs
+ * instead of over k, so they keep the dense kernels' per-element
+ * roundings while touching only nonzero features.
+ */
+
+/** For each 8-bit mask, the indices of its set bits, packed from byte
+ *  0 up. */
+constexpr auto kPackedLanes = [] {
+    std::array<std::uint64_t, 256> lut{};
+    for (unsigned mask = 0; mask < 256; ++mask) {
+        unsigned at = 0;
+        for (unsigned bit = 0; bit < 8; ++bit)
+            if (mask & (1u << bit))
+                lut[mask] |= std::uint64_t{bit} << (8 * at++);
+    }
+    return lut;
+}();
+
+/**
+ * Indices of the nonzero entries of x[0, k), ascending, into @p idx,
+ * which has room for k + 8 (each 8-float step stores 8 candidates);
+ * returns their count. NaN is nonzero, -0.0 is not. Branch-free: the
+ * nonzero lanes of each step are packed through kPackedLanes.
+ */
+__attribute__((target("avx2,fma"))) std::size_t
+nonzeroIndicesAvx2(const float *x, std::size_t k, std::uint32_t *idx)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    std::size_t count = 0, f = 0;
+    for (; f + 8 <= k; f += 8) {
+        const auto bits = static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_cmp_ps(_mm256_loadu_ps(x + f), zero, _CMP_NEQ_UQ)));
+        const __m256i lanes = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(
+            static_cast<long long>(kPackedLanes[bits])));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(idx + count),
+            _mm256_add_epi32(lanes,
+                             _mm256_set1_epi32(static_cast<int>(f))));
+        count += static_cast<std::size_t>(__builtin_popcount(bits));
+    }
+    for (; f < k; ++f)
+        if (x[f] != 0.0f)
+            idx[count++] = static_cast<std::uint32_t>(f);
+    return count;
+}
+
+/** Adds the nonzero count of x[0, i) to @p count for the largest i <=
+ *  n that is a multiple of 8; returns i. */
+__attribute__((target("avx2,fma"))) std::size_t
+countNonzerosAvx2(const float *x, std::size_t n, std::size_t &count)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    // Each compare's all-ones lanes are -1: subtracting counts them.
+    __m256i lanes = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        lanes = _mm256_sub_epi32(
+            lanes, _mm256_castps_si256(_mm256_cmp_ps(
+                       _mm256_loadu_ps(x + i), zero, _CMP_NEQ_UQ)));
+    alignas(32) std::uint32_t sums[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(sums), lanes);
+    for (const std::uint32_t v : sums)
+        count += v;
+    return i;
+}
+
+/** t = m^T (m: rows x cols, rows ldm floats apart; t's rows ldt
+ *  apart) in 8 x 8 blocks, for the first rows / 8 * 8 rows of m;
+ *  returns that row count. */
+__attribute__((target("avx2,fma"))) std::size_t
+transposeAvx2(float *t, std::size_t ldt, const float *m, std::size_t ldm,
+              std::size_t rows, std::size_t cols)
+{
+    const std::size_t rows8 = rows / 8 * 8, cols8 = cols / 8 * 8;
+    for (std::size_t i = 0; i < rows8; i += 8) {
+        for (std::size_t j = 0; j < cols8; j += 8) {
+            __m256 r[8], u[8], v[8];
+            for (std::size_t q = 0; q < 8; ++q)
+                r[q] = _mm256_loadu_ps(m + (i + q) * ldm + j);
+            for (std::size_t q = 0; q < 8; q += 2) {
+                u[q] = _mm256_unpacklo_ps(r[q], r[q + 1]);
+                u[q + 1] = _mm256_unpackhi_ps(r[q], r[q + 1]);
+            }
+            for (std::size_t q = 0; q < 8; q += 4) {
+                v[q] = _mm256_shuffle_ps(u[q], u[q + 2],
+                                         _MM_SHUFFLE(1, 0, 1, 0));
+                v[q + 1] = _mm256_shuffle_ps(u[q], u[q + 2],
+                                             _MM_SHUFFLE(3, 2, 3, 2));
+                v[q + 2] = _mm256_shuffle_ps(u[q + 1], u[q + 3],
+                                             _MM_SHUFFLE(1, 0, 1, 0));
+                v[q + 3] = _mm256_shuffle_ps(u[q + 1], u[q + 3],
+                                             _MM_SHUFFLE(3, 2, 3, 2));
+            }
+            for (std::size_t q = 0; q < 4; ++q) {
+                _mm256_storeu_ps(t + (j + q) * ldt + i,
+                                 _mm256_permute2f128_ps(v[q], v[q + 4],
+                                                        0x20));
+                _mm256_storeu_ps(t + (j + q + 4) * ldt + i,
+                                 _mm256_permute2f128_ps(v[q], v[q + 4],
+                                                        0x31));
+            }
+        }
+        for (std::size_t q = i; q < i + 8; ++q)
+            for (std::size_t j = cols8; j < cols; ++j)
+                t[j * ldt + q] = m[q * ldm + j];
+    }
+    return rows8;
+}
+
+/** Lanes of an AVX2 vector whose index is below @p w. */
+__attribute__((target("avx2,fma"))) inline __m256i
+laneMask(std::size_t w)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** Per-thread buffers of the zero-skipping kernels. */
+struct SkipScratch
+{
+    std::vector<std::uint32_t> idx;  ///< nonzero feature indices
+    std::vector<float> acc;          ///< lane or dW accumulators
+
+    std::uint32_t *
+    indices(std::size_t k)
+    {
+        if (idx.size() < k + 8)
+            idx.resize(k + 8);
+        return idx.data();
+    }
+
+    float *
+    floats(std::size_t size)
+    {
+        if (acc.size() < size)
+            acc.resize(size);
+        return acc.data();
+    }
+};
+
+thread_local SkipScratch t_skip;
+
+/** acc[0, n) = 0, n a multiple of 8. */
+__attribute__((target("avx2,fma"))) inline void
+zeroRow(float *acc, std::size_t n)
+{
+    for (std::size_t j = 0; j < n; j += 8)
+        _mm256_storeu_ps(acc + j, _mm256_setzero_ps());
+}
+
+/**
+ * acc[0, n) = x * w[0, n) + acc[0, n), one FMA per element — from zero
+ * instead of acc when @p first — the vector past the last whole one
+ * masked.
+ */
+__attribute__((target("avx2,fma"))) inline void
+fmaddRow(float *acc, __m256 x, const float *w, std::size_t n,
+         __m256i tail, bool first)
+{
+    std::size_t j = 0;
+    if (first) {
+        for (; j + 8 <= n; j += 8)
+            _mm256_storeu_ps(acc + j,
+                             _mm256_fmadd_ps(x, _mm256_loadu_ps(w + j),
+                                             _mm256_setzero_ps()));
+        if (j < n)
+            _mm256_storeu_ps(
+                acc + j, _mm256_fmadd_ps(x, _mm256_maskload_ps(w + j, tail),
+                                         _mm256_setzero_ps()));
+        return;
+    }
+    for (; j + 8 <= n; j += 8)
+        _mm256_storeu_ps(acc + j,
+                         _mm256_fmadd_ps(x, _mm256_loadu_ps(w + j),
+                                         _mm256_loadu_ps(acc + j)));
+    if (j < n)
+        _mm256_storeu_ps(acc + j,
+                         _mm256_fmadd_ps(x, _mm256_maskload_ps(w + j, tail),
+                                         _mm256_loadu_ps(acc + j)));
+}
+
+/**
+ * One row of y = x * W^T (+ bias, ReLU) from wt = W^T (k x n), given
+ * the ascending indices of x's @p nnz nonzero features.
+ *
+ * dot8() keeps 16 accumulator lanes (acc0's 8, then acc1's), and
+ * feature f of its 8- and 16-float steps lands in lane f mod 16. Here
+ * each lane is a row of n floats, one per output, and each nonzero
+ * feature is one FMA into its lane's row, for every output at once, in
+ * ascending order. Then, per output: hsum8()'s tree over V_l = lane l +
+ * lane l + 8, ((V0 + V4) + (V2 + V6)) + ((V1 + V5) + (V3 + V7));
+ * dotTail()'s rule over the nonzero features of the k mod 8 tail; bias
+ * and ReLU.
+ */
+__attribute__((target("avx2,fma"))) void
+skipRowAvx2(float *y, const float *x, const float *wt, std::size_t n,
+            std::size_t k, const std::uint32_t *idx, std::size_t nnz,
+            const float *bias, bool relu)
+{
+    const std::size_t k16 = k / 16 * 16;
+    const std::size_t lanes_end = k - k16 >= 8 ? k16 + 8 : k16;
+    const bool rounded = k - lanes_end >= 4;
+    const std::size_t ld = (n + 7) / 8 * 8;
+    const __m256i tail = laneMask(n - (ld - 8));
+    float *acc = t_skip.floats(16 * ld);
+    // A lane's first feature starts its chain from zero; lanes that no
+    // feature reaches are zeroed for the sums.
+    unsigned touched = 0;
+    std::size_t e = 0;
+    for (; e < nnz && idx[e] < lanes_end; ++e) {
+        const unsigned lane = idx[e] & 15;
+        fmaddRow(acc + lane * ld, _mm256_set1_ps(x[idx[e]]), wt + idx[e] * n,
+                 n, tail, !(touched >> lane & 1));
+        touched |= 1u << lane;
+    }
+    for (unsigned lane = 0; lane < 16; ++lane)
+        if (!(touched >> lane & 1))
+            zeroRow(acc + lane * ld, ld);
+
+    for (std::size_t j = 0; j < n; j += 8) {
+        const float *a = acc + j;
+        __m256 v[8];
+        for (int l = 0; l < 8; ++l)
+            v[l] = _mm256_add_ps(_mm256_loadu_ps(a + l * ld),
+                                 _mm256_loadu_ps(a + (l + 8) * ld));
+        __m256 s = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(v[0], v[4]),
+                          _mm256_add_ps(v[2], v[6])),
+            _mm256_add_ps(_mm256_add_ps(v[1], v[5]),
+                          _mm256_add_ps(v[3], v[7])));
+        const bool full = j + 8 <= n;
+        for (std::size_t t = e; t < nnz; ++t) {
+            const __m256 xv = _mm256_set1_ps(x[idx[t]]);
+            const float *w = wt + idx[t] * n + j;
+            const __m256 wv =
+                full ? _mm256_loadu_ps(w) : _mm256_maskload_ps(w, tail);
+            s = rounded && idx[t] - lanes_end < 4
+                    ? _mm256_add_ps(s, _mm256_mul_ps(xv, wv))
+                    : _mm256_fmadd_ps(xv, wv, s);
+        }
+        if (bias)
+            s = _mm256_add_ps(s, full ? _mm256_loadu_ps(bias + j)
+                                      : _mm256_maskload_ps(bias + j, tail));
+        // max(0, v) keeps -0.0f and NaN, like biasRelu().
+        if (relu)
+            s = _mm256_max_ps(_mm256_setzero_ps(), s);
+        if (full)
+            _mm256_storeu_ps(y + j, s);
+        else
+            _mm256_maskstore_ps(y + j, tail, s);
+    }
+}
+
+/**
+ * Rows [i0, i1) of C = A^T * B (A: rows x m, B: rows x k, C: m x k),
+ * skipping the zeros of B: each element is one FMA chain over the rows
+ * r, in order, whose B(r, j) is nonzero. Per block of kZeroSkipGradRows
+ * rows of C, the accumulators are held transposed — k rows of 32
+ * floats (four vectors), one per feature — so that each nonzero
+ * B(r, f) is one FMA of A(r, block) into feature f's row; the block is
+ * transposed into C at the end.
+ */
+__attribute__((target("avx2,fma"))) void
+matmulTransASkipAvx2(float *c, const float *a, const float *b,
+                     std::size_t rows, std::size_t m, std::size_t k,
+                     std::size_t i0, std::size_t i1)
+{
+    constexpr std::size_t kB = kZeroSkipGradRows;
+    std::uint32_t *idx = t_skip.indices(k);
+    for (std::size_t s0 = i0; s0 < i1; s0 += kB) {
+        const std::size_t w = std::min(kB, i1 - s0);
+        __m256i mask[kB / 8];
+        for (std::size_t v = 0; v < kB / 8; ++v)
+            mask[v] = laneMask(w > 8 * v ? w - 8 * v : 0);
+        float *acc = t_skip.floats(k * kB);
+        zeroRow(acc, k * kB);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const float *brow = b + r * k;
+            const std::size_t nnz = nonzeroIndicesAvx2(brow, k, idx);
+            __m256 av[kB / 8];
+            for (std::size_t v = 0; v < kB / 8; ++v)
+                av[v] = _mm256_maskload_ps(a + r * m + s0 + 8 * v, mask[v]);
+            for (std::size_t e = 0; e < nnz; ++e) {
+                const __m256 bv = _mm256_set1_ps(brow[idx[e]]);
+                float *t = acc + idx[e] * kB;
+                for (std::size_t v = 0; v < kB / 8; ++v)
+                    _mm256_storeu_ps(t + 8 * v,
+                                     _mm256_fmadd_ps(av[v], bv,
+                                                     _mm256_loadu_ps(
+                                                         t + 8 * v)));
+            }
+        }
+        const std::size_t k8 =
+            w == kB ? transposeAvx2(c + s0 * k, k, acc, kB, k, kB) : 0;
+        for (std::size_t i = 0; i < w; ++i)
+            for (std::size_t f = k8; f < k; ++f)
+                c[(s0 + i) * k + f] = acc[f * kB + i];
+    }
+}
+
 #endif // AUTOCAT_MAT_X86
 
 using detail::MatTier;
@@ -941,6 +1245,90 @@ matmulTransARowsInto(MatTier tier, Matrix &c, const Matrix &a,
     if (r0 < r1)
         matmulTransARows(tier, c.data(), a.data(), b.data(), k, m, n, r0,
                          r1);
+}
+
+std::size_t
+countNonzeros(const Matrix &m)
+{
+    const float *x = m.data();
+    const std::size_t n = m.size();
+    std::size_t i = 0, count = 0;
+#if AUTOCAT_MAT_X86
+    if (detail::matTier() != MatTier::Portable)
+        i = countNonzerosAvx2(x, n, count);
+#endif
+    for (; i < n; ++i)
+        count += x[i] != 0.0f;
+    return count;
+}
+
+void
+transposeInto(Matrix &t, const Matrix &m)
+{
+    assert(&t != &m);
+    const std::size_t rows = m.rows(), cols = m.cols();
+    t.resizeUninit(cols, rows);
+    std::size_t i = 0;
+#if AUTOCAT_MAT_X86
+    if (detail::matTier() != MatTier::Portable)
+        i = transposeAvx2(t.data(), rows, m.data(), cols, rows, cols);
+#endif
+    for (; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j)
+            t(j, i) = m(i, j);
+}
+
+void
+linearForwardSkipRowsInto(MatTier tier, Matrix &y, const Matrix &x,
+                          const Matrix &w, const Matrix &wt,
+                          const std::vector<float> &bias, bool relu,
+                          std::size_t r0, std::size_t r1)
+{
+    const std::size_t n = w.rows(), k = x.cols();
+    assert(wt.rows() == k && wt.cols() == n);
+    (void)wt;
+#if AUTOCAT_MAT_X86
+    if (tier != MatTier::Portable) {
+        assert(k == w.cols() && bias.size() == n);
+        assert(y.rows() == x.rows() && y.cols() == n && r1 <= x.rows());
+        assert(&y != &x && &y != &w && &y != &wt);
+        std::uint32_t *idx = t_skip.indices(k);
+        // Rows that do not pay for skipping run the dense kernel in runs,
+        // so runs of 4+ rows keep its register tiles.
+        std::size_t dense = r0;
+        for (std::size_t r = r0; r < r1; ++r) {
+            const std::size_t nnz = nonzeroIndicesAvx2(x.rowPtr(r), k, idx);
+            if (!zeroSkipPays(nnz, k))
+                continue;
+            linearForwardRowsInto(tier, y, x, w, bias, relu, dense, r);
+            skipRowAvx2(y.rowPtr(r), x.rowPtr(r), wt.data(), n, k, idx, nnz,
+                        bias.data(), relu);
+            dense = r + 1;
+        }
+        linearForwardRowsInto(tier, y, x, w, bias, relu, dense, r1);
+        return;
+    }
+#endif
+    linearForwardRowsInto(tier, y, x, w, bias, relu, r0, r1);
+}
+
+void
+matmulTransASkipRowsInto(MatTier tier, Matrix &c, const Matrix &a,
+                         const Matrix &b, std::size_t r0, std::size_t r1)
+{
+    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+    assert(k == b.rows());
+    assert(c.rows() == m && c.cols() == n && r1 <= m);
+    assert(&c != &a && &c != &b);
+#if AUTOCAT_MAT_X86
+    if (tier != MatTier::Portable) {
+        if (r0 < r1)
+            matmulTransASkipAvx2(c.data(), a.data(), b.data(), k, m, n, r0,
+                                 r1);
+        return;
+    }
+#endif
+    matmulTransARowsInto(tier, c, a, b, r0, r1);
 }
 
 Matrix

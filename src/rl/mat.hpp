@@ -41,6 +41,20 @@
  *    products are rounded before they are added and the rest fused.
  *  - matmulTransAInto: one FMA chain over k in order.
  *
+ * **Zero skipping.** The zero-skipping entry points (below) give each
+ * element the same sequence minus the steps whose factor from the
+ * sparse operand is zero: a dot product adds each nonzero feature into
+ * the accumulator lane the dense kernel adds it to, then runs the same
+ * horizontal sum, tail rule, bias and ReLU; an A^T * B element is its
+ * FMA chain over the rows whose feature is nonzero. A zero product
+ * added to a sum leaves the sum as it was, so on the SIMD tiers the
+ * bits are the dense kernel's, with one visible difference: a zero
+ * feature against an infinite or NaN weight (or gradient) adds nothing
+ * here, where the dense kernel's 0 * inf gives NaN. (A sum that is
+ * exactly -0.0, which only a product underflowing to -0.0 can make,
+ * stays -0.0 past a zero feature, where the dense kernel's -0.0 + +0.0
+ * gives +0.0.) The portable tier runs its dense kernels there.
+ *
  * The tail steps are spelled out with intrinsics and rl/mat.cpp is
  * built with -ffp-contract=off, so neither the compiler, its flags nor
  * the optimization level can move them. Two consequences:
@@ -70,9 +84,9 @@
  * training step (ActorCritic::trainStep) partitions a minibatch itself,
  * into one row region and one weight-gradient region per minibatch,
  * and runs the row-range entry points (linearForwardRowsInto,
- * matmulRowsInto, matmulTransARowsInto) inside them — the same
- * kernels, so the same bits, including the head GEMMs that a
- * whole-matrix call runs inline.
+ * matmulRowsInto, matmulTransARowsInto, and for the first layer their
+ * zero-skipping forms) inside them — the same kernels, so the same
+ * bits, including the head GEMMs that a whole-matrix call runs inline.
  */
 
 #ifndef AUTOCAT_RL_MAT_HPP
@@ -354,6 +368,67 @@ void matmulRowsInto(detail::MatTier tier, Matrix &c, const Matrix &a,
  *  read columns r0 .. r1 - 1 of A. */
 void matmulTransARowsInto(detail::MatTier tier, Matrix &c, const Matrix &a,
                           const Matrix &b, std::size_t r0, std::size_t r1);
+
+/*
+ * Zero-skipping entry points, for operands that are mostly exact zeros
+ * (observation rows): the dense kernels' bits at a fraction of their
+ * work (file comment, "Zero skipping").
+ */
+
+/**
+ * Nonzero share, in percent, below which zeros are skipped: a row, or a
+ * weight-gradient input, whose nonzero share is below it takes the
+ * zero-skipping kernel. It is where a training step's first layer — the
+ * forward and the weight gradient of the same rows — costs the same
+ * either way; alone, the forward of a batch breaks even near 20% and a
+ * single row's near 60% (docs/BENCHMARKS.md, "Zero-skipping
+ * observation layer").
+ */
+constexpr std::size_t kZeroSkipPercent = 40;
+
+/** Row-block height of the zero-skipping A^T * B kernel, which scans
+ *  its sparse operand once per block: row ranges that start at a
+ *  multiple of it split no block. */
+constexpr std::size_t kZeroSkipGradRows = 32;
+
+/** True when @p nonzeros of @p size elements are few enough for the
+ *  zero-skipping kernels to pay (kZeroSkipPercent). */
+constexpr bool
+zeroSkipPays(std::size_t nonzeros, std::size_t size)
+{
+    return 100 * nonzeros < kZeroSkipPercent * size;
+}
+
+/** Elements of @p m that are not zero (NaN counts, -0.0 does not). */
+std::size_t countNonzeros(const Matrix &m);
+
+/** t = m^T: resized to m.cols() x m.rows() and fully overwritten. */
+void transposeInto(Matrix &t, const Matrix &m);
+
+/**
+ * Rows [r0, r1) of linearForwardInto(y, x, w, bias, relu), given also
+ * @p wt = w^T (in x out). A row whose nonzero share is below
+ * kZeroSkipPercent adds each nonzero feature into the dot8 lane it
+ * lands in, for all outputs at once from that feature's row of wt, then
+ * sums the lanes and applies the k mod 8 tail, bias and ReLU as the
+ * dense kernel does; every other row runs the dense kernel. Inline and
+ * non-resizing like the other row-range entry points.
+ */
+void linearForwardSkipRowsInto(detail::MatTier tier, Matrix &y,
+                               const Matrix &x, const Matrix &w,
+                               const Matrix &wt,
+                               const std::vector<float> &bias, bool relu,
+                               std::size_t r0, std::size_t r1);
+
+/**
+ * Rows [r0, r1) of matmulTransAInto(c, a, b), skipping the zeros of b:
+ * element (i, j) is the FMA chain over the rows p of b, in order, whose
+ * b(p, j) is not zero. Inline and non-resizing like the row-range entry
+ * points above.
+ */
+void matmulTransASkipRowsInto(detail::MatTier tier, Matrix &c,
+                              const Matrix &a, const Matrix &b,
+                              std::size_t r0, std::size_t r1);
 
 /** C = A * B. A: m x k, B: k x n. */
 Matrix matmul(const Matrix &a, const Matrix &b);

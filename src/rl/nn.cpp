@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace autocat {
 
@@ -23,11 +24,20 @@ thread_local std::vector<Matrix> t_mlp_grads;
  *  A^T * B kernel. */
 constexpr std::size_t kGradRows = kMatTileRows;
 
+/** dW rows per task of a zero-skipping weight gradient: one block of
+ *  the zero-skipping A^T * B kernel. */
+constexpr std::size_t kGradSkipRows = kZeroSkipGradRows;
+
+/** Per job of the calling thread's Linear::weightGrads() call: whether
+ *  it skips zeros. */
+thread_local std::vector<std::uint8_t> t_grad_skip;
+
 } // namespace
 
-Linear::Linear(std::size_t in, std::size_t out, Rng &rng, float gain)
+Linear::Linear(std::size_t in, std::size_t out, Rng &rng, float gain,
+               bool skip_zeros)
     : in_(in), out_(out), w_(out, in), b_(out, 0.0f), gw_(out, in),
-      gb_(out, 0.0f)
+      gb_(out, 0.0f), skip_zeros_(skip_zeros)
 {
     // Xavier-uniform initialization scaled by gain.
     const float limit =
@@ -50,7 +60,18 @@ void
 Linear::forwardInto(Matrix &y, const Matrix &x, bool fuse_relu) const
 {
     assert(x.cols() == in_);
-    linearForwardInto(y, x, w_, b_, fuse_relu);
+    if (!skipsZeros()) {
+        linearForwardInto(y, x, w_, b_, fuse_relu);
+        return;
+    }
+    // linearForwardInto()'s partition over the zero-skipping rows.
+    const std::size_t rows = x.rows();
+    y.resizeUninit(rows, out_);
+    const detail::MatTier tier = detail::matTier();
+    parallelBlocks(rows, kMatTileRows, rows * out_ * in_,
+                   [&](std::size_t r0, std::size_t r1) {
+                       forwardRows(tier, y, x, fuse_relu, r0, r1);
+                   });
 }
 
 void
@@ -69,7 +90,20 @@ Linear::forwardRows(detail::MatTier tier, Matrix &y, const Matrix &x,
                     bool fuse_relu, std::size_t r0, std::size_t r1) const
 {
     assert(x.cols() == in_);
-    linearForwardRowsInto(tier, y, x, w_, b_, fuse_relu, r0, r1);
+    if (skipsZeros())
+        linearForwardSkipRowsInto(tier, y, x, w_, wt_, b_, fuse_relu, r0,
+                                  r1);
+    else
+        linearForwardRowsInto(tier, y, x, w_, b_, fuse_relu, r0, r1);
+}
+
+void
+Linear::prepareForward()
+{
+    if (skip_zeros_ && wt_stale_) {
+        transposeInto(wt_, w_);
+        wt_stale_ = false;
+    }
 }
 
 void
@@ -86,18 +120,30 @@ Linear::weightGrads(const LayerGrad *jobs, std::size_t count,
                     bool accumulate)
 {
     // Tasks: every job's dW row ranges, in job order, then one bias
-    // task per job.
+    // task per job. Which jobs skip zeros is decided here, on the
+    // calling thread.
+    const detail::MatTier tier = detail::matTier();
+    std::vector<std::uint8_t> &skip = t_grad_skip;
+    skip.resize(count);
+    const auto rowsPerTask = [&](std::size_t j) {
+        return skip[j] ? kGradSkipRows : kGradRows;
+    };
+    const auto tasks = [&](std::size_t j) {
+        return (jobs[j].layer->out_ + rowsPerTask(j) - 1) / rowsPerTask(j);
+    };
     std::size_t row_tasks = 0, work = 0;
     for (std::size_t j = 0; j < count; ++j) {
         Linear &l = *jobs[j].layer;
+        const Matrix &input = *jobs[j].input;
         assert(jobs[j].gradOut->cols() == l.out_);
-        assert(jobs[j].input->cols() == l.in_);
-        assert(jobs[j].gradOut->rows() == jobs[j].input->rows());
+        assert(input.cols() == l.in_);
+        assert(jobs[j].gradOut->rows() == input.rows());
         l.gw_scratch_.resizeUninit(l.out_, l.in_);
-        row_tasks += (l.out_ + kGradRows - 1) / kGradRows;
-        work += l.out_ * l.in_ * jobs[j].input->rows();
+        skip[j] = l.skip_zeros_ && tier != detail::MatTier::Portable &&
+                  zeroSkipPays(countNonzeros(input), input.size());
+        row_tasks += tasks(j);
+        work += l.out_ * l.in_ * input.rows();
     }
-    const detail::MatTier tier = detail::matTier();
     parallelTasks(row_tasks + count, work, [&](std::size_t t) {
         if (t >= row_tasks) {
             const LayerGrad &job = jobs[t - row_tasks];
@@ -108,18 +154,17 @@ Linear::weightGrads(const LayerGrad *jobs, std::size_t count,
             return;
         }
         std::size_t j = 0;
-        for (;; ++j) {
-            const std::size_t tasks =
-                (jobs[j].layer->out_ + kGradRows - 1) / kGradRows;
-            if (t < tasks)
-                break;
-            t -= tasks;
-        }
+        for (; t >= tasks(j); ++j)
+            t -= tasks(j);
         Linear &l = *jobs[j].layer;
-        const std::size_t i0 = t * kGradRows;
-        const std::size_t i1 = std::min(l.out_, i0 + kGradRows);
-        matmulTransARowsInto(tier, l.gw_scratch_, *jobs[j].gradOut,
-                             *jobs[j].input, i0, i1);
+        const std::size_t i0 = t * rowsPerTask(j);
+        const std::size_t i1 = std::min(l.out_, i0 + rowsPerTask(j));
+        if (skip[j])
+            matmulTransASkipRowsInto(tier, l.gw_scratch_, *jobs[j].gradOut,
+                                     *jobs[j].input, i0, i1);
+        else
+            matmulTransARowsInto(tier, l.gw_scratch_, *jobs[j].gradOut,
+                                 *jobs[j].input, i0, i1);
         float *gw = l.gw_.rowPtr(i0);
         const float *dw = l.gw_scratch_.rowPtr(i0);
         const std::size_t n = (i1 - i0) * l.in_;
@@ -140,6 +185,7 @@ Linear::zeroGrad()
 std::vector<ParamBlock>
 Linear::paramBlocks()
 {
+    wt_stale_ = true;
     return {
         {w_.data(), gw_.data(), w_.size()},
         {b_.data(), gb_.data(), b_.size()},
@@ -151,8 +197,9 @@ Mlp::Mlp(const std::vector<std::size_t> &sizes, Rng &rng, bool activate_last)
 {
     assert(sizes.size() >= 2);
     layers_.reserve(sizes.size() - 1);
+    // The first layer reads the input, observations in practice.
     for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
-        layers_.emplace_back(sizes[i], sizes[i + 1], rng);
+        layers_.emplace_back(sizes[i], sizes[i + 1], rng, 1.0f, i == 0);
     acts_.resize(layers_.size() + 1);
 }
 
@@ -175,6 +222,7 @@ Mlp::forward(const Matrix &x)
 Matrix &
 Mlp::beginBatch(std::size_t rows)
 {
+    layers_.front().prepareForward();
     acts_[0].resizeUninit(rows, inFeatures());
     for (std::size_t i = 0; i < layers_.size(); ++i)
         acts_[i + 1].resizeUninit(rows, layers_[i].outFeatures());
@@ -192,8 +240,9 @@ Mlp::forwardRows(detail::MatTier tier, std::size_t r0, std::size_t r1)
 }
 
 const Matrix &
-Mlp::forwardInto(const Matrix &x, std::vector<Matrix> &scratch) const
+Mlp::forwardInto(const Matrix &x, std::vector<Matrix> &scratch)
 {
+    layers_.front().prepareForward();
     scratch.resize(layers_.size());
     const Matrix *in = &x;
     for (std::size_t i = 0; i < layers_.size(); ++i) {

@@ -5,10 +5,24 @@
  * A Linear layer is y = x W^T + b. Two forward entry points exist:
  * the training path caches what backward() needs, while forwardInto()
  * is an allocation-free inference path that fuses bias and ReLU into
- * the GEMM (rl/mat.hpp) and caches nothing. An Mlp stacks Linear+ReLU
+ * the GEMM (rl/mat.hpp) and caches nothing but the first layer's
+ * transposed weights, described below. An Mlp stacks Linear+ReLU
  * and keeps the per-layer activations from its last training forward
  * so backward() can run without per-layer input copies. Parameters and
  * gradients are exposed as flat blocks for the Adam optimizer.
+ *
+ * The transposed weights: an Mlp's first layer reads observations,
+ * which are mostly exact zeros, so its forward and weight gradient skip
+ * zero features (rl/mat.hpp, "Zero skipping"), and its forward reads a
+ * transposed copy of its weights. That copy is derived state:
+ * paramBlocks() and weights() mark it stale — Adam, clipping and
+ * checkpoint loading write the weights through them — and it is
+ * rebuilt on the calling thread, never in a pool block, before the
+ * next training batch (Mlp::beginBatch()) or inference call
+ * (Mlp::forwardInto()): once per PPO minibatch and once per collection
+ * phase. Pointers from an earlier paramBlocks() call must not be
+ * written after a forward. A forward that finds the copy stale runs
+ * the dense kernel; the bits are the same either way.
  */
 
 #ifndef AUTOCAT_RL_NN_HPP
@@ -43,8 +57,11 @@ class Linear
      * @param gain  scale on the Xavier-uniform init (use a small gain,
      *              e.g. 0.01, for policy heads so the initial policy is
      *              near uniform)
+     * @param skip_zeros whether the forward and the weight gradient
+     *              skip zero input features (see the file comment)
      */
-    Linear(std::size_t in, std::size_t out, Rng &rng, float gain = 1.0f);
+    Linear(std::size_t in, std::size_t out, Rng &rng, float gain = 1.0f,
+           bool skip_zeros = false);
 
     /** Allocating convenience forward. x: B x in → B x out. */
     Matrix forward(const Matrix &x) const;
@@ -67,7 +84,7 @@ class Linear
      * gradient (B x in) into it — a null @p grad_in skips that GEMM
      * for a first layer whose input gradient nobody reads. Callers
      * store activations themselves (see Mlp::acts_) — the layer caches
-     * nothing.
+     * no activations.
      */
     void backward(const Matrix &grad_out, const Matrix &input,
                   Matrix *grad_in);
@@ -79,6 +96,13 @@ class Linear
      */
     void forwardRows(detail::MatTier tier, Matrix &y, const Matrix &x,
                      bool fuse_relu, std::size_t r0, std::size_t r1) const;
+
+    /**
+     * Rebuilds the transposed weights of a zero-skipping layer when the
+     * weights may have changed since they were built; a no-op
+     * otherwise. Call on the thread that drives the forward, before it.
+     */
+    void prepareForward();
 
     /**
      * Rows [r0, r1) of backward()'s input gradient grad_out * W into
@@ -94,12 +118,16 @@ class Linear
      * fork-join on the calling thread's pool (parallelTasks(),
      * rl/mat.hpp): a task per 4-row range of a layer's dW = grad_out^T *
      * input, in job order, then a task per layer for its bias, the
-     * column sums of grad_out. Each dW element is one FMA chain over the
-     * batch rows in order and each bias entry one sum over them, added
-     * into the accumulated gradients — or, when @p accumulate is false,
-     * into zeroed ones, exactly as zeroGrad() and then backward() — so
-     * the bits do not depend on the budget. List the largest layers
-     * first: tasks are claimed in order. Each layer must appear once.
+     * column sums of grad_out. A zero-skipping layer whose input's
+     * nonzero share, counted here, is below kZeroSkipPercent takes a
+     * task per 32-row range instead, whose dW elements skip the batch
+     * rows where their feature is zero (matmulTransASkipRowsInto()).
+     * Each dW element is one FMA chain over the batch rows in order
+     * and each bias entry one sum over them, added into the
+     * accumulated gradients — or, when @p accumulate is false, into
+     * zeroed ones, exactly as zeroGrad() and then backward() — so the
+     * bits do not depend on the budget. List the largest layers first:
+     * tasks are claimed in order. Each layer must appear once.
      */
     static void weightGrads(const LayerGrad *jobs, std::size_t count,
                             bool accumulate);
@@ -107,17 +135,30 @@ class Linear
     /** Zero accumulated gradients. */
     void zeroGrad();
 
-    /** Parameter/gradient blocks (weights then bias). */
+    /** Parameter/gradient blocks (weights then bias). Marks the
+     *  transposed weights stale: the caller may write through them. */
     std::vector<ParamBlock> paramBlocks();
 
     std::size_t inFeatures() const { return in_; }
     std::size_t outFeatures() const { return out_; }
 
-    /** Direct weight access (tests / serialization). */
-    Matrix &weights() { return w_; }
+    /** Direct weight access (tests / serialization); marks the
+     *  transposed weights stale like paramBlocks(). */
+    Matrix &weights()
+    {
+        wt_stale_ = true;
+        return w_;
+    }
     std::vector<float> &bias() { return b_; }
 
   private:
+    /** Whether the forward may take the zero-skipping kernel. */
+    bool
+    skipsZeros() const
+    {
+        return skip_zeros_ && !wt_stale_;
+    }
+
     std::size_t in_;
     std::size_t out_;
     Matrix w_;   ///< out x in
@@ -125,6 +166,9 @@ class Linear
     Matrix gw_;
     std::vector<float> gb_;
     Matrix gw_scratch_;  ///< reusable dW workspace
+    Matrix wt_;          ///< w_^T (in x out), zero-skipping layers only
+    bool skip_zeros_;
+    bool wt_stale_ = true;
 };
 
 /** One layer's part of Linear::weightGrads(): the layer, the gradient
@@ -156,11 +200,11 @@ class Mlp
      * Allocation-free inference forward: activations are written into
      * @p scratch (resized to one matrix per layer; reuse across calls
      * makes this steady-state allocation-free) and the result is
-     * scratch.back(). Caches nothing; safe to interleave with training
-     * forward/backward pairs.
+     * scratch.back(). Caches nothing but the first layer's transposed
+     * weights, rebuilt here when stale; safe to interleave with
+     * training forward/backward pairs.
      */
-    const Matrix &forwardInto(const Matrix &x,
-                              std::vector<Matrix> &scratch) const;
+    const Matrix &forwardInto(const Matrix &x, std::vector<Matrix> &scratch);
 
     /**
      * Backward through the whole stack, accumulating parameter
@@ -174,7 +218,8 @@ class Mlp
      * built from these, and so is ActorCritic's training step,
      * which interleaves its heads and its loss with them:
      *
-     *  1. beginBatch() sizes the activations and returns the input
+     *  1. beginBatch() sizes the activations, rebuilds the first
+     *     layer's transposed weights when stale, and returns the input
      *     activation, whose rows the caller writes;
      *  2. forwardRows() runs every layer over a block of rows;
      *  3. beginBackward() sizes the calling thread's backward scratch

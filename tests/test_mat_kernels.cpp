@@ -5,8 +5,9 @@
  * every tile-edge path: non-multiple-of-tile M (4-row blocks), N
  * (4/16-column blocks), and K (8/16-lane vector steps), plus the
  * fused bias+ReLU path, the row-purity guarantee the multi-core row
- * partition relies on, that partition's bitwise invariance, and
- * bit goldens of every kernel on every tier the host runs.
+ * partition relies on, that partition's bitwise invariance, bit
+ * goldens of every kernel on every tier the host runs, and the
+ * zero-skipping kernels' bit identity with the dense ones.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -563,6 +565,150 @@ TEST(MatKernels, PartitionedKernelsMatchSerialBitwiseOnAvx2Tier)
         GTEST_SKIP() << missing;
     const detail::MatTierScope tier(detail::MatTier::Avx2);
     expectPartitionedKernelsMatchSerial();
+}
+
+/**
+ * Observation-like rows for the zero-skipping kernels over k features:
+ * all zeros, all -0.0f, a lone nonzero at every feature (so every dot8
+ * lane, the 8-float step and each position of the k mod 8 tail —
+ * including the four rounded-then-added ones when k mod 8 >= 4 — is
+ * reached alone), rows at about 10% and 35% nonzero (below the
+ * crossover) and fully dense rows (above it), interleaved so that
+ * skipped rows split runs of dense ones.
+ */
+Matrix
+zeroSkipRows(std::size_t k, Rng &rng)
+{
+    std::vector<std::vector<float>> rows;
+    rows.emplace_back(k, 0.0f);
+    rows.emplace_back(k, -0.0f);
+    for (std::size_t f = 0; f < k; ++f) {
+        rows.emplace_back(k, f % 2 ? -0.0f : 0.0f);
+        rows.back()[f] = static_cast<float>(rng.gaussian());
+    }
+    for (int i = 0; i < 12; ++i) {
+        const std::uint64_t per_100 = i % 3 == 0 ? 100 : i % 3 == 1 ? 10 : 35;
+        std::vector<float> row(k, 0.0f);
+        for (float &v : row)
+            if (rng.uniformInt(100) < per_100)
+                v = i % 2 ? 1.0f : static_cast<float>(rng.gaussian());
+        rows.push_back(std::move(row));
+    }
+    Matrix x(rows.size(), k);
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        std::copy(rows[r].begin(), rows[r].end(), x.rowPtr(r));
+    return x;
+}
+
+/**
+ * The zero-skipping forward and weight gradient give the dense
+ * kernels' bits on the calling thread's tier: k over every k mod 16
+ * residue, below 8 and between 8 and 16, output widths on and off
+ * multiples of 8 and 16, every row kind of zeroSkipRows(), and the
+ * weight gradient's 32-row blocks cut at odd row ranges.
+ */
+void
+expectZeroSkipMatchesDense()
+{
+    const detail::MatTier tier = detail::matTier();
+    std::vector<std::size_t> ks;
+    for (std::size_t k = 1; k <= 48; ++k)
+        ks.push_back(k);
+    ks.push_back(251);
+    const std::size_t ns[] = {1, 5, 8, 13, 16, 17, 31, 40, 128};
+    Rng rng(31);
+    for (const std::size_t k : ks) {
+        const Matrix x = zeroSkipRows(k, rng);
+        for (const std::size_t n : ns) {
+            const Matrix w = randomMatrix(n, k, rng);
+            Matrix wt;
+            transposeInto(wt, w);
+            ASSERT_TRUE(bitwiseEqual(wt, transpose(w))) << "k=" << k;
+            std::vector<float> bias(n);
+            for (auto &v : bias)
+                v = static_cast<float>(rng.gaussian());
+            for (const bool relu : {false, true}) {
+                Matrix dense, skip(x.rows(), n);
+                linearForwardInto(dense, x, w, bias, relu);
+                linearForwardSkipRowsInto(tier, skip, x, w, wt, bias, relu, 0,
+                                          x.rows());
+                EXPECT_TRUE(bitwiseEqual(skip, dense))
+                    << "forward k=" << k << " n=" << n << " relu=" << relu;
+            }
+
+            const Matrix grad = randomMatrix(x.rows(), n, rng);
+            Matrix dense, skip(n, k);
+            matmulTransAInto(dense, grad, x);
+            const std::size_t cut = std::min<std::size_t>(n, 5);
+            matmulTransASkipRowsInto(tier, skip, grad, x, 0, cut);
+            matmulTransASkipRowsInto(tier, skip, grad, x, cut, n);
+            EXPECT_TRUE(bitwiseEqual(skip, dense))
+                << "weight gradient k=" << k << " n=" << n;
+        }
+    }
+}
+
+TEST(MatKernels, ZeroSkipKernelsMatchDenseBitsOnAvx512Tier)
+{
+    const std::string missing = missingTier(detail::MatTier::Avx512);
+    if (!missing.empty())
+        GTEST_SKIP() << missing;
+    const detail::MatTierScope tier(detail::MatTier::Avx512);
+    expectZeroSkipMatchesDense();
+}
+
+TEST(MatKernels, ZeroSkipKernelsMatchDenseBitsOnAvx2Tier)
+{
+    const std::string missing = missingTier(detail::MatTier::Avx2);
+    if (!missing.empty())
+        GTEST_SKIP() << missing;
+    const detail::MatTierScope tier(detail::MatTier::Avx2);
+    expectZeroSkipMatchesDense();
+}
+
+/** The portable tier runs its dense kernels behind the zero-skipping
+ *  entry points. */
+TEST(MatKernels, ZeroSkipEntryPointsAreDenseOnPortableTier)
+{
+    const detail::MatTierScope tier(detail::MatTier::Portable);
+    expectZeroSkipMatchesDense();
+}
+
+/** The one visible difference the rl/mat.hpp contract names: a zero
+ *  feature against an infinite weight adds nothing when skipped, where
+ *  the dense kernel's 0 * inf makes the output NaN. */
+TEST(MatKernels, ZeroSkipIgnoresNonFiniteWeightsOfZeroFeatures)
+{
+    const std::string missing = missingTier(detail::MatTier::Avx2);
+    if (!missing.empty())
+        GTEST_SKIP() << missing;
+    const std::size_t k = 40, n = 3;
+    Matrix x(1, k), w(n, k);
+    x(0, 7) = 2.0f;
+    for (std::size_t j = 0; j < n; ++j)
+        w(j, 7) = 0.5f;
+    w(1, 20) = std::numeric_limits<float>::infinity();
+    const std::vector<float> bias(n, 0.0f);
+    Matrix wt, dense, skip(1, n);
+    transposeInto(wt, w);
+    linearForwardInto(dense, x, w, bias, false);
+    linearForwardSkipRowsInto(detail::matTier(), skip, x, w, wt, bias, false,
+                              0, 1);
+    EXPECT_TRUE(std::isnan(dense(0, 1)));
+    EXPECT_EQ(skip(0, 1), 1.0f);
+    EXPECT_EQ(skip(0, 0), dense(0, 0));
+}
+
+TEST(MatKernels, CountNonzerosCountsNanButNotSignedZero)
+{
+    Matrix m(3, 11);
+    m(0, 0) = 1.0f;
+    m(1, 9) = -0.0f;
+    m(2, 10) = std::nanf("");
+    m(2, 3) = -2.0f;
+    EXPECT_EQ(countNonzeros(m), 3u);
+    const detail::MatTierScope tier(detail::MatTier::Portable);
+    EXPECT_EQ(countNonzeros(m), 3u);
 }
 
 TEST(MatKernels, BackendNameIsReported)

@@ -7,8 +7,9 @@
  * threads leave identical weights, Adam moments and epoch statistics,
  * and four epochs match golden bits at budgets 1 and 4. ctest runs this
  * suite once per matmul backend; on an AVX-512 host it also checks that
- * the AVX2 tier leaves the same bits. The step's two halves and its
- * exception path are checked here too.
+ * the AVX2 tier leaves the same bits. The step's two halves, its
+ * exception path and the first layer's transposed weights, which every
+ * write to the weights must refresh, are checked here too.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -406,6 +408,180 @@ TEST(UpdateThreads, ThrowingRowLossReachesTheCallerAfterEveryBlock)
     EXPECT_TRUE(out.values == twin_out.values);
     EXPECT_TRUE(gradients(net) == gradients(twin))
         << "the step after a failed one left other gradients";
+}
+
+/** Observation-like rows: each feature is 1 with probability 1/10 and
+ *  0 otherwise, so the first layer takes its zero-skipping kernels. */
+void
+makeOneHotLike(Matrix &obs, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (std::size_t i = 0; i < obs.size(); ++i)
+        obs.data()[i] = rng.uniformInt(10) == 0 ? 1.0f : 0.0f;
+}
+
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::equal(a.data(), a.data() + a.size(), b.data());
+}
+
+/**
+ * @p net against a freshly built network that holds its weights:
+ * forwardOne(), forwardNoGrad() and trainStep() — outputs and
+ * gradients — bit for bit, at budget 4, so that the training step's
+ * row region splits over pool executors.
+ */
+void
+expectMatchesFreshNetwork(ActorCritic &net, const char *after)
+{
+    const MatThreadScope budget(4);
+    ActorCritic fresh = tableVNet(99);
+    std::vector<ParamBlock> to = fresh.paramBlocks();
+    const std::vector<ParamBlock> from = net.paramBlocks();
+    for (std::size_t b = 0; b < to.size(); ++b)
+        std::copy(from[b].params, from[b].params + from[b].size,
+                  to[b].params);
+
+    FixedRows rows(11);
+    makeOneHotLike(rows.obs, 12);
+    const std::vector<float> one(rows.obs.rowPtr(5),
+                                 rows.obs.rowPtr(5) + kObs);
+    const AcOutput net_one = net.forwardOne(one);
+    const AcOutput &fresh_one = fresh.forwardOne(one);
+    EXPECT_TRUE(sameBits(net_one.logits, fresh_one.logits) &&
+                net_one.values == fresh_one.values)
+        << "forwardOne() " << after;
+
+    Matrix batch(9, kObs);
+    std::copy(rows.obs.data(), rows.obs.data() + batch.size(), batch.data());
+    AcOutput net_batch, fresh_batch;
+    net.forwardNoGrad(batch, net_batch);
+    fresh.forwardNoGrad(batch, fresh_batch);
+    EXPECT_TRUE(sameBits(net_batch.logits, fresh_batch.logits) &&
+                net_batch.values == fresh_batch.values)
+        << "forwardNoGrad() " << after;
+
+    AcOutput net_out, fresh_out;
+    Matrix dlogits;
+    std::vector<float> dvalues;
+    net.trainStep(kRows, rows, net_out, dlogits, dvalues);
+    fresh.trainStep(kRows, rows, fresh_out, dlogits, dvalues);
+    EXPECT_TRUE(sameBits(net_out.logits, fresh_out.logits) &&
+                net_out.values == fresh_out.values)
+        << "trainStep() outputs " << after;
+    EXPECT_TRUE(gradients(net) == gradients(fresh))
+        << "trainStep() gradients " << after;
+}
+
+/*
+ * The first layer's transposed weights are derived state, rebuilt on
+ * the calling thread when stale (rl/nn.hpp). Each way the weights
+ * change must leave a network that computes what a network freshly
+ * built with those weights computes. Under TSan, a rebuild inside a
+ * pool block would show as a race between the row region's blocks.
+ */
+
+TEST(UpdateThreads, TransposedWeightsFollowAdamSteps)
+{
+    const MatThreadScope budget(4);
+    ActorCritic net = tableVNet(3);
+    Adam adam(net.paramBlocks(), 1e-2);
+    FixedRows rows(7);
+    makeOneHotLike(rows.obs, 8);
+    const std::vector<float> one(rows.obs.rowPtr(0),
+                                 rows.obs.rowPtr(0) + kObs);
+    AcOutput out;
+    Matrix dlogits;
+    std::vector<float> dvalues;
+    for (int i = 0; i < 3; ++i) {
+        net.forwardOne(one);
+        net.trainStep(kRows, rows, out, dlogits, dvalues);
+        std::vector<ParamBlock> blocks = net.paramBlocks();
+        clipGradNorm(blocks, 0.5);
+        adam.step(blocks);
+    }
+    expectMatchesFreshNetwork(net, "after Adam steps");
+}
+
+TEST(UpdateThreads, TransposedWeightsFollowParamBlockWrites)
+{
+    ActorCritic net = tableVNet(3);
+    Matrix obs(9, kObs);
+    makeOneHotLike(obs, 4);
+    AcOutput before;
+    net.forwardNoGrad(obs, before);
+    // The first block is the first layer's weights: every feature of
+    // every output moves.
+    std::vector<ParamBlock> blocks = net.paramBlocks();
+    for (std::size_t i = 0; i < blocks[0].size; ++i)
+        blocks[0].params[i] += 0.01f * static_cast<float>(i % 7);
+    AcOutput after;
+    net.forwardNoGrad(obs, after);
+    EXPECT_FALSE(sameBits(before.logits, after.logits))
+        << "the writes did not reach the forward";
+    expectMatchesFreshNetwork(net, "after writes through paramBlocks()");
+}
+
+/** Linear::weights(): the layer's forward follows writes through it,
+ *  bit for bit what a fresh layer with those weights (and a layer that
+ *  never skips zeros) computes, whether or not prepareForward() ran. */
+TEST(UpdateThreads, TransposedWeightsFollowWeightsWrites)
+{
+    Rng rng(5), other(6);
+    Linear layer(kObs, 17, rng, 1.0f, /*skip_zeros=*/true);
+    Matrix x(9, kObs);
+    makeOneHotLike(x, 7);
+    Matrix before, after, stale;
+    layer.prepareForward();
+    layer.forwardInto(before, x, /*fuse_relu=*/true);
+    for (std::size_t f = 0; f < kObs; ++f)
+        layer.weights()(3, f) += 0.5f;
+    layer.forwardInto(stale, x, /*fuse_relu=*/true);
+    layer.prepareForward();
+    layer.forwardInto(after, x, /*fuse_relu=*/true);
+    EXPECT_FALSE(sameBits(before, after))
+        << "the writes did not reach the forward";
+
+    for (const bool skip : {true, false}) {
+        Linear twin(kObs, 17, other, 1.0f, skip);
+        twin.weights() = layer.weights();
+        twin.bias() = layer.bias();
+        twin.prepareForward();
+        Matrix y;
+        twin.forwardInto(y, x, /*fuse_relu=*/true);
+        EXPECT_TRUE(sameBits(y, after)) << "skip_zeros " << skip;
+        EXPECT_TRUE(sameBits(y, stale))
+            << "skip_zeros " << skip << ", before prepareForward()";
+    }
+}
+
+TEST(UpdateThreads, TransposedWeightsFollowLoadPpoCheckpoint)
+{
+    const ExplorationConfig cfg =
+        parseExplorationConfig(std::string(kTableV));
+    const std::string path =
+        ::testing::TempDir() + "transposed_weights_checkpoint.bin";
+    {
+        auto envs = makeVecEnv(cfg.scenario, cfg.env, 1);
+        PpoTrainer trained(*envs, cfg.ppo);
+        trained.runEpoch();
+        savePpoCheckpoint(path, trained);
+    }
+    auto envs = makeVecEnv(cfg.scenario, cfg.env, 1);
+    PpoTrainer loaded(*envs, cfg.ppo);
+    Matrix obs(9, kObs);
+    makeOneHotLike(obs, 4);
+    AcOutput before;
+    loaded.policy().forwardNoGrad(obs, before);
+    loadPpoCheckpoint(path, loaded);
+    AcOutput after;
+    loaded.policy().forwardNoGrad(obs, after);
+    EXPECT_FALSE(sameBits(before.logits, after.logits))
+        << "the loaded weights did not reach the forward";
+    expectMatchesFreshNetwork(loaded.policy(), "after loadPpoCheckpoint()");
+    std::remove(path.c_str());
 }
 
 } // namespace
