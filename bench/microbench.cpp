@@ -371,6 +371,46 @@ BENCHMARK(BM_PpoEpoch)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/**
+ * Greedy evaluation as a campaign epoch runs it: PpoTrainer::evaluate(20)
+ * on CC-Hunter multi-secret episodes over the Table VIII cache (4-set
+ * direct-mapped, victim 0-3, attacker 4-7, 160-step episodes, batch
+ * engine), with a fixed untrained network, at 1 and 4 streams (Arg0)
+ * and 1 and 4 kernel threads (Arg1). With several streams and threads
+ * the streams play at once (rl/episodes.hpp). Wall clock, like
+ * BM_PpoEpoch; every call plays 20 x 160 greedy steps.
+ */
+void
+BM_GreedyEvaluate(benchmark::State &state)
+{
+    constexpr int kEpisodes = 20, kEpisodeSteps = 160;
+    const auto streams = static_cast<std::size_t>(state.range(0));
+    const MatThreadScope budget(static_cast<std::size_t>(state.range(1)));
+    EnvConfig cfg;
+    cfg.cache.numSets = 4;
+    cfg.cache.numWays = 1;
+    cfg.cache.addressSpaceSize = 8;
+    cfg.attackAddrS = 4;
+    cfg.attackAddrE = 7;
+    cfg.victimAddrS = 0;
+    cfg.victimAddrE = 3;
+    cfg.windowSize = 16;
+    cfg.multiSecret = true;
+    cfg.multiSecretEpisodeSteps = kEpisodeSteps;
+    auto vec = makeVecEnv("cchunter_bypass", cfg, streams, VecEnvKind::Batch);
+    PpoTrainer trainer(*vec, PpoConfig{});
+    for (auto _ : state)
+        benchmark::DoNotOptimize(trainer.evaluate(kEpisodes).meanReturn);
+    state.counters["steps_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * kEpisodes * kEpisodeSteps,
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GreedyEvaluate)
+    ->ArgsProduct({{1, 4}, {1, 4}})
+    ->ArgNames({"streams", "threads"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 /** A minibatch whose loss writes fixed gradients: BM_UpdateMinibatch
  *  times the training step, not a PPO loss. */
 struct FixedLossRows final : ActorCritic::Minibatch

@@ -64,12 +64,12 @@ void
 ActorCritic::forwardNoGrad(const Matrix &obs, AcOutput &out)
 {
     assert(obs.cols() == obs_dim_);
-    const Matrix &torso = torso_.forwardInto(obs, infer_scratch_);
+    const Matrix &torso = torso_.forwardInto(obs, infer_.torso);
     pi_head_.forwardInto(out.logits, torso, /*fuse_relu=*/false);
-    v_head_.forwardInto(infer_values_col_, torso, /*fuse_relu=*/false);
+    v_head_.forwardInto(infer_.values, torso, /*fuse_relu=*/false);
     out.values.resize(obs.rows());
     for (std::size_t r = 0; r < obs.rows(); ++r)
-        out.values[r] = infer_values_col_(r, 0);
+        out.values[r] = infer_.values(r, 0);
 }
 
 void
@@ -183,10 +183,30 @@ ActorCritic::weightGrads(Scratch &ws, const Matrix &dlogits,
 const AcOutput &
 ActorCritic::forwardOne(const std::vector<float> &obs)
 {
-    one_obs_.resizeUninit(1, obs.size());
-    std::copy(obs.begin(), obs.end(), one_obs_.data());
-    forwardNoGrad(one_obs_, one_out_);
-    return one_out_;
+    prepareInference();
+    return forwardOne(detail::matTier(), obs, infer_);
+}
+
+const AcOutput &
+ActorCritic::forwardOne(detail::MatTier tier, const std::vector<float> &obs,
+                        InferScratch &ws) const
+{
+    assert(obs.size() == obs_dim_);
+    ws.obs.resizeUninit(1, obs.size());
+    std::copy(obs.begin(), obs.end(), ws.obs.data());
+    const Matrix &torso = torso_.forwardInline(tier, ws.obs, ws.torso);
+    ws.out.logits.resizeUninit(1, num_actions_);
+    ws.values.resizeUninit(1, 1);
+    pi_head_.forwardRows(tier, ws.out.logits, torso, false, 0, 1);
+    v_head_.forwardRows(tier, ws.values, torso, false, 0, 1);
+    ws.out.values.assign(1, ws.values(0, 0));
+    return ws.out;
+}
+
+void
+ActorCritic::prepareInference()
+{
+    torso_.prepareForward();
 }
 
 void

@@ -9,11 +9,13 @@
  *    backward as two regions on the calling thread's pool; forward()
  *    and backward() are its two halves for callers with their own loss.
  *  - forwardNoGrad() / forwardOne(): allocation-free inference through
- *    a reusable internal workspace (fused bias+ReLU GEMM, zero
- *    observation features skipped, no activations cached).
- *    This is what rollout collection and evaluation run, and the
- *    kernel's row purity (rl/mat.hpp) makes its outputs bitwise
- *    independent of how a batch is split across calls.
+ *    a reusable workspace (fused bias+ReLU GEMM, zero observation
+ *    features skipped, no activations cached). This is what rollout
+ *    collection and evaluation run, and the kernel's row purity
+ *    (rl/mat.hpp) makes its outputs bitwise independent of how a batch
+ *    is split across calls. forwardOne() has a const form on a
+ *    caller-owned workspace, which evaluation streams run at once on
+ *    pool executors (rl/episodes.hpp).
  */
 
 #ifndef AUTOCAT_RL_ACTOR_CRITIC_HPP
@@ -40,6 +42,19 @@ struct AcOutput
 class ActorCritic
 {
   public:
+    /**
+     * Workspace of the inference forwards: the network's own serves
+     * forwardNoGrad() and forwardOne(), and each concurrent caller of
+     * the const forwardOne() owns one.
+     */
+    struct InferScratch
+    {
+        std::vector<Matrix> torso;  ///< per-layer torso activations
+        Matrix values;              ///< B x 1 value-head staging
+        Matrix obs;                 ///< 1 x obsDim() forwardOne() input
+        AcOutput out;               ///< forwardOne() result
+    };
+
     /**
      * @param obs_dim     observation vector length
      * @param num_actions discrete action count
@@ -137,6 +152,22 @@ class ActorCritic
      */
     const AcOutput &forwardOne(const std::vector<float> &obs);
 
+    /**
+     * forwardOne() for callers that run at once, such as evaluation
+     * streams on pool executors: inline with @p tier (the driving
+     * thread's), never dispatching, writing only @p ws, and the same
+     * bits. The returned reference is @p ws.out. Call
+     * prepareInference() on the driving thread first, once the weights
+     * have last changed.
+     */
+    const AcOutput &forwardOne(detail::MatTier tier,
+                               const std::vector<float> &obs,
+                               InferScratch &ws) const;
+
+    /** Rebuilds derived weights (the torso's transposed first layer,
+     *  rl/nn.hpp) on the calling thread before concurrent forwards. */
+    void prepareInference();
+
     void zeroGrad();
     std::vector<ParamBlock> paramBlocks();
 
@@ -232,11 +263,7 @@ class ActorCritic
                                          ///< (owned by torso_)
     Matrix values_col_;                  ///< B x 1 value-head staging
 
-    // Inference workspace (forwardNoGrad / forwardOne).
-    std::vector<Matrix> infer_scratch_;
-    Matrix infer_values_col_;
-    Matrix one_obs_;       ///< 1 x obs_dim staging for forwardOne
-    AcOutput one_out_;     ///< forwardOne result storage
+    InferScratch infer_;  ///< forwardNoGrad() / forwardOne() workspace
 };
 
 } // namespace autocat

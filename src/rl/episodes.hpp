@@ -6,6 +6,29 @@
  * episodes through runEpisodes() and reads the same EvalStats tally
  * (guesses, correct guesses, detections: the paper's accuracy, bit
  * rate and detection rate).
+ *
+ * **Two orders, one episode body.** A call with one policy (and
+ * optional hooks) plays episode e on stream e % N, one episode after
+ * another on the calling thread. A call with one policy per stream —
+ * greedyPolicies() supplies them — plays the streams at once on the
+ * calling thread's rl/mat pool (parallelTasks()), stream s playing
+ * episodes s, s + N, s + 2N, ... in that order; at budget 1 the streams
+ * run inline, one after another. Each stream owns its environment and
+ * RNG and a greedy policy draws nothing, so every stream sees exactly
+ * the calls of the one-at-a-time order, and the two give the same
+ * episodes. Hooks, scripted agents (bound to one environment) and
+ * policies that draw from a shared RNG (PpoTrainer::evaluate()'s
+ * sampler) take the one-policy call.
+ *
+ * **Tally.** Each episode is recorded in a slot indexed by its episode
+ * number, and EvalStats is summed from the slots in episode order, so
+ * no sum depends on which stream finished first: both calls give the
+ * same bits.
+ *
+ * **Exceptions.** In the per-stream call a throwing stream does not
+ * stop the others, which play all their episodes; the first exception
+ * is rethrown on the caller once every stream has settled
+ * (util/TaskPool's rule). The one-policy call stops at the throw.
  */
 
 #ifndef AUTOCAT_RL_EPISODES_HPP
@@ -59,12 +82,22 @@ struct EpisodeHooks
 /**
  * Play @p episodes fresh episodes, episode e on stream
  * e % envs.numEnvs(), each from reset() until its step returns done
- * (or onStep returns false), and tally them. Streams are stepped one
- * at a time through VecEnv::env(), never through stepAll(), so a
- * trainer collecting from @p envs must restart its collection after.
+ * (or onStep returns false), and tally them, on the calling thread.
+ * Streams are stepped through VecEnv::env(), never through stepAll(),
+ * so a trainer collecting from @p envs must restart its collection
+ * after.
  */
 EvalStats runEpisodes(VecEnv &envs, int episodes, const EpisodePolicy &act,
                       const EpisodeHooks &hooks = {});
+
+/**
+ * The same episodes and tally with one policy per stream (@p acts has
+ * envs.numEnvs() entries; entry s plays stream s): the streams play at
+ * once on the calling thread's pool (file comment). Entries run
+ * concurrently, so each must touch only its stream and state it owns.
+ */
+EvalStats runEpisodes(VecEnv &envs, int episodes,
+                      const std::vector<EpisodePolicy> &acts);
 
 /**
  * The greedy policy of @p net: the argmax of its logits, under the
@@ -73,6 +106,15 @@ EvalStats runEpisodes(VecEnv &envs, int episodes, const EpisodePolicy &act,
  * so replays are deterministic. @p net must outlive the policy.
  */
 EpisodePolicy greedyPolicy(ActorCritic &net);
+
+/**
+ * greedyPolicy() once per stream, for the per-stream runEpisodes():
+ * each runs the const ActorCritic::forwardOne() on its own workspace
+ * with the calling thread's kernel tier, read here, after the network's
+ * derived weights are rebuilt here. Same actions as greedyPolicy().
+ */
+std::vector<EpisodePolicy> greedyPolicies(ActorCritic &net,
+                                          std::size_t streams);
 
 } // namespace autocat
 

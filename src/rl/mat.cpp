@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -1143,13 +1144,23 @@ void
 runTasks(std::size_t count, std::size_t work, TaskFn fn, void *ctx)
 {
     const std::size_t budget = matThreads();
-    if (budget < 2 || count < 2 || work < 2 * kMatSplitMinWork) {
-        for (std::size_t t = 0; t < count; ++t)
-            fn(ctx, t);
+    if (budget >= 2 && count >= 2 && work >= 2 * kMatSplitMinWork) {
+        matPool(budget).parallelFor(0, count,
+                                    [&](std::size_t t) { fn(ctx, t); });
         return;
     }
-    matPool(budget).parallelFor(0, count,
-                                [&](std::size_t t) { fn(ctx, t); });
+    // Inline, with the pool's exception rule.
+    std::exception_ptr first;
+    for (std::size_t t = 0; t < count; ++t) {
+        try {
+            fn(ctx, t);
+        } catch (...) {
+            if (!first)
+                first = std::current_exception();
+        }
+    }
+    if (first)
+        std::rethrow_exception(first);
 }
 
 } // namespace detail

@@ -292,10 +292,15 @@ parallelBlocks(std::size_t n, std::size_t align, std::size_t work,
  * Run @p body(t) for every t in [0, count) on the calling thread's pool,
  * tasks claimed dynamically (util/TaskPool), so tasks of unequal cost
  * balance across the executors. @p work is the estimated multiply-adds
- * of all tasks together. Tasks run concurrently, so @p body must write
- * only state its task owns. Runs every task inline, in order, instead
- * when the budget is 1, @p count is below 2 or @p work is below
- * 2 * kMatSplitMinWork.
+ * of all tasks together; a caller whose every task is worth a dispatch
+ * whatever its size (one evaluation stream's episodes, rl/episodes.hpp)
+ * passes SIZE_MAX. Tasks run concurrently, so @p body must write only
+ * state its task owns, and it must not dispatch to the pool itself.
+ * Runs every task inline, in order, instead when the budget is 1,
+ * @p count is below 2 or @p work is below 2 * kMatSplitMinWork. Either
+ * way a throwing task does not stop the others, and the first exception
+ * is rethrown on the caller once every task has settled (util/TaskPool's
+ * rule).
  */
 template <typename F>
 void

@@ -222,7 +222,7 @@ Mlp::forward(const Matrix &x)
 Matrix &
 Mlp::beginBatch(std::size_t rows)
 {
-    layers_.front().prepareForward();
+    prepareForward();
     acts_[0].resizeUninit(rows, inFeatures());
     for (std::size_t i = 0; i < layers_.size(); ++i)
         acts_[i + 1].resizeUninit(rows, layers_[i].outFeatures());
@@ -239,10 +239,31 @@ Mlp::forwardRows(detail::MatTier tier, std::size_t r0, std::size_t r1)
     }
 }
 
+void
+Mlp::prepareForward()
+{
+    layers_.front().prepareForward();
+}
+
+const Matrix &
+Mlp::forwardInline(detail::MatTier tier, const Matrix &x,
+                   std::vector<Matrix> &scratch) const
+{
+    scratch.resize(layers_.size());
+    const Matrix *in = &x;
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+        const bool activate = i + 1 < layers_.size() || activate_last_;
+        scratch[i].resizeUninit(x.rows(), layers_[i].outFeatures());
+        layers_[i].forwardRows(tier, scratch[i], *in, activate, 0, x.rows());
+        in = &scratch[i];
+    }
+    return scratch.back();
+}
+
 const Matrix &
 Mlp::forwardInto(const Matrix &x, std::vector<Matrix> &scratch)
 {
-    layers_.front().prepareForward();
+    prepareForward();
     scratch.resize(layers_.size());
     const Matrix *in = &x;
     for (std::size_t i = 0; i < layers_.size(); ++i) {

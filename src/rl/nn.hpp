@@ -19,10 +19,12 @@
  * checkpoint loading write the weights through them — and it is
  * rebuilt on the calling thread, never in a pool block, before the
  * next training batch (Mlp::beginBatch()) or inference call
- * (Mlp::forwardInto()): once per PPO minibatch and once per collection
- * phase. Pointers from an earlier paramBlocks() call must not be
- * written after a forward. A forward that finds the copy stale runs
- * the dense kernel; the bits are the same either way.
+ * (Mlp::forwardInto(), or Mlp::prepareForward() before concurrent
+ * Mlp::forwardInline() calls): once per PPO minibatch, once per
+ * collection phase and once per evaluation. Pointers from an earlier
+ * paramBlocks() call must not be written after a forward. A forward
+ * that finds the copy stale runs the dense kernel; the bits are the
+ * same either way.
  */
 
 #ifndef AUTOCAT_RL_NN_HPP
@@ -205,6 +207,21 @@ class Mlp
      * training forward/backward pairs.
      */
     const Matrix &forwardInto(const Matrix &x, std::vector<Matrix> &scratch);
+
+    /** Rebuilds the first layer's transposed weights when stale
+     *  (Linear::prepareForward()), on the calling thread. */
+    void prepareForward();
+
+    /**
+     * forwardInto() for callers that run at once, such as evaluation
+     * streams on pool executors: every layer inline with @p tier (the
+     * driving thread's, since an executor's own tier cap is not the
+     * caller's), never dispatching, writing only @p scratch. Same bits
+     * as forwardInto(). It does not rebuild the transposed weights:
+     * call prepareForward() on the driving thread first.
+     */
+    const Matrix &forwardInline(detail::MatTier tier, const Matrix &x,
+                                std::vector<Matrix> &scratch) const;
 
     /**
      * Backward through the whole stack, accumulating parameter

@@ -300,21 +300,22 @@ PpoTrainer::runEpoch()
 EvalStats
 PpoTrainer::evaluate(int episodes, bool greedy)
 {
-    const EvalStats stats = runEpisodes(
-        *envs_, episodes,
-        greedy ? greedyPolicy(*net_)
-               : [this](Environment &env, const std::vector<float> &obs,
-                        const StepInfo *) {
-                     const AcOutput &out = net_->forwardOne(obs);
-                     const std::uint8_t *m =
-                         masking_ ? env.actionMask() : nullptr;
-                     return m ? net_->sampleMasked(out.logits, 0, m, rng_)
-                              : net_->sample(out.logits, 0, rng_);
-                 });
-
-    // The trainer's persistent episode state is stale after evaluation.
+    // Evaluation moves the streams, so the next collect() restarts them
+    // from reset(), also when an episode throws.
     collection_active_ = false;
-    return stats;
+    if (greedy) {
+        return runEpisodes(*envs_, episodes,
+                           greedyPolicies(*net_, envs_->numEnvs()));
+    }
+    return runEpisodes(
+        *envs_, episodes,
+        [this](Environment &env, const std::vector<float> &obs,
+               const StepInfo *) {
+            const AcOutput &out = net_->forwardOne(obs);
+            const std::uint8_t *m = masking_ ? env.actionMask() : nullptr;
+            return m ? net_->sampleMasked(out.logits, 0, m, rng_)
+                     : net_->sample(out.logits, 0, rng_);
+        });
 }
 
 void

@@ -97,8 +97,11 @@ class PpoTrainer
 
     /**
      * Evaluate the current policy over @p episodes fresh episodes,
-     * distributed round-robin across the streams (runEpisodes(), with
-     * greedyPolicy() or a sampler drawing from the trainer's RNG).
+     * episode e on stream e % numStreams() (runEpisodes()): greedy, the
+     * streams play at once on the calling thread's pool
+     * (greedyPolicies()); sampled, one episode after another, drawing
+     * from the trainer's RNG in step order. The next runEpoch() restarts
+     * every stream from reset(), also after an episode has thrown.
      */
     EvalStats evaluate(int episodes, bool greedy = true);
 

@@ -151,8 +151,10 @@ class VecEnv
 
     /**
      * Direct access to stream @p i — for decoration (detectors),
-     * inspection, and sequential evaluation. Must not be used
-     * concurrently with resetAll()/stepAll().
+     * inspection, and evaluation, which may step different streams
+     * from different threads at once (rl/episodes.hpp): streams share
+     * no mutable state. Must not be used concurrently with
+     * resetAll()/stepAll().
      */
     virtual Environment &env(std::size_t i) = 0;
 };

@@ -20,12 +20,16 @@
 
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "env/batch_env_pool.hpp"
 #include "env/env_registry.hpp"
 #include "env/guessing_game.hpp"
+#include "rl/checkpoint.hpp"
+#include "rl/episodes.hpp"
+#include "rl/mat.hpp"
 #include "rl/ppo.hpp"
 #include "rl/vec_env.hpp"
 #include "util/rng.hpp"
@@ -413,6 +417,170 @@ TEST(BatchEnvGuard, EvaluationDoesNotDesyncLaterEpochs)
     EXPECT_DOUBLE_EQ(a.meanReturn, b.meanReturn);
     EXPECT_DOUBLE_EQ(a.policyLoss, b.policyLoss);
     EXPECT_DOUBLE_EQ(a.valueLoss, b.valueLoss);
+}
+
+// ------------------------------------- concurrent greedy evaluation --
+
+std::string
+hexEval(const EvalStats &s)
+{
+    std::ostringstream os;
+    os << std::hexfloat << "return " << s.meanReturn << " length "
+       << s.meanEpisodeLength << " accuracy " << s.guessAccuracy
+       << " bit rate " << s.bitRate << " detection " << s.detectionRate
+       << " episodes " << s.episodes << " guesses " << s.guesses;
+    return os.str();
+}
+
+std::string
+hexEpoch(const EpochStats &s)
+{
+    std::ostringstream os;
+    os << std::hexfloat << "epoch " << s.epoch << " return " << s.meanReturn
+       << " length " << s.meanEpisodeLength << " pi " << s.policyLoss
+       << " v " << s.valueLoss << " entropy " << s.entropy;
+    return os.str();
+}
+
+std::string
+checkpointBytes(PpoTrainer &trainer)
+{
+    std::ostringstream os(std::ios::binary);
+    writePpoCheckpoint(os, trainer);
+    return os.str();
+}
+
+/** What one trainer did: its evaluation, then the epoch after it. */
+struct EvalRun
+{
+    std::string eval;
+    std::string epoch;
+    std::string state;  ///< checkpoint bytes after that epoch
+};
+
+/**
+ * One epoch, then @p episodes greedy episodes and one more epoch, on a
+ * fresh trainer over @p streams streams of @p scenario. Before the
+ * episodes the weights are redrawn at unit scale, so that the greedy
+ * policy guesses, right and wrong, and trips detectors within a few
+ * episodes. The subject evaluates through PpoTrainer::evaluate(), the
+ * streams at once; the oracle plays the same episodes one at a time
+ * through the one-policy runEpisodes() with a plain greedy lambda.
+ */
+EvalRun
+evaluateOnce(const std::string &scenario, const EnvConfig &env_cfg,
+             std::size_t streams, VecEnvKind kind, int episodes,
+             bool oracle)
+{
+    PpoConfig cfg;
+    cfg.seed = 61;
+    cfg.stepsPerEpoch = 240;
+    cfg.minibatchSize = 120;
+    cfg.hidden = 32;
+    auto vec = makeVecEnv(scenario, env_cfg, streams, kind);
+    PpoTrainer trainer(*vec, cfg);
+    trainer.runEpoch();
+    Rng rng(6);
+    for (const ParamBlock &b : trainer.policy().paramBlocks())
+        for (std::size_t i = 0; i < b.size; ++i)
+            b.params[i] = static_cast<float>(rng.gaussian());
+
+    EvalRun run;
+    if (oracle) {
+        ActorCritic &net = trainer.policy();
+        const EpisodePolicy greedy = [&net](Environment &env,
+                                            const std::vector<float> &obs,
+                                            const StepInfo *) {
+            const AcOutput &out = net.forwardOne(obs);
+            const std::uint8_t *m = env.actionMask();
+            return m ? net.argmaxMasked(out.logits, 0, m)
+                     : net.argmax(out.logits, 0);
+        };
+        run.eval = hexEval(runEpisodes(*vec, episodes, greedy));
+        trainer.restartCollection();
+    } else {
+        run.eval = hexEval(trainer.evaluate(episodes));
+    }
+    run.epoch = hexEpoch(trainer.runEpoch());
+    run.state = checkpointBytes(trainer);
+    return run;
+}
+
+/**
+ * Greedy evaluate() equals the serial oracle field by field at budgets
+ * 1, 2 and 4 and on the AVX2 and portable tiers, and the epoch after it
+ * leaves the same stats and checkpoint, so every stream's environment
+ * and RNG end where the one-at-a-time order leaves them.
+ */
+void
+expectEvaluateMatchesSerialOracle(const std::string &scenario,
+                                  const EnvConfig &env_cfg)
+{
+    struct Layout
+    {
+        std::size_t streams;
+        int episodes;
+    };
+    for (const VecEnvKind kind : {VecEnvKind::Sync, VecEnvKind::Batch}) {
+        for (const Layout layout : {Layout{4, 7}, Layout{4, 2}, Layout{1, 3}}) {
+            const auto at = [&](std::size_t threads, bool oracle) {
+                const MatThreadScope budget(threads);
+                return evaluateOnce(scenario, env_cfg, layout.streams, kind,
+                                    layout.episodes, oracle);
+            };
+            const std::string where =
+                scenario + (kind == VecEnvKind::Batch ? " batch " : " sync ") +
+                std::to_string(layout.episodes) + " episodes on " +
+                std::to_string(layout.streams) + " streams";
+            const EvalRun want = at(1, true);
+            for (const std::size_t threads : {1, 2, 4}) {
+                const EvalRun got = at(threads, false);
+                EXPECT_EQ(got.eval, want.eval) << where << ", " << threads;
+                EXPECT_EQ(got.epoch, want.epoch) << where << ", " << threads;
+                EXPECT_TRUE(got.state == want.state)
+                    << where << ", " << threads << " threads: checkpoint";
+            }
+            for (const detail::MatTier tier :
+                 {detail::MatTier::Avx2, detail::MatTier::Portable}) {
+                const detail::MatTierScope cap(tier);
+                const EvalRun oracle = at(1, true);
+                const EvalRun got = at(4, false);
+                const char *name =
+                    tier == detail::MatTier::Avx2 ? "avx2" : "portable";
+                EXPECT_EQ(got.eval, oracle.eval) << where << ", " << name;
+                EXPECT_EQ(got.epoch, oracle.epoch) << where << ", " << name;
+                EXPECT_TRUE(got.state == oracle.state)
+                    << where << ", " << name << ": checkpoint";
+            }
+        }
+    }
+}
+
+TEST(ConcurrentEvaluate, MultiSecretDetectorMatchesSerialOracle)
+{
+    // CC-Hunter in the loop over multi-secret episodes on the Table VIII
+    // cache (4-set direct-mapped, victim 0-3, attacker 4-7): the
+    // detection rate is part of the tally.
+    EnvConfig cfg = tinyEnvConfig(900);
+    cfg.cache.numSets = 4;
+    cfg.cache.numWays = 1;
+    cfg.cache.addressSpaceSize = 8;
+    cfg.attackAddrS = 4;
+    cfg.attackAddrE = 7;
+    cfg.victimAddrE = 3;
+    cfg.victimNoAccessEnable = false;
+    cfg.windowSize = 16;
+    cfg.multiSecret = true;
+    cfg.multiSecretEpisodeSteps = 64;
+    expectEvaluateMatchesSerialOracle("cchunter_bypass", cfg);
+}
+
+TEST(ConcurrentEvaluate, MaskedGuessingGameMatchesSerialOracle)
+{
+    EnvConfig cfg = tinyEnvConfig(910);
+    cfg.maskActions = true;
+    cfg.maskUselessActions = true;
+    expectEvaluateMatchesSerialOracle("guessing_game", cfg);
 }
 
 } // namespace

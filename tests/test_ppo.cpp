@@ -11,9 +11,12 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "env/batch_env_pool.hpp"
 #include "rl/episodes.hpp"
+#include "rl/mat.hpp"
 #include "rl/ppo.hpp"
 #include "rl/vec_env.hpp"
 #include "util/rng.hpp"
@@ -458,6 +461,237 @@ TEST(RunEpisodes, GreedyPolicyNeverPlaysAMaskedArgmax)
     ASSERT_EQ(env.actions.size(), 6u);
     for (std::size_t action : env.actions)
         EXPECT_EQ(action, fallback);
+}
+
+/** A CountingEnv whose episode i returns returns[i % size], all on
+ *  its first step. */
+class ScriptedReturnEnv : public CountingEnv
+{
+  public:
+    explicit ScriptedReturnEnv(std::vector<double> r) : returns(std::move(r))
+    {
+    }
+
+    StepResult
+    step(std::size_t action) override
+    {
+        StepResult r = CountingEnv::step(action);
+        r.reward = steps == 1 ? returns[(resets - 1) % returns.size()] : 0.0;
+        return r;
+    }
+
+    std::vector<double> returns;
+};
+
+TEST(RunEpisodes, PerStreamPoliciesPlayTheInterleavedEpisodes)
+{
+    // Each stream's policy plays a constant of its own, so every
+    // stream's action log shows which episodes it played. Stream 0's
+    // episode returns cancel only when summed in episode order: 1e16,
+    // then 1 three times (absorbed), then -1e16.
+    for (const int episodes : {7, 2}) {
+        for (const std::size_t threads : {1, 4}) {
+            const MatThreadScope budget(threads);
+            ScriptedReturnEnv a({1e16, -1e16}), b({1.0}), c({1.0}), d({1.0});
+            CountingEnv *envs[] = {&a, &b, &c, &d};
+            SyncVecEnv vec(std::vector<Environment *>{&a, &b, &c, &d});
+            std::vector<EpisodePolicy> acts;
+            for (std::size_t s = 0; s < 4; ++s)
+                acts.push_back([s](Environment &, const std::vector<float> &,
+                                   const StepInfo *) { return s; });
+
+            const EvalStats stats = runEpisodes(vec, episodes, acts);
+            for (std::size_t s = 0; s < 4; ++s) {
+                // Episode e runs on stream e % 4: the one-policy order.
+                const int played = (episodes + 3 - static_cast<int>(s)) / 4;
+                EXPECT_EQ(envs[s]->resets, played) << "stream " << s;
+                EXPECT_EQ(envs[s]->actions,
+                          std::vector<std::size_t>(3 * played, s));
+            }
+            EXPECT_EQ(stats.episodes, static_cast<std::size_t>(episodes));
+            // Stream 1 guesses right on every step of its episodes.
+            const std::size_t guesses = 3 * ((episodes + 2) / 4);
+            EXPECT_EQ(stats.guesses, guesses);
+            EXPECT_DOUBLE_EQ(stats.guessAccuracy, 1.0);
+            EXPECT_DOUBLE_EQ(stats.meanEpisodeLength, 3.0);
+            EXPECT_EQ(stats.meanReturn, episodes == 7 ? 2.0 / 7 : 0.5e16);
+        }
+    }
+}
+
+/** One-step episodes on a fixed observation; records the actions. */
+class FixedObsEnv : public Environment
+{
+  public:
+    explicit FixedObsEnv(std::vector<float> x) : x_(std::move(x)) {}
+
+    std::size_t observationSize() const override { return x_.size(); }
+    std::size_t numActions() const override { return 2; }
+    std::vector<float> reset() override { return x_; }
+
+    StepResult
+    step(std::size_t action) override
+    {
+        actions.push_back(action);
+        StepResult r;
+        r.done = true;
+        r.obs = x_;
+        return r;
+    }
+
+    std::vector<std::size_t> actions;
+
+  private:
+    std::vector<float> x_;
+};
+
+/**
+ * The per-stream greedy policies run with the kernel tier of the thread
+ * that built them, also on pool executors, whose own tier is the
+ * host's: logit 1 is pinned between the portable and the SIMD value of
+ * logit 0, so the two tiers pick different actions.
+ */
+TEST(RunEpisodes, GreedyPoliciesUseTheCallersTierOnExecutors)
+{
+    if (detail::hostMatTier() == detail::MatTier::Portable)
+        GTEST_SKIP() << "needs a SIMD tier next to the portable one";
+    Rng rng(23);
+    ActorCritic net(24, 2, 16, 1, rng);
+    std::vector<float> x(24);
+    for (float &v : x)
+        v = static_cast<float>(rng.gaussian());
+    const auto logit0 = [&](detail::MatTier tier) {
+        const detail::MatTierScope cap(tier);
+        return net.forwardOne(x).logits(0, 0);
+    };
+    // The policy head's blocks: row 0 random, row 1 zero, so logit 1 is
+    // its bias exactly.
+    float portable = 0.0f, simd = 0.0f;
+    for (int attempt = 0; attempt < 64 && portable == simd; ++attempt) {
+        std::vector<ParamBlock> blocks = net.paramBlocks();
+        for (std::size_t i = 0; i < blocks[2].size; ++i)
+            blocks[2].params[i] =
+                i < 16 ? static_cast<float>(rng.gaussian()) : 0.0f;
+        std::fill(blocks[3].params, blocks[3].params + 2, 0.0f);
+        portable = logit0(detail::MatTier::Portable);
+        simd = logit0(detail::hostMatTier());
+    }
+    ASSERT_NE(portable, simd) << "no rounding difference between the tiers";
+    net.paramBlocks()[3].params[1] = std::max(portable, simd);
+
+    const detail::MatTierScope cap(detail::MatTier::Portable);
+    const std::size_t want = net.argmax(net.forwardOne(x).logits, 0);
+    {
+        const detail::MatTierScope host(detail::hostMatTier());
+        ASSERT_NE(net.argmax(net.forwardOne(x).logits, 0), want);
+    }
+    // Enough episodes per stream that the pool's workers, not only the
+    // caller, play some of the streams.
+    const MatThreadScope budget(4);
+    FixedObsEnv a(x), b(x), c(x), d(x);
+    SyncVecEnv vec(std::vector<Environment *>{&a, &b, &c, &d});
+    runEpisodes(vec, 8000, greedyPolicies(net, 4));
+    for (FixedObsEnv *env : {&a, &b, &c, &d})
+        EXPECT_EQ(env->actions, std::vector<std::size_t>(2000, want));
+}
+
+/**
+ * A bandit that can be made to throw from its step at a given count of
+ * its own steps, once, and that records whether the first call made
+ * after a mark was a reset().
+ */
+class FailingEnv : public Environment
+{
+  public:
+    std::size_t observationSize() const override { return 2; }
+    std::size_t numActions() const override { return 2; }
+
+    std::vector<float>
+    reset() override
+    {
+        observe(true);
+        steps_ = 0;
+        return {1.0f, 0.0f};
+    }
+
+    StepResult
+    step(std::size_t action) override
+    {
+        observe(false);
+        if (totalSteps == throwAt) {
+            throwAt = -1;
+            throw std::runtime_error("stream failed");
+        }
+        ++totalSteps;
+        StepResult r;
+        r.reward = action == 0 ? 1.0 : -1.0;
+        r.done = ++steps_ >= 4;
+        episodesDone += r.done ? 1 : 0;
+        r.obs = {1.0f, 0.0f};
+        return r;
+    }
+
+    /** Record the kind of the next call in resumedWithReset. */
+    void mark() { marked_ = true; }
+
+    long totalSteps = 0;
+    long throwAt = -1;
+    int episodesDone = 0;
+    bool resumedWithReset = false;
+
+  private:
+    void
+    observe(bool is_reset)
+    {
+        if (marked_)
+            resumedWithReset = is_reset;
+        marked_ = false;
+    }
+
+    int steps_ = 0;
+    bool marked_ = false;
+};
+
+TEST(PpoEvaluate, ThrowingStreamLetsTheOthersFinishAndCollectionRestarts)
+{
+    for (const std::size_t threads : {1, 2, 4}) {
+        const MatThreadScope budget(threads);
+        FailingEnv envs[4];
+        SyncVecEnv vec(
+            std::vector<Environment *>{&envs[0], &envs[1], &envs[2], &envs[3]});
+        PpoConfig cfg;
+        cfg.seed = 19;
+        cfg.stepsPerEpoch = 202;  // streams stop mid-episode
+        cfg.minibatchSize = 101;
+        PpoTrainer trainer(vec, cfg);
+        trainer.runEpoch();
+
+        // 8 episodes of 4 steps: two per stream. Stream 2 throws in the
+        // middle of its second one.
+        envs[2].throwAt = envs[2].totalSteps + 6;
+        int before[4];
+        for (int s = 0; s < 4; ++s)
+            before[s] = envs[s].episodesDone;
+        int caught = 0;
+        try {
+            trainer.evaluate(8);
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "stream failed");
+            ++caught;
+        }
+        EXPECT_EQ(caught, 1) << threads << " threads";
+        for (int s = 0; s < 4; ++s) {
+            EXPECT_EQ(envs[s].episodesDone - before[s], s == 2 ? 1 : 2)
+                << threads << " threads, stream " << s;
+            envs[s].mark();
+        }
+
+        // The trainer does not resume the streams evaluation moved.
+        trainer.runEpoch();
+        for (int s = 0; s < 4; ++s)
+            EXPECT_TRUE(envs[s].resumedWithReset)
+                << threads << " threads, stream " << s;
+    }
 }
 
 } // namespace

@@ -8,8 +8,9 @@
  * and four epochs match golden bits at budgets 1 and 4. ctest runs this
  * suite once per matmul backend; on an AVX-512 host it also checks that
  * the AVX2 tier leaves the same bits. The step's two halves, its
- * exception path and the first layer's transposed weights, which every
- * write to the weights must refresh, are checked here too.
+ * exception path (and parallelTasks()'s, inline and pooled) and the
+ * first layer's transposed weights, which every write to the weights
+ * must refresh, are checked here too.
  */
 
 #include <gtest/gtest.h>
@@ -408,6 +409,38 @@ TEST(UpdateThreads, ThrowingRowLossReachesTheCallerAfterEveryBlock)
     EXPECT_TRUE(out.values == twin_out.values);
     EXPECT_TRUE(gradients(net) == gradients(twin))
         << "the step after a failed one left other gradients";
+}
+
+/** parallelTasks() keeps TaskPool's exception rule on both its paths,
+ *  inline (budget 1, or too little work) and on the pool: a throwing
+ *  task stops no other, and one exception reaches the caller after
+ *  every task has run; inline it is the first task's to throw. */
+TEST(UpdateThreads, ParallelTasksRunEveryTaskBeforeRethrowing)
+{
+    for (const std::size_t threads : {1, 4}) {
+        const MatThreadScope budget(threads);
+        for (const std::size_t work : {std::size_t{0}, SIZE_MAX}) {
+            std::vector<int> ran(8, 0);
+            std::string caught;
+            int throws = 0;
+            try {
+                parallelTasks(ran.size(), work, [&](std::size_t t) {
+                    ++ran[t];
+                    if (t == 2 || t == 5)
+                        throw std::runtime_error("task " + std::to_string(t));
+                });
+            } catch (const std::runtime_error &e) {
+                caught = e.what();
+                ++throws;
+            }
+            EXPECT_EQ(throws, 1) << threads << " threads, work " << work;
+            EXPECT_EQ(ran, std::vector<int>(8, 1))
+                << threads << " threads, work " << work;
+            if (threads == 1 || work == 0) {
+                EXPECT_EQ(caught, "task 2") << threads << " threads";
+            }
+        }
+    }
 }
 
 /** Observation-like rows: each feature is 1 with probability 1/10 and
