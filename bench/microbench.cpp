@@ -23,6 +23,7 @@
 #include "core/autocat.hpp"
 #include "env/env_registry.hpp"
 #include "eval/sweep.hpp"
+#include "rl/inference_memo.hpp"
 #include "serve/net/frame.hpp"
 #include "serve/wire.hpp"
 
@@ -410,6 +411,58 @@ BENCHMARK(BM_GreedyEvaluate)
     ->ArgNames({"streams", "threads"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/**
+ * What the inference memo (rl/inference_memo.hpp) costs per row:
+ * hashRow() and find() of one observation row of Arg0 floats, and on a
+ * miss (Arg1 = 0) the insert() that copies it, as an evaluation
+ * stream's memo does. A hit skips a one-row forward, about 1.9 us at
+ * the Table V shape (BM_PolicyInferenceBatch/streams:1/played:1). Each
+ * call takes the next of 1,024 distinct rows, about 9% ones like a
+ * played observation; on misses the memo is reset once it holds them
+ * all.
+ */
+void
+BM_InferenceMemo(benchmark::State &state)
+{
+    constexpr std::size_t kRows = 1024, kActions = 8;
+    const auto width = static_cast<std::size_t>(state.range(0));
+    const bool hit = state.range(1) != 0;
+    Rng rng(5);
+    std::vector<float> rows(kRows * width);
+    for (std::size_t r = 0; r < kRows; ++r) {
+        float *row = rows.data() + r * width;
+        for (std::size_t c = 0; c < width; ++c)
+            row[c] = rng.uniformInt(11) == 0 ? 1.0f : 0.0f;
+        row[0] = static_cast<float>(r);  // distinct
+    }
+    const std::vector<float> logits(kActions, 0.5f);
+    InferenceMemo memo(width, kActions, InferenceMemo::Keys::Copied);
+    const auto lookup = [&](const float *row) {
+        const std::uint64_t h = InferenceMemo::hashRow(row, width);
+        const float *out = memo.find(row, h);
+        if (!out)
+            memo.insert(row, h, logits.data(), 0.25f);
+        return out;
+    };
+    if (hit) {
+        for (std::size_t r = 0; r < kRows; ++r)
+            lookup(rows.data() + r * width);
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lookup(rows.data() + next * width));
+        if (++next == kRows) {
+            next = 0;
+            if (!hit)
+                memo.reset();
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InferenceMemo)
+    ->ArgsProduct({{251, 259, 303}, {0, 1}})
+    ->ArgNames({"width", "hit"});
 
 /** A minibatch whose loss writes fixed gradients: BM_UpdateMinibatch
  *  times the training step, not a PPO loss. */

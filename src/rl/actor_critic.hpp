@@ -15,7 +15,10 @@
  *    (rl/mat.hpp) makes its outputs bitwise independent of how a batch
  *    is split across calls. forwardOne() has a const form on a
  *    caller-owned workspace, which evaluation streams run at once on
- *    pool executors (rl/episodes.hpp).
+ *    pool executors (rl/episodes.hpp). Since a row's outputs depend
+ *    only on that row, the weights and the kernel tier, callers may
+ *    memoize them while the weights hold still (rl/inference_memo.hpp:
+ *    collection and greedy evaluation do).
  */
 
 #ifndef AUTOCAT_RL_ACTOR_CRITIC_HPP

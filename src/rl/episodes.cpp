@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "rl/inference_memo.hpp"
 #include "rl/mat.hpp"
 
 namespace autocat {
@@ -156,16 +157,35 @@ greedyPolicies(ActorCritic &net, std::size_t streams)
     net.prepareInference();
     const detail::MatTier tier = detail::matTier();
     const ActorCritic &shared = net;
+
+    /** What one stream's policy owns. */
+    struct Stream
+    {
+        ActorCritic::InferScratch ws;
+        InferenceMemo memo;
+    };
     std::vector<EpisodePolicy> policies;
     policies.reserve(streams);
     for (std::size_t s = 0; s < streams; ++s) {
-        auto ws = std::make_shared<ActorCritic::InferScratch>();
-        policies.push_back([&shared, tier, ws](Environment &env,
-                                               const std::vector<float> &obs,
-                                               const StepInfo *) {
-            return greedyAction(shared,
-                                shared.forwardOne(tier, obs, *ws).logits,
-                                env.actionMask());
+        auto own = std::make_shared<Stream>(Stream{
+            {},
+            InferenceMemo(net.obsDim(), net.numActions(),
+                          InferenceMemo::Keys::Copied, kGreedyMemoRows)});
+        policies.push_back([&shared, tier, own](Environment &env,
+                                                const std::vector<float> &obs,
+                                                const StepInfo *) {
+            const std::uint64_t h =
+                InferenceMemo::hashRow(obs.data(), obs.size());
+            Matrix &logits = own->ws.out.logits;
+            if (const float *hit = own->memo.find(obs.data(), h)) {
+                logits.resizeUninit(1, shared.numActions());
+                std::copy(hit, hit + shared.numActions(), logits.data());
+            } else {
+                const AcOutput &out = shared.forwardOne(tier, obs, own->ws);
+                own->memo.insert(obs.data(), h, out.logits.data(),
+                                 out.values[0]);
+            }
+            return greedyAction(shared, logits, env.actionMask());
         });
     }
     return policies;

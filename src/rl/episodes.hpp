@@ -20,6 +20,11 @@
  * policies that draw from a shared RNG (PpoTrainer::evaluate()'s
  * sampler) take the one-policy call.
  *
+ * **Memos.** Each greedyPolicies() policy keeps an InferenceMemo
+ * (rl/inference_memo.hpp) of the rows it has scored during one call
+ * and skips the forward on a row it holds, which gives the bytes the
+ * forward would: the weights may not change while the policies live.
+ *
  * **Tally.** Each episode is recorded in a slot indexed by its episode
  * number, and EvalStats is summed from the slots in episode order, so
  * no sum depends on which stream finished first: both calls give the
@@ -107,11 +112,21 @@ EvalStats runEpisodes(VecEnv &envs, int episodes,
  */
 EpisodePolicy greedyPolicy(ActorCritic &net);
 
+/** Observation rows each greedyPolicies() policy memoizes at most. */
+constexpr std::size_t kGreedyMemoRows = 512;
+
 /**
  * greedyPolicy() once per stream, for the per-stream runEpisodes():
  * each runs the const ActorCritic::forwardOne() on its own workspace
  * with the calling thread's kernel tier, read here, after the network's
  * derived weights are rebuilt here. Same actions as greedyPolicy().
+ *
+ * Each policy also owns an InferenceMemo (rl/inference_memo.hpp) of the
+ * rows it has scored, up to kGreedyMemoRows rows, and skips the forward
+ * on a row it holds: a greedy policy revisits most of its rows. So the
+ * policies are valid only until @p net's weights next change, which the
+ * derived weights rebuilt here already require; call greedyPolicies()
+ * again after.
  */
 std::vector<EpisodePolicy> greedyPolicies(ActorCritic &net,
                                           std::size_t streams);

@@ -8,7 +8,9 @@
 namespace autocat {
 
 PpoTrainer::PpoTrainer(VecEnv &envs, const PpoConfig &config)
-    : envs_(&envs), config_(config), rng_(config.seed)
+    : envs_(&envs), config_(config), rng_(config.seed),
+      collect_memo_(envs.observationSize(), envs.numActions(),
+                    InferenceMemo::Keys::Borrowed)
 {
     init();
 }
@@ -68,13 +70,15 @@ PpoTrainer::recordEpisodeStats(const std::vector<double> &rewards,
 }
 
 /*
- * One loop for every adapter. The policy GEMM reads the surface's
- * observation matrix directly; the acting observations (and masks) are
- * staged into the rollout before the step overwrites them, and the
- * step's outcomes are committed after it. Forward, sampling, stepping
- * and bookkeeping run in the same order whichever surface steps, so a
- * BatchVecEnv and a SyncVecEnv over the same streams give bitwise
- * identical rollouts.
+ * One loop for every adapter. The acting observations (and masks) are
+ * staged into the rollout before the policy reads them, and the step's
+ * outcomes are committed after it. The policy GEMM reads the surface's
+ * observation matrix directly, unless every stream's staged row is in
+ * the epoch's memo: the weights hold still for the whole collection,
+ * so the memo's outputs are the bytes that GEMM would write. Forward,
+ * sampling, stepping and bookkeeping run in the same order whichever
+ * surface steps, so a BatchVecEnv and a SyncVecEnv over the same
+ * streams give bitwise identical rollouts.
  */
 void
 PpoTrainer::collect()
@@ -83,6 +87,7 @@ PpoTrainer::collect()
     const std::size_t na = envs_->numActions();
     BatchStepSurface &surface = *surface_;
     buffer_->clear();
+    collect_memo_.reset();
     collect_return_sum_ = 0.0;
     collect_len_sum_ = 0.0;
     collect_episodes_ = 0;
@@ -98,9 +103,12 @@ PpoTrainer::collect()
     std::vector<double> values(n), log_probs(n), rewards(n);
     std::vector<std::uint8_t> dones(n, 0);
     std::vector<StepInfo> infos(n);
+    std::vector<std::uint64_t> hashes(n);
+    std::vector<const float *> hits(n);
     const Matrix &obs = surface.obsMatrix();
     while (!buffer_->full()) {
-        net_->forwardNoGrad(obs, fwd_out_);
+        buffer_->stageObs(obs);
+        inferStaged(hashes, hits);
         const std::uint8_t *masks = masking_ ? surface.maskMatrix() : nullptr;
         if (masks)
             buffer_->stageMasks(masks);
@@ -113,7 +121,6 @@ PpoTrainer::collect()
             values[s] = fwd_out_.values[s];
         }
 
-        buffer_->stageObs(obs);
         surface.stepBatchInPlace(actions.data(), rewards.data(),
                                  dones.data(), infos.data());
         total_env_steps_ += static_cast<long long>(n);
@@ -133,6 +140,44 @@ PpoTrainer::collect()
 
     buffer_->computeAdvantages(config_.gamma, config_.lambda, last_values);
     buffer_->normalizeAdvantages();
+}
+
+/*
+ * The policy's outputs for the staged step into fwd_out_. All or
+ * nothing: when some stream's row is new, the forward runs over every
+ * stream, as it would without the memo, and the new rows go in.
+ */
+void
+PpoTrainer::inferStaged(std::vector<std::uint64_t> &hashes,
+                        std::vector<const float *> &hits)
+{
+    const std::size_t n = hashes.size();
+    const std::size_t dim = envs_->observationSize();
+    const std::size_t na = envs_->numActions();
+    const float *staged = buffer_->stagedObs();
+    bool all = true;
+    for (std::size_t s = 0; s < n; ++s) {
+        const float *row = staged + s * dim;
+        hashes[s] = InferenceMemo::hashRow(row, dim);
+        hits[s] = collect_memo_.find(row, hashes[s]);
+        all = all && hits[s];
+    }
+    if (all) {
+        fwd_out_.logits.resizeUninit(n, na);
+        fwd_out_.values.resize(n);
+        for (std::size_t s = 0; s < n; ++s) {
+            std::copy(hits[s], hits[s] + na, fwd_out_.logits.rowPtr(s));
+            fwd_out_.values[s] = hits[s][na];
+        }
+        return;
+    }
+    net_->forwardNoGrad(surface_->obsMatrix(), fwd_out_);
+    for (std::size_t s = 0; s < n; ++s) {
+        if (!hits[s])
+            collect_memo_.insert(staged + s * dim, hashes[s],
+                                 fwd_out_.logits.rowPtr(s),
+                                 fwd_out_.values[s]);
+    }
 }
 
 /*

@@ -17,6 +17,13 @@
  * adapter's own, or a wrapper over resetAll()/stepAll() when it has
  * none. Both give the same bits for the same streams and seeds.
  *
+ * Collection consults an InferenceMemo (rl/inference_memo.hpp) keyed
+ * on the step's observations, staged into the rollout buffer before
+ * the forward: a step whose every stream's row was already scored in
+ * this collection takes the memo's outputs instead of the forward,
+ * which are the same bytes, since the weights do not change during a
+ * collection. The memo is reset when a collection starts.
+ *
  * One "epoch" is paper-aligned: 3000 environment steps of collection
  * (across all streams) followed by minibatch updates (Table V
  * footnote: "One epoch is 3000 training steps").
@@ -34,6 +41,7 @@
 #include "rl/adam.hpp"
 #include "rl/env_interface.hpp"
 #include "rl/episodes.hpp"
+#include "rl/inference_memo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/vec_env.hpp"
 #include "util/rng.hpp"
@@ -142,6 +150,8 @@ class PpoTrainer
     friend struct PpoCheckpointAccess;
 
     void collect();
+    void inferStaged(std::vector<std::uint64_t> &hashes,
+                     std::vector<const float *> &hits);
     void recordEpisodeStats(const std::vector<double> &rewards,
                             const std::vector<std::uint8_t> &dones);
     void update(EpochStats &stats);
@@ -161,6 +171,9 @@ class PpoTrainer
     BatchStepSurface *surface_ = nullptr;
     std::unique_ptr<BatchStepSurface> step_all_;  ///< null if envs_ has one
     AcOutput fwd_out_;  ///< reusable inference output
+    /** collect()'s memo, keyed on the buffer's staged rows and reset
+     *  when a collection starts. */
+    InferenceMemo collect_memo_;
 
     // Minibatch-update workspaces, reused across minibatches so the
     // update's batch-sized buffers are allocated once. The observations

@@ -13,6 +13,7 @@
 #ifndef AUTOCAT_RL_ROLLOUT_HPP
 #define AUTOCAT_RL_ROLLOUT_HPP
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -43,6 +44,15 @@ class RolloutBuffer
      * the step's outcomes afterwards.
      */
     void stageObs(const Matrix &obs);
+
+    /** The pending step's staged observations: N rows of obs dim
+     *  floats, which keep their bytes until clear(). */
+    const float *stagedObs() const
+    {
+        assert(staged_);
+        return obs_.rowPtr(steps_added_ * streams_);
+    }
+
     void commitStep(const std::vector<std::size_t> &actions,
                     const std::vector<double> &rewards,
                     const std::vector<std::uint8_t> &dones,

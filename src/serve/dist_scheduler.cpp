@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include <unistd.h>
 
@@ -16,12 +15,16 @@
 #include "serve/net/transport.hpp"
 #include "serve/wire.hpp"
 #include "util/logging.hpp"
+#include "util/socket.hpp"
 
 namespace autocat {
 
 namespace {
 
 namespace fs = std::filesystem;
+
+/** Longest the loop sleeps between passes over the slots. */
+constexpr int kMaxWaitMs = 5;
 
 /** One pending attempt: which grid/cell, and which attempt this is. */
 struct PendingCell
@@ -352,7 +355,16 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
             }
         }
 
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        // Sleep until a busy slot's socket has bytes (a row, a
+        // checkpoint upload, a death), at most kMaxWaitMs so the
+        // heartbeat check above keeps its cadence.
+        std::vector<int> fds;
+        for (std::size_t s = 0; s < transports.size(); ++s) {
+            const int fd = slots[s].busy ? transports[s]->attemptFd() : -1;
+            if (fd >= 0)
+                fds.push_back(fd);
+        }
+        waitAnyReadable(fds, kMaxWaitMs);
     }
 
     const double wall =

@@ -213,6 +213,8 @@ class TcpRunnerTransport final : public RunnerTransport
             .count();
     }
 
+    int attemptFd() const override { return busy_ ? fd_.fd() : -1; }
+
     void
     abandon() override
     {
@@ -344,6 +346,8 @@ class LocalDaemonTransport final : public RunnerTransport
     }
 
     double idleSeconds() const override { return tcp_->idleSeconds(); }
+
+    int attemptFd() const override { return tcp_ ? tcp_->attemptFd() : -1; }
 
     void
     abandon() override

@@ -107,6 +107,11 @@ class RunnerTransport
      *  any received frame). */
     virtual double idleSeconds() const = 0;
 
+    /** The socket of the attempt in flight, or -1 when there is none
+     *  (idle, or killed and awaiting its poll()): the scheduler sleeps
+     *  until one of its busy slots' sockets is readable. */
+    virtual int attemptFd() const = 0;
+
     /** Scheduler is going down mid-run (stop injection): drop the
      *  connection and reap a local daemon without reporting an
      *  outcome. */

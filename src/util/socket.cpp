@@ -1,5 +1,6 @@
 #include "util/socket.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -203,11 +204,23 @@ recvSome(int fd, void *data, std::size_t size)
 bool
 waitReadable(int fd, int timeout_ms)
 {
-    pollfd pfd{fd, POLLIN, 0};
+    return waitAnyReadable({fd}, timeout_ms);
+}
+
+bool
+waitAnyReadable(const std::vector<int> &fds, int timeout_ms)
+{
+    std::vector<pollfd> pfds;
+    pfds.reserve(fds.size());
+    for (const int fd : fds)
+        pfds.push_back({fd, POLLIN, 0});
     // EINTR falls through as "not readable" deliberately: accept loops
     // use the early return to re-check their shutdown flags.
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    return rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+    const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    return rc > 0 &&
+           std::any_of(pfds.begin(), pfds.end(), [](const pollfd &p) {
+               return (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+           });
 }
 
 bool

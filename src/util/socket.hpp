@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace autocat {
 
@@ -134,6 +135,11 @@ long recvSome(int fd, void *data, std::size_t size);
 /** poll() for readability. True when @p fd has data/EOF pending
  *  within @p timeout_ms. */
 bool waitReadable(int fd, int timeout_ms);
+
+/** waitReadable() over several fds: true as soon as any of @p fds has
+ *  data/EOF pending, false after @p timeout_ms. With no fds it sleeps
+ *  @p timeout_ms. */
+bool waitAnyReadable(const std::vector<int> &fds, int timeout_ms);
 
 /** Put @p fd into non-blocking mode; returns false on failure. */
 bool setNonBlocking(int fd);
