@@ -88,76 +88,71 @@ multiSecretEnv(std::uint64_t seed = 7)
     return cfg;
 }
 
-/** Curriculum stage variants of multiSecretEnv(). */
-inline EnvConfig
-singleSecretStage(std::uint64_t seed = 7)
+/**
+ * The Tables VIII/IX and Fig. 3 curriculum as a campaign on
+ * multiSecretEnv(): the policy learns the one-shot attack on
+ * single-secret episodes ("one-shot", stops at greedy accuracy 0.98),
+ * then repetition on 32-step multi-secret episodes ("short-channel"),
+ * then the full 160-step channel ("channel"), with @p detector attached
+ * in the two channel phases.
+ */
+inline CampaignConfig
+channelCampaign(const DetectorSpec &detector, std::uint64_t seed,
+                int channel_epochs)
 {
-    EnvConfig cfg = multiSecretEnv(seed);
-    cfg.multiSecret = false;
+    CampaignConfig cfg;
+    cfg.base.env = multiSecretEnv();
+    cfg.base.ppo.seed = seed;
+    cfg.base.evalEpisodes = 40;
+
+    CurriculumPhase one_shot;
+    one_shot.name = "one-shot";
+    one_shot.multiSecret = false;
+    one_shot.maxEpochs = byMode(12, 60, 80);
+    one_shot.targetAccuracy = 0.98;
+
+    CurriculumPhase short_channel;
+    short_channel.name = "short-channel";
+    short_channel.multiSecretEpisodeSteps = 32;
+    short_channel.maxEpochs = byMode(4, 25, 40);
+    short_channel.detectors = {detector};
+
+    CurriculumPhase channel;
+    channel.name = "channel";
+    channel.maxEpochs = channel_epochs;
+    channel.detectors = {detector};
+
+    cfg.phases = {one_shot, short_channel, channel};
     return cfg;
 }
 
-inline EnvConfig
-shortChannelStage(std::uint64_t seed = 7)
+/** Say whether @p row's curriculum learned the one-shot attack. */
+inline void
+printOneShot(const std::string &row, const CampaignResult &result)
 {
-    EnvConfig cfg = multiSecretEnv(seed);
-    cfg.multiSecretEpisodeSteps = 32;
-    return cfg;
+    const PhaseResult &one_shot = result.phases.front();
+    std::cout << row << ": one-shot phase ";
+    if (one_shot.converged)
+        std::cout << "converged at epoch " << one_shot.convergedEpoch;
+    else
+        std::cout << "did not converge";
+    std::cout << "\n";
 }
 
 /**
- * A multi-secret channel agent (Tables VIII/IX): the trainer and the
- * three curriculum stages it trains on, each a 1-stream SyncVecEnv
- * over the caller's instance so detector state attached to it stays
- * observable. The trainer holds the stages' addresses, so the agent is
- * neither copied nor moved.
+ * Play @p episodes on @p game: the textbook prime+probe agent when
+ * @p policy is null, else @p policy greedily.
  */
-struct ChannelAgent
+inline EvalStats
+playRow(CacheGuessingGame &game, ActorCritic *policy, int episodes,
+        const EpisodeHooks &hooks = {})
 {
-    ChannelAgent(Environment &single_env, Environment &short_env,
-                 Environment &full_env, const PpoConfig &ppo)
-        : single(single_env), multiShort(short_env), multiFull(full_env),
-          trainer(single, ppo)
-    {
-    }
-    ChannelAgent(const ChannelAgent &) = delete;
-    ChannelAgent &operator=(const ChannelAgent &) = delete;
-
-    SyncVecEnv single, multiShort, multiFull;
-    PpoTrainer trainer;
-};
-
-/**
- * Curriculum training for the multi-secret channel agents: the policy
- * first learns the one-shot attack on single-secret episodes, then
- * repetition on short multi-secret episodes, then the full 160-step
- * channel. All three environments must share observation/action
- * dimensions (same address ranges and window).
- *
- * @return the agent, its trainer bound to @p multi_full
- */
-inline std::unique_ptr<ChannelAgent>
-trainChannelAgent(CacheGuessingGame &single, CacheGuessingGame &multi_short,
-                  CacheGuessingGame &multi_full, const PpoConfig &ppo,
-                  int phase1_epochs, int phase2_epochs, int phase3_epochs)
-{
-    auto agent =
-        std::make_unique<ChannelAgent>(single, multi_short, multi_full, ppo);
-    PpoTrainer &trainer = agent->trainer;
-    for (int e = 1; e <= phase1_epochs; ++e) {
-        trainer.runEpoch();
-        if (e % 10 == 0 &&
-            trainer.evaluate(40).guessAccuracy >= 0.98) {
-            break;
-        }
-    }
-    trainer.setVecEnv(agent->multiShort);
-    for (int e = 0; e < phase2_epochs; ++e)
-        trainer.runEpoch();
-    trainer.setVecEnv(agent->multiFull);
-    for (int e = 0; e < phase3_epochs; ++e)
-        trainer.runEpoch();
-    return agent;
+    TextbookPrimeProbeAgent textbook(game);
+    SyncVecEnv vec(game);
+    return runEpisodes(vec, episodes,
+                       policy ? greedyPolicy(*policy)
+                              : scriptedPolicy(textbook),
+                       hooks);
 }
 
 } // namespace bench

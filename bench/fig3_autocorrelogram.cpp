@@ -27,16 +27,21 @@ struct TrainCapture
     double maxAutocorr = 0.0;
 };
 
-/** Play one episode of @p act on @p env and read @p detector's train. */
+/**
+ * Play one episode on a fresh Table VIII game, by the textbook agent
+ * or by @p policy (see playRow()), and read its conflict-miss train.
+ */
 TrainCapture
-capture(VecEnv &env, const EpisodePolicy &act,
-        const AutocorrDetector &detector)
+capture(ActorCritic *policy)
 {
-    runEpisodes(env, 1, act);
+    auto env = makeGame(multiSecretEnv());
+    auto detector = std::make_shared<AutocorrDetector>(kMaxLag, 0.75, 0.0);
+    env->attachDetector(detector, DetectorMode::Penalize);
+    playRow(*env, policy, 1);
     TrainCapture out;
-    out.train = detector.eventTrain();
-    out.correlogram = detector.correlogram();
-    out.maxAutocorr = detector.maxAutocorr();
+    out.train = detector->eventTrain();
+    out.correlogram = detector->correlogram();
+    out.maxAutocorr = detector->maxAutocorr();
     return out;
 }
 
@@ -65,38 +70,21 @@ main()
 
     const int train_epochs = byMode(2, 25, 100);
 
-    // Textbook.
-    TrainCapture textbook;
-    {
-        auto env = makeGame(multiSecretEnv());
-        auto det = std::make_shared<AutocorrDetector>(kMaxLag, 0.75, 0.0);
-        env->attachDetector(det, DetectorMode::Penalize);
-        TextbookPrimeProbeAgent agent(*env);
-        SyncVecEnv vec(*env);
-        textbook = capture(vec, scriptedPolicy(agent), *det);
-    }
+    const TrainCapture textbook = capture(nullptr);
 
-    // RL baseline and RL autocor (curriculum-trained).
-    auto trained = [&](double penalty, std::uint64_t seed) {
-        auto single = makeGame(singleSecretStage());
-        auto multi_short = makeGame(shortChannelStage());
-        auto env = makeGame(multiSecretEnv());
-        multi_short->attachDetector(
-            std::make_shared<AutocorrDetector>(kMaxLag, 0.75, penalty),
-            DetectorMode::Penalize);
-        auto det =
-            std::make_shared<AutocorrDetector>(kMaxLag, 0.75, penalty);
-        env->attachDetector(det, DetectorMode::Penalize);
-        PpoConfig ppo;
-        ppo.seed = seed;
-        auto agent = trainChannelAgent(*single, *multi_short, *env, ppo,
-                                       byMode(12, 60, 80),
-                                       byMode(4, 25, 40), train_epochs);
-        return capture(agent->multiFull,
-                       greedyPolicy(agent->trainer.policy()), *det);
+    // RL baseline and RL autocor, trained through the channel curriculum.
+    const auto trained = [&](const std::string &name, double penalty,
+                             std::uint64_t seed) {
+        const DetectorSpec cchunter{"cchunter", DetectorMode::Penalize,
+                                    penalty};
+        TrainingSession session(
+            channelCampaign(cchunter, seed, train_epochs));
+        printOneShot(name, session.run());
+        return capture(&session.trainer().policy());
     };
-    const TrainCapture baseline = trained(0.0, 57);
-    const TrainCapture autocor = trained(-30.0, 58);
+    const TrainCapture baseline = trained("RL_baseline", 0.0, 57);
+    const TrainCapture autocor = trained("RL_autocor", -30.0, 58);
+    std::cout << "\n";
 
     printTrain("textbook", textbook);
     printTrain("RL_baseline", baseline);

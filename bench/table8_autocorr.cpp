@@ -23,21 +23,25 @@ constexpr std::size_t kMaxLag = 30;
 constexpr double kThreshold = 0.75;
 
 /**
- * Play @p episodes of @p act on @p env and add the agent's row:
- * bit rate, accuracy, and the mean of each episode's max
- * autocorrelation as @p detector measured it.
+ * Play @p episodes on a fresh Table VIII game, by the textbook agent
+ * or by @p policy (see playRow()), and add the agent's row: bit rate,
+ * accuracy, and the mean of each episode's max autocorrelation.
  */
 void
-addAgentRow(TextTable &table, const std::string &name, VecEnv &env,
-            const EpisodePolicy &act, const AutocorrDetector &detector,
+addAgentRow(TextTable &table, const std::string &name, ActorCritic *policy,
             int episodes)
 {
+    auto env = makeGame(multiSecretEnv());
+    auto detector = std::make_shared<AutocorrDetector>(
+        kMaxLag, kThreshold, 0.0 /* measurement only */);
+    env->attachDetector(detector, DetectorMode::Penalize);
+
     double autocorr_sum = 0.0;
     EpisodeHooks hooks;
     hooks.onEnd = [&](Environment &) {
-        autocorr_sum += detector.maxAutocorr();
+        autocorr_sum += detector->maxAutocorr();
     };
-    const EvalStats stats = runEpisodes(env, episodes, act, hooks);
+    const EvalStats stats = playRow(*env, policy, episodes, hooks);
     const double avg_max_autocorr =
         episodes ? autocorr_sum / static_cast<double>(episodes) : 0.0;
     table.addRow({name, TextTable::fmt(stats.bitRate, 4),
@@ -45,47 +49,19 @@ addAgentRow(TextTable &table, const std::string &name, VecEnv &env,
                   TextTable::fmt(avg_max_autocorr, 3)});
 }
 
-void
-addTextbookRow(TextTable &table, int episodes)
-{
-    EnvConfig env_cfg = multiSecretEnv();
-    auto env = makeGame(env_cfg);
-    auto detector = std::make_shared<AutocorrDetector>(
-        kMaxLag, kThreshold, 0.0 /* measurement only */);
-    env->attachDetector(detector, DetectorMode::Penalize);
-    TextbookPrimeProbeAgent agent(*env);
-    SyncVecEnv vec(*env);
-    addAgentRow(table, "Textbook", vec, scriptedPolicy(agent), *detector,
-                episodes);
-}
-
+/** Train an agent through the channel curriculum, the CC-Hunter
+ *  penalty @p penalty_coef applying in the channel phases, and add
+ *  its row. */
 void
 addTrainedRow(TextTable &table, const std::string &name,
               double penalty_coef, int channel_epochs, int episodes,
               std::uint64_t seed)
 {
-    // Curriculum: one-shot attack -> short channel -> full channel.
-    // The autocorrelation penalty applies in the channel stages.
-    auto single = makeGame(singleSecretStage());
-    auto multi_short = makeGame(shortChannelStage());
-    auto multi = makeGame(multiSecretEnv());
-
-    auto make_detector = [&] {
-        return std::make_shared<AutocorrDetector>(kMaxLag, kThreshold,
-                                                  penalty_coef);
-    };
-    multi_short->attachDetector(make_detector(), DetectorMode::Penalize);
-    auto detector = make_detector();
-    multi->attachDetector(detector, DetectorMode::Penalize);
-
-    PpoConfig ppo;
-    ppo.seed = seed;
-    auto agent = trainChannelAgent(*single, *multi_short, *multi, ppo,
-                                   byMode(12, 60, 80), byMode(4, 25, 40),
-                                   channel_epochs);
-
-    addAgentRow(table, name, agent->multiFull,
-                greedyPolicy(agent->trainer.policy()), *detector, episodes);
+    const DetectorSpec cchunter{"cchunter", DetectorMode::Penalize,
+                                penalty_coef};
+    TrainingSession session(channelCampaign(cchunter, seed, channel_epochs));
+    printOneShot(name, session.run());
+    addAgentRow(table, name, &session.trainer().policy(), episodes);
 }
 
 } // namespace
@@ -102,12 +78,13 @@ main()
                     {"Attack", "Bit rate (guess/step)", "Guess accuracy",
                      "Avg max autocorr"});
 
-    addTextbookRow(table, eval_episodes);
+    addAgentRow(table, "Textbook", nullptr, eval_episodes);
     addTrainedRow(table, "RL baseline", 0.0, train_epochs, eval_episodes,
                   57);
     addTrainedRow(table, "RL autocor", -30.0, train_epochs, eval_episodes,
                   58);
 
+    std::cout << "\n";
     table.print(std::cout);
     std::cout << "\nPaper (Table VIII): textbook 0.1625/1.0/0.973, RL"
                  " baseline 0.229/0.989/0.933, RL autocor 0.216/0.997/"

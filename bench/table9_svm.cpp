@@ -2,12 +2,13 @@
  * @file
  * Table IX: bypassing the Cyclone-style SVM detector.
  *
- * A linear SVM is trained offline on cyclic-interference features of
+ * The detector is the campaigns' Cyclone model (cycloneCampaignSvm): a
+ * linear SVM trained offline on cyclic-interference features of
  * synthetic benign traces vs. textbook prime+probe traces (the paper
  * uses SPEC2017 for the benign side; the substitute generator is
  * described in detect/benign_traces.hpp).
  * Three agents are then measured against it: the textbook attacker,
- * an RL baseline trained without the detector, and "RL SVM" trained
+ * an RL baseline trained with a zero penalty, and "RL SVM" trained
  * with the detection penalty in the reward.
  */
 
@@ -20,27 +21,35 @@ namespace {
 
 constexpr std::size_t kIntervalSteps = 16;
 
-std::shared_ptr<LinearSvm>
-trainDetectorSvm(double *cv_accuracy)
+/** A row's "cyclone" spec: the campaign SVM at the bench's interval,
+ *  with the per-interval step penalty @p penalty. */
+DetectorSpec
+cycloneSpec(double penalty)
 {
-    CacheConfig cache;
-    cache.numSets = 4;
-    cache.numWays = 1;
-    cache.policy = ReplPolicy::Lru;
-    cache.addressSpaceSize = 128;
+    DetectorSpec spec;
+    spec.kind = "cyclone";
+    spec.penalty = penalty;
+    spec.cycloneInterval = kIntervalSteps;
+    return spec;
+}
 
-    BenignTraceConfig benign;
-    benign.addrSpace = 64;
-    benign.traceLength = 160;
-
-    CycloneTrainingSetBuilder builder(cache, kIntervalSteps, benign);
-    Rng rng(404);
-    const SvmDataset data = builder.build(byMode(30, 120, 300), rng);
-    *cv_accuracy = kFoldAccuracy(data, 5, rng);
-
-    auto svm = std::make_shared<LinearSvm>();
-    svm->train(data, rng);
-    return svm;
+/**
+ * Play @p episodes on a fresh Table IX game, by the textbook agent or
+ * by @p policy (see playRow()), and add the agent's row: bit rate,
+ * accuracy, and the share of episodes the campaign SVM flags.
+ */
+void
+addAgentRow(TextTable &table, const std::string &name, ActorCritic *policy,
+            int episodes)
+{
+    const EnvConfig cfg = multiSecretEnv();
+    auto env = makeGame(cfg);
+    env->attachDetector(makeDetector(cycloneSpec(0.0), cfg.cache),
+                        DetectorMode::Penalize);
+    const EvalStats stats = playRow(*env, policy, episodes);
+    table.addRow({name, TextTable::fmt(stats.bitRate, 4),
+                  TextTable::fmt(stats.guessAccuracy, 3),
+                  TextTable::fmt(stats.detectionRate, 3)});
 }
 
 } // namespace
@@ -53,64 +62,30 @@ main()
     const int train_epochs = byMode(3, 30, 120);
     const int eval_episodes = byMode(20, 120, 1000);
 
-    double cv_accuracy = 0.0;
-    const std::shared_ptr<LinearSvm> svm =
-        trainDetectorSvm(&cv_accuracy);
+    Rng rng;
+    const SvmDataset corpus = cycloneCampaignCorpus(4, kIntervalSteps, rng);
     std::cout << "SVM 5-fold cross-validation accuracy: "
-              << TextTable::fmt(cv_accuracy, 3)
+              << TextTable::fmt(kFoldAccuracy(corpus, 5, rng), 3)
               << "  (paper: 0.988)\n\n";
 
     TextTable table("Table IX (reproduction)",
                     {"Attacker", "Bit rate (guess/step)",
                      "Guess accuracy", "Detection rate"});
+    addAgentRow(table, "Textbook", nullptr, eval_episodes);
 
-    // Textbook agent.
-    {
-        auto env = makeGame(multiSecretEnv());
-        env->attachDetector(std::make_shared<CycloneDetector>(
-                                4, kIntervalSteps, svm, 0.0),
-                            DetectorMode::Penalize);
-        TextbookPrimeProbeAgent agent(*env);
-        SyncVecEnv vec(*env);
-        const EvalStats stats =
-            runEpisodes(vec, eval_episodes, scriptedPolicy(agent));
-        table.addRow({"Textbook", TextTable::fmt(stats.bitRate, 4),
-                      TextTable::fmt(stats.guessAccuracy, 3),
-                      TextTable::fmt(stats.detectionRate, 3)});
-    }
-
-    // RL agents with and without the detection penalty in training
-    // (curriculum: one-shot attack -> short channel -> full channel).
-    auto trained = [&](double penalty, std::uint64_t seed) {
-        auto single = makeGame(singleSecretStage());
-        auto multi_short = makeGame(shortChannelStage());
-        auto multi = makeGame(multiSecretEnv());
-        multi_short->attachDetector(
-            std::make_shared<CycloneDetector>(4, kIntervalSteps, svm,
-                                              penalty),
-            DetectorMode::Penalize);
-        multi->attachDetector(std::make_shared<CycloneDetector>(
-                                  4, kIntervalSteps, svm, penalty),
-                              DetectorMode::Penalize);
-        PpoConfig ppo;
-        ppo.seed = seed;
-        auto agent = trainChannelAgent(*single, *multi_short, *multi, ppo,
-                                       byMode(12, 60, 80),
-                                       byMode(4, 25, 40), train_epochs);
-        return runEpisodes(agent->multiFull, eval_episodes,
-                           greedyPolicy(agent->trainer.policy()));
+    // RL agents with and without the detection penalty in training.
+    const auto trained = [&](const std::string &name, double penalty,
+                             std::uint64_t seed) {
+        TrainingSession session(
+            channelCampaign(cycloneSpec(penalty), seed, train_epochs));
+        printOneShot(name, session.run());
+        addAgentRow(table, name, &session.trainer().policy(),
+                    eval_episodes);
     };
+    trained("RL baseline", 0.0, 61);
+    trained("RL SVM", -6.0, 62);
 
-    const EvalStats baseline = trained(0.0, 61);
-    table.addRow({"RL baseline", TextTable::fmt(baseline.bitRate, 4),
-                  TextTable::fmt(baseline.guessAccuracy, 3),
-                  TextTable::fmt(baseline.detectionRate, 3)});
-
-    const EvalStats evasive = trained(-6.0, 62);
-    table.addRow({"RL SVM", TextTable::fmt(evasive.bitRate, 4),
-                  TextTable::fmt(evasive.guessAccuracy, 3),
-                  TextTable::fmt(evasive.detectionRate, 3)});
-
+    std::cout << "\n";
     table.print(std::cout);
     std::cout << "\nPaper (Table IX): textbook 0.1625/1.0/0.997, RL"
                  " baseline 0.228/0.998/0.715, RL SVM 0.168/0.998/"

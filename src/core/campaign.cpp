@@ -387,11 +387,13 @@ TrainingSession::run(const EpochCallback &epoch_cb,
     fin.detectionRate = final_eval.detectionRate;
 
     // Sequence extraction needs guessing-game introspection; scenarios
-    // that are not guessing games report metrics only.
+    // that are not guessing games report metrics only. A replay that
+    // never guesses is no attack, so it keeps the Unknown category.
     if (auto *game = dynamic_cast<CacheGuessingGame *>(&vec_->env(0))) {
         fin.sequence =
             extractSequence(*game, trainer_->policy(), &fin.finalGuess);
-        fin.category = classifyAttack(fin.sequence, ctx.env);
+        if (!fin.finalGuess.empty())
+            fin.category = classifyAttack(fin.sequence, ctx.env);
     }
     return result;
 }

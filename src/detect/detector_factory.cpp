@@ -22,6 +22,27 @@ constexpr std::size_t kCycloneSvmTraces = 60;
 
 } // namespace
 
+SvmDataset
+cycloneCampaignCorpus(std::size_t num_sets, std::size_t interval_steps,
+                      Rng &rng)
+{
+    // The feature extractor watches num_sets sets of a direct-mapped
+    // cache; benign traffic is the synthetic SPEC substitute.
+    CacheConfig train_cache;
+    train_cache.numSets = static_cast<unsigned>(num_sets);
+    train_cache.numWays = 1;
+    train_cache.policy = ReplPolicy::Lru;
+    train_cache.addressSpaceSize = 128;
+
+    BenignTraceConfig benign;
+    benign.addrSpace = 64;
+    benign.traceLength = 160;
+
+    CycloneTrainingSetBuilder builder(train_cache, interval_steps, benign);
+    rng = Rng(kCycloneSvmSeed);
+    return builder.build(kCycloneSvmTraces, rng);
+}
+
 std::shared_ptr<const LinearSvm>
 cycloneCampaignSvm(std::size_t num_sets, std::size_t interval_steps)
 {
@@ -40,22 +61,9 @@ cycloneCampaignSvm(std::size_t num_sets, std::size_t interval_steps)
     if (it != cache->models.end())
         return it->second;
 
-    // Same canonical training geometry as the Table IX bench: the
-    // feature extractor watches num_sets sets of a direct-mapped cache;
-    // benign traffic is the synthetic SPEC substitute.
-    CacheConfig train_cache;
-    train_cache.numSets = static_cast<unsigned>(num_sets);
-    train_cache.numWays = 1;
-    train_cache.policy = ReplPolicy::Lru;
-    train_cache.addressSpaceSize = 128;
-
-    BenignTraceConfig benign;
-    benign.addrSpace = 64;
-    benign.traceLength = 160;
-
-    CycloneTrainingSetBuilder builder(train_cache, interval_steps, benign);
-    Rng rng(kCycloneSvmSeed);
-    const SvmDataset data = builder.build(kCycloneSvmTraces, rng);
+    Rng rng;
+    const SvmDataset data =
+        cycloneCampaignCorpus(num_sets, interval_steps, rng);
     auto svm = std::make_shared<LinearSvm>();
     svm->train(data, rng);
 

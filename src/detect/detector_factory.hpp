@@ -13,7 +13,8 @@
  * geometry on the deterministic synthetic corpus from
  * detect/benign_traces.hpp (fixed seed) and cached process-wide, so
  * every cyclone detector of a geometry shares one model — mirroring
- * the paper's single offline-trained detector.
+ * the paper's single offline-trained detector. The Table IX bench
+ * measures against this model and cross-validates on its corpus.
  */
 
 #ifndef AUTOCAT_DETECT_DETECTOR_FACTORY_HPP
@@ -71,10 +72,20 @@ std::shared_ptr<Detector> makeDetector(const DetectorSpec &spec,
                                        const CacheConfig &attacked_cache);
 
 /**
+ * The deterministic corpus cycloneCampaignSvm(num_sets, interval_steps)
+ * trains on: synthetic benign traces vs textbook prime+probe on a
+ * num_sets-set direct-mapped cache, drawn from a fixed seed. @p rng's
+ * prior state is discarded; on return it stands where the draw ended,
+ * so training or cross-validating from it continues the corpus's
+ * stream (the Table IX bench cross-validates this way).
+ */
+SvmDataset cycloneCampaignCorpus(std::size_t num_sets,
+                                 std::size_t interval_steps, Rng &rng);
+
+/**
  * The process-wide Cyclone SVM for a geometry: trained on first use on
- * the deterministic synthetic benign-vs-prime+probe corpus, then
- * cached. Exposed so benches/tests can inspect the model campaigns
- * train against.
+ * cycloneCampaignCorpus(), continuing its stream, then cached. Every
+ * "cyclone" DetectorSpec and the Table IX bench detect with it.
  */
 std::shared_ptr<const LinearSvm>
 cycloneCampaignSvm(std::size_t num_sets, std::size_t interval_steps);

@@ -363,6 +363,131 @@ TEST(Campaign, ResumeFromPhaseEndCheckpointIsBitIdentical)
     std::remove(path_b.c_str());
 }
 
+std::string
+hexEval(const EvalStats &s)
+{
+    std::ostringstream os;
+    os << std::hexfloat << "return " << s.meanReturn << " length "
+       << s.meanEpisodeLength << " accuracy " << s.guessAccuracy
+       << " bit rate " << s.bitRate << " detection " << s.detectionRate
+       << " episodes " << s.episodes << " guesses " << s.guesses;
+    return os.str();
+}
+
+/** The Tables VIII/IX curriculum (bench/bench_common.hpp's
+ *  channelCampaign) at a tiny budget, CC-Hunter in the channel
+ *  phases. */
+CampaignConfig
+tinyChannelCampaign()
+{
+    CampaignConfig campaign;
+    EnvConfig &env = campaign.base.env;
+    env.cache.numSets = 4;
+    env.cache.numWays = 1;
+    env.cache.policy = ReplPolicy::Lru;
+    env.cache.addressSpaceSize = 8;
+    env.attackAddrS = 4;
+    env.attackAddrE = 7;
+    env.victimAddrS = 0;
+    env.victimAddrE = 3;
+    env.multiSecret = true;
+    env.multiSecretEpisodeSteps = 160;
+    env.windowSize = 16;
+    env.seed = 7;
+    campaign.base.ppo.seed = 57;
+    campaign.base.ppo.stepsPerEpoch = 320;
+    campaign.base.ppo.hidden = 16;
+    campaign.base.evalEpisodes = 4;
+
+    DetectorSpec cchunter;
+    cchunter.kind = "cchunter";
+    cchunter.penalty = -30.0;
+
+    CurriculumPhase one_shot;
+    one_shot.name = "one-shot";
+    one_shot.multiSecret = false;
+    one_shot.maxEpochs = 2;
+    one_shot.targetAccuracy = 0.98;
+    CurriculumPhase short_channel;
+    short_channel.name = "short-channel";
+    short_channel.multiSecretEpisodeSteps = 32;
+    short_channel.maxEpochs = 1;
+    short_channel.detectors = {cchunter};
+    CurriculumPhase channel;
+    channel.name = "channel";
+    channel.maxEpochs = 1;
+    channel.detectors = {cchunter};
+    campaign.phases = {one_shot, short_channel, channel};
+    return campaign;
+}
+
+TEST(Campaign, ChannelCurriculumSwitchesEpisodeModes)
+{
+    const CampaignResult a = runCampaign(tinyChannelCampaign());
+    const CampaignResult b = runCampaign(tinyChannelCampaign());
+
+    ASSERT_EQ(a.phases.size(), 3u);
+    EXPECT_EQ(a.phases[0].name, "one-shot");
+    EXPECT_EQ(a.phases[1].name, "short-channel");
+    EXPECT_EQ(a.phases[2].name, "channel");
+    // Multi-secret episodes run their fixed length whatever the policy
+    // does, so the phase overrides show in the greedy eval.
+    EXPECT_EQ(a.phases[1].finalEval.meanEpisodeLength, 32.0);
+    EXPECT_EQ(a.phases[2].finalEval.meanEpisodeLength, 160.0);
+    EXPECT_GT(a.phases[1].envStepsEnd, a.phases[0].envStepsEnd);
+    EXPECT_GT(a.phases[2].envStepsEnd, a.phases[1].envStepsEnd);
+
+    ASSERT_EQ(b.phases.size(), a.phases.size());
+    for (std::size_t i = 0; i < a.phases.size(); ++i) {
+        EXPECT_EQ(a.phases[i].epochsRun, b.phases[i].epochsRun) << i;
+        EXPECT_EQ(a.phases[i].envStepsEnd, b.phases[i].envStepsEnd) << i;
+        EXPECT_EQ(hexEval(a.phases[i].finalEval),
+                  hexEval(b.phases[i].finalEval))
+            << a.phases[i].name;
+    }
+}
+
+TEST(Campaign, NoGuessReplayIsUnclassified)
+{
+    // e2ebench's multisecret_detector cell (Table VIII cache, 160-step
+    // multi-secret episodes, CC-Hunter, a fixed 10-epoch budget) at
+    // grid seed 1 ends with a greedy policy that never guesses: its
+    // replay is no attack.
+    const SweepConfig sweep = parseSweepConfig(std::string(R"(
+        num_sets = 4
+        num_ways = 1
+        rep_policy = lru
+        address_space = 8
+        attack_addr_s = 4
+        attack_addr_e = 7
+        victim_addr_s = 0
+        victim_addr_e = 3
+        victim_no_access_enable = false
+        multi_secret = true
+        multi_secret_episode_steps = 160
+        window_size = 16
+        num_streams = 4
+        batch_env = true
+        steps_per_epoch = 3000
+        eval_episodes = 100
+        sweep.name = multisecret_detector
+        sweep.scenarios = cchunter_bypass
+        sweep.seeds = 1
+        phase[0].max_epochs = 10
+    )"));
+    const std::vector<SweepCell> cells = expandSweepGrid(sweep);
+    ASSERT_EQ(cells.size(), 1u);
+    CampaignConfig campaign;
+    campaign.base = cells[0].config;
+    campaign.phases = cells[0].phases;
+
+    const ExplorationResult result = runCampaign(campaign).final;
+    EXPECT_EQ(result.finalAccuracy, 0.0);
+    EXPECT_TRUE(result.finalGuess.empty());
+    EXPECT_FALSE(result.sequence.toString().empty());
+    EXPECT_STREQ(categoryLabel(result.category), "?");
+}
+
 TEST(Campaign, ResumeWithMissingFileStartsFresh)
 {
     CampaignConfig campaign;
